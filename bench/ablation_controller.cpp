@@ -21,20 +21,21 @@ struct Outcome {
   double client_mbps;
 };
 
-Outcome run(sim::ScenarioConfig cfg) {
-  const auto res = sim::run_scenario(cfg);
-  const std::size_t a = benchutil::atk_lo(cfg), b = benchutil::atk_hi(cfg);
-  return {res.server.attacker_cps(a, b), res.client_rx_mbps(a, b)};
+Outcome run(const scenario::Spec& spec, const benchutil::Args& args,
+            const std::string& name) {
+  const scenario::Result res = benchutil::run_scenario(spec, args, name);
+  const std::size_t a = benchutil::atk_lo(spec), b = benchutil::atk_hi(spec);
+  return {res.server().attacker_cps(a, b), res.client_rx_mbps(a, b)};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto args = benchutil::parse(argc, argv);
-  sim::ScenarioConfig base = benchutil::paper_scenario(args);
-  base.attack = sim::AttackType::kConnFlood;
-  base.policy = defense::PolicySpec::puzzles();
-  base.difficulty = {2, 17};
+  scenario::Spec base = benchutil::paper_spec(args);
+  base.attacks = {scenario::AttackSpec{}};  // patched conn flood
+  base.servers.policies = {defense::PolicySpec::puzzles()};
+  base.servers.difficulty = {2, 17};
 
   benchutil::header(
       "Ablation: protection controller design choices",
@@ -46,9 +47,9 @@ int main(int argc, char** argv) {
   std::printf("%-12s %16s %16s\n", "hold (s)", "attacker cps", "client Mbps");
   double cps_short = 0, cps_long = 0;
   for (const int hold : {2, 5, 15, 60, 120}) {
-    sim::ScenarioConfig cfg = base;
-    cfg.policy->protection_hold = SimTime::seconds(hold);
-    const Outcome o = run(cfg);
+    scenario::Spec spec = base;
+    spec.servers.policies[0].protection_hold = SimTime::seconds(hold);
+    const Outcome o = run(spec, args, "hold" + std::to_string(hold));
     if (hold == 2) cps_short = o.attacker_cps;
     if (hold == 120) cps_long = o.attacker_cps;
     std::printf("%-12d %16.1f %16.1f\n", hold, o.attacker_cps, o.client_mbps);
@@ -59,35 +60,36 @@ int main(int argc, char** argv) {
   std::printf("\n(b) engage-water sweep:\n");
   std::printf("%-12s %16s %16s\n", "water", "attacker cps", "client Mbps");
   for (const double w : {0.25, 0.5, 1.0}) {
-    sim::ScenarioConfig cfg = base;
-    cfg.policy->protection_engage_water = w;
-    const Outcome o = run(cfg);
+    scenario::Spec spec = base;
+    spec.servers.policies[0].protection_engage_water = w;
+    const Outcome o =
+        run(spec, args, "water" + std::to_string(static_cast<int>(w * 100)));
     std::printf("%-12.2f %16.1f %16.1f\n", w, o.attacker_cps, o.client_mbps);
   }
 
   std::printf("\n(c) fixed Nash vs adaptive difficulty:\n");
   std::printf("%-12s %16s %16s %12s\n", "variant", "attacker cps",
               "client Mbps", "max m");
-  const Outcome fixed = run(base);
+  const Outcome fixed = run(base, args, "fixed");
   std::printf("%-12s %16.1f %16.1f %12d\n", "fixed", fixed.attacker_cps,
-              fixed.client_mbps, base.difficulty.m);
+              fixed.client_mbps, base.servers.difficulty.m);
 
-  sim::ScenarioConfig ad = base;
+  scenario::Spec ad = base;
   AdaptiveConfig actl;
   actl.base = {2, 15};  // start easier than Nash; let the loop harden it
   actl.m_max = 20;
   actl.high_demand = 1000.0;
   actl.low_demand = 100.0;
   actl.patience = 2;
-  ad.difficulty = actl.base;
-  ad.policy = defense::PolicySpec::puzzles().with_adaptive(actl);
-  const auto ad_res = sim::run_scenario(ad);
-  benchutil::label("adaptive_policy", ad_res.server.policy);
-  benchutil::metric("adaptive_final_m", ad_res.server.final_difficulty_m);
+  ad.servers.difficulty = actl.base;
+  ad.servers.policies = {defense::PolicySpec::puzzles().with_adaptive(actl)};
+  const scenario::Result ad_res = benchutil::run_scenario(ad, args, "adaptive");
+  benchutil::label("adaptive_policy", ad_res.server().policy);
+  benchutil::metric("adaptive_final_m", ad_res.server().final_difficulty_m);
   const std::size_t a = benchutil::atk_lo(ad), b = benchutil::atk_hi(ad);
-  const double ad_cps = ad_res.server.attacker_cps(a, b);
+  const double ad_cps = ad_res.server().attacker_cps(a, b);
   const double ad_mbps = ad_res.client_rx_mbps(a, b);
-  const double m_max_seen = ad_res.server.difficulty_m.max_in(
+  const double m_max_seen = ad_res.server().difficulty_m.max_in(
       ad.attack_start, SimTime::seconds(static_cast<std::int64_t>(b)));
   std::printf("%-12s %16.1f %16.1f %12.0f\n", "adaptive", ad_cps, ad_mbps,
               m_max_seen);

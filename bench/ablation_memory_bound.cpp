@@ -50,27 +50,29 @@ int main(int argc, char** argv) {
 
   // End to end: a legitimate population of IoT-class clients under a
   // Xeon-class botnet flood, with each scheme.
-  const auto run = [&](sim::PowKind pow, puzzle::Difficulty diff) {
-    sim::ScenarioConfig cfg = benchutil::paper_scenario(args);
-    cfg.attack = sim::AttackType::kConnFlood;
-    cfg.defense = tcp::DefenseMode::kPuzzles;
-    cfg.pow = pow;
-    cfg.difficulty = diff;
-    cfg.sol_len = 4;
+  const auto run = [&](scenario::PowKind pow, puzzle::Difficulty diff,
+                       const char* name) {
+    scenario::Spec spec = benchutil::paper_spec(args);
+    spec.servers.policies = {defense::PolicySpec::puzzles()};
+    spec.attacks = {scenario::AttackSpec{}};  // patched conn flood
+    spec.pow = pow;
+    spec.servers.difficulty = diff;
+    spec.servers.sol_len = 4;
     // Weak clients (Pi 3-class), strong bots (Xeon-class).
-    cfg.client_cpu = {sim::kIotDevices[3].hash_rate, 4, 1,
-                      sim::kIotDevices[3].mem_rate};
-    const auto res = sim::run_scenario(cfg);
-    const std::size_t a = benchutil::atk_lo(cfg), b = benchutil::atk_hi(cfg);
+    spec.workload.cpu = {sim::kIotDevices[3].hash_rate, 4, 1,
+                         sim::kIotDevices[3].mem_rate};
+    const scenario::Result res = benchutil::run_scenario(spec, args, name);
+    const std::size_t a = benchutil::atk_lo(spec), b = benchutil::atk_hi(spec);
     struct {
       double client_mbps, attacker_cps;
-    } out{res.client_rx_mbps(a, b), res.server.attacker_cps(a, b)};
+    } out{res.client_rx_mbps(a, b), res.server().attacker_cps(a, b)};
     return out;
   };
 
   // m=25 would overflow the 4-byte-prefix check (m < 8*sol_len = 32): fine.
-  const auto cpu_run = run(sim::PowKind::kCpuBound, cpu_diff);
-  const auto mem_run = run(sim::PowKind::kMemoryBound, mem_diff);
+  const auto cpu_run = run(scenario::PowKind::kCpuBound, cpu_diff, "cpu");
+  const auto mem_run =
+      run(scenario::PowKind::kMemoryBound, mem_diff, "memory");
   std::printf("\nIoT-class clients vs Xeon-class bots during the flood:\n");
   std::printf("%-14s %16s %16s\n", "scheme", "client Mbps", "attacker cps");
   std::printf("%-14s %16.2f %16.2f\n", "cpu-bound", cpu_run.client_mbps,

@@ -3,7 +3,7 @@
 // Every bench prints (1) the series/rows the paper's figure plots, as
 // aligned columns, and (2) a set of PASS/FAIL shape checks against the
 // paper's qualitative claims. Default runs use the scaled timeline
-// (ScenarioConfig::scaled()); pass --full for paper-scale durations.
+// (scenario::Spec::scaled()); pass --full for paper-scale durations.
 //
 // finish() also writes results/BENCH_<artifact>.json (under the working
 // directory, created on demand) — the shape checks plus any metric() values,
@@ -25,7 +25,6 @@
 #include "obs/trace.hpp"
 #include "par/engine.hpp"
 #include "scenario/spec.hpp"
-#include "sim/scenario.hpp"
 
 namespace benchutil {
 
@@ -231,15 +230,6 @@ inline int finish() {
   return g_failures == 0 ? 0 : 1;
 }
 
-/// The paper's §6 experiment configuration at either scale (legacy shim
-/// form, for benches that still drive sim::ScenarioConfig).
-inline tcpz::sim::ScenarioConfig paper_scenario(const Args& args) {
-  tcpz::sim::ScenarioConfig cfg;
-  cfg.seed = args.seed;
-  if (!args.full) cfg = cfg.scaled();
-  return cfg;
-}
-
 /// The paper's §6 experiment as a declarative scenario::Spec at either
 /// scale. No attack groups yet — benches push their own.
 inline tcpz::scenario::Spec paper_spec(const Args& args) {
@@ -249,24 +239,19 @@ inline tcpz::scenario::Spec paper_spec(const Args& args) {
   return s;
 }
 
-/// Seconds bins of the pre-attack window (with margin for warm-up/edges);
-/// works for both sim::ScenarioConfig and scenario::Spec.
-template <typename C>
-std::size_t pre_lo(const C& c) {
-  return c.attack_start_bin() / 2;
+/// Seconds bins of the pre-attack window (with margin for warm-up/edges).
+inline std::size_t pre_lo(const tcpz::scenario::Spec& s) {
+  return s.attack_start_bin() / 2;
 }
-template <typename C>
-std::size_t pre_hi(const C& c) {
-  return c.attack_start_bin() - 2;
+inline std::size_t pre_hi(const tcpz::scenario::Spec& s) {
+  return s.attack_start_bin() - 2;
 }
 /// Bins of the steady part of the attack window.
-template <typename C>
-std::size_t atk_lo(const C& c) {
-  return c.attack_start_bin() + (c.attack_end_bin() - c.attack_start_bin()) / 4;
+inline std::size_t atk_lo(const tcpz::scenario::Spec& s) {
+  return s.attack_start_bin() + (s.attack_end_bin() - s.attack_start_bin()) / 4;
 }
-template <typename C>
-std::size_t atk_hi(const C& c) {
-  return c.attack_end_bin() - 1;
+inline std::size_t atk_hi(const tcpz::scenario::Spec& s) {
+  return s.attack_end_bin() - 1;
 }
 
 }  // namespace benchutil

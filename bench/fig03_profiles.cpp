@@ -45,22 +45,23 @@ double measure_host_hash_rate() {
 /// Fig. 3b stress test: c saturating clients against the application server;
 /// returns the sustained response rate.
 double measure_service_rate(const benchutil::Args& args, int concurrency) {
-  sim::ScenarioConfig cfg;
-  cfg.seed = args.seed;
-  cfg.duration = SimTime::seconds(args.full ? 60 : 20);
-  cfg.attack_start = cfg.duration;  // no attack
-  cfg.attack_end = cfg.duration;
-  cfg.n_bots = 0;
-  cfg.n_clients = concurrency;
-  cfg.client_rate = 3.0 * cfg.service_rate / std::max(1, concurrency);
-  cfg.request_bytes = 100;
-  cfg.response_bytes = 1000;  // keep links out of the way
-  cfg.defense = tcp::DefenseMode::kNone;
-  cfg.listen_backlog = 16384;
-  cfg.accept_backlog = 16384;
-  const auto res = sim::run_scenario(cfg);
-  const std::size_t end = cfg.duration_bins();
-  return res.server.responses.mean_rate(end / 4, end - 1);
+  scenario::Spec s;
+  s.seed = args.seed;
+  s.duration = SimTime::seconds(args.full ? 60 : 20);
+  s.attack_start = s.duration;  // no attack
+  s.attack_end = s.duration;
+  s.workload.n_clients = concurrency;
+  s.workload.request_rate =
+      3.0 * s.servers.service_rate / std::max(1, concurrency);
+  s.workload.request_bytes = 100;
+  s.workload.response_bytes = 1000;  // keep links out of the way
+  s.servers.policies = {defense::PolicySpec::none()};
+  s.servers.listen_backlog = 16384;
+  s.servers.accept_backlog = 16384;
+  const scenario::Result res =
+      benchutil::run_scenario(s, args, "c" + std::to_string(concurrency));
+  const std::size_t end = s.duration_bins();
+  return res.server().responses.mean_rate(end / 4, end - 1);
 }
 
 }  // namespace

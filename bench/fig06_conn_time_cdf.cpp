@@ -12,29 +12,30 @@ using namespace tcpz;
 
 namespace {
 
-sim::ScenarioResult run_config(const benchutil::Args& args, std::uint8_t k,
-                               std::uint8_t m) {
-  sim::ScenarioConfig cfg;
-  cfg.seed = args.seed + k * 100 + m;
-  cfg.n_bots = 0;
-  cfg.n_clients = 1;
+scenario::Result run_config(const benchutil::Args& args, std::uint8_t k,
+                            std::uint8_t m) {
+  scenario::Spec s;
+  s.seed = args.seed + k * 100 + m;
+  s.workload.n_clients = 1;
   // Keep the solver lightly loaded so the CDF measures per-connection time,
   // not M/G/1 queueing: utilisation ~0.25 at every difficulty, and enough
   // samples (>= 120) per configuration.
-  const double solve_sec =
-      puzzle::Difficulty{k, m}.expected_solve_hashes() / cfg.client_cpu.hash_rate;
-  cfg.client_rate = std::min(2.0, 0.25 / std::max(solve_sec, 1e-3));
+  const double solve_sec = puzzle::Difficulty{k, m}.expected_solve_hashes() /
+                           s.workload.cpu.hash_rate;
+  s.workload.request_rate = std::min(2.0, 0.25 / std::max(solve_sec, 1e-3));
   const double samples = args.full ? 400.0 : 120.0;
-  cfg.duration = SimTime::from_seconds(samples / cfg.client_rate);
-  cfg.attack_start = cfg.duration;  // no attack
-  cfg.attack_end = cfg.duration;
-  cfg.response_bytes = 10'000;
-  cfg.client_response_timeout = SimTime::seconds(120);
-  cfg.client_max_pending_solves = 64;
-  cfg.defense = tcp::DefenseMode::kPuzzles;
-  cfg.always_challenge = true;  // Experiment 1 forces the puzzle path
-  cfg.difficulty = {k, m};
-  return sim::run_scenario(cfg);
+  s.duration = SimTime::from_seconds(samples / s.workload.request_rate);
+  s.attack_start = s.duration;  // no attack
+  s.attack_end = s.duration;
+  s.workload.response_bytes = 10'000;
+  s.workload.response_timeout = SimTime::seconds(120);
+  s.workload.max_pending_solves = 64;
+  defense::PolicySpec policy = defense::PolicySpec::puzzles();
+  policy.always_challenge = true;  // Experiment 1 forces the puzzle path
+  s.servers.policies = {policy};
+  s.servers.difficulty = {k, m};
+  return benchutil::run_scenario(
+      s, args, "k" + std::to_string(k) + "m" + std::to_string(m));
 }
 
 }  // namespace

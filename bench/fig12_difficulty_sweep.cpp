@@ -13,10 +13,11 @@ using namespace tcpz;
 namespace {
 
 /// Per-second samples of aggregate client goodput during the attack window.
-BoxplotStats throughput_box(const sim::ScenarioResult& res,
-                            const sim::ScenarioConfig& cfg) {
+BoxplotStats throughput_box(const scenario::Result& res,
+                            const scenario::Spec& spec) {
   SampleSet samples;
-  for (std::size_t t = benchutil::atk_lo(cfg); t < benchutil::atk_hi(cfg); ++t) {
+  for (std::size_t t = benchutil::atk_lo(spec); t < benchutil::atk_hi(spec);
+       ++t) {
     double mbps = 0;
     for (const auto& c : res.clients) mbps += c.rx_bytes.rate_at(t) * 8 / 1e6;
     samples.add(mbps);
@@ -28,15 +29,15 @@ BoxplotStats throughput_box(const sim::ScenarioResult& res,
 
 int main(int argc, char** argv) {
   const auto args = benchutil::parse(argc, argv);
-  auto base = benchutil::paper_scenario(args);
+  scenario::Spec base = benchutil::paper_spec(args);
   if (!args.full) {
     // 24 scenarios: shrink the timeline further to keep the default run fast.
     base.duration = SimTime::seconds(90);
     base.attack_start = SimTime::seconds(20);
     base.attack_end = SimTime::seconds(70);
   }
-  base.attack = sim::AttackType::kConnFlood;
-  base.defense = tcp::DefenseMode::kPuzzles;
+  base.servers.policies = {defense::PolicySpec::puzzles()};
+  base.attacks = {scenario::AttackSpec{}};  // patched conn flood
 
   benchutil::header(
       "Figure 12: client throughput boxplots across (k, m) during a "
@@ -54,11 +55,12 @@ int main(int argc, char** argv) {
               "q1", "median", "q3", "max", "IQR");
   for (const std::uint8_t k : ks) {
     for (const std::uint8_t m : ms) {
-      sim::ScenarioConfig cfg = base;
-      cfg.seed = args.seed + 1000u * k + m;
-      cfg.difficulty = {k, m};
-      const auto res = sim::run_scenario(cfg);
-      const auto box = throughput_box(res, cfg);
+      scenario::Spec spec = base;
+      spec.seed = args.seed + 1000u * k + m;
+      spec.servers.difficulty = {k, m};
+      const scenario::Result res = benchutil::run_scenario(
+          spec, args, "k" + std::to_string(k) + "m" + std::to_string(m));
+      const auto box = throughput_box(res, spec);
       mean_of[k][m] = box.mean;
       median_of[k][m] = box.median;
       stddev_proxy[k][m] = box.q3 - box.q1;
@@ -70,9 +72,9 @@ int main(int argc, char** argv) {
   }
 
   // Reference: nominal no-attack throughput for the same workload.
-  sim::ScenarioConfig calm = base;
-  calm.n_bots = 0;
-  const auto calm_res = sim::run_scenario(calm);
+  scenario::Spec calm = base;
+  calm.attacks.clear();
+  const scenario::Result calm_res = benchutil::run_scenario(calm, args, "calm");
   const double nominal = calm_res.client_rx_mbps(benchutil::pre_lo(calm),
                                                  benchutil::pre_hi(calm));
   std::printf("nominal (no attack): %.2f Mbps aggregate\n\n", nominal);

@@ -45,7 +45,7 @@ void print_replicas(const char* tag, const scenario::Result& r,
                 static_cast<unsigned long long>(c.established_total),
                 static_cast<unsigned long long>(c.established_puzzle),
                 static_cast<unsigned long long>(c.challenges_sent),
-                r.server_attacker_cps(i, lo, hi),
+                r.servers[i].attacker_cps(lo, hi),
                 static_cast<unsigned long long>(
                     r.lb.backends[i].dispatched_packets));
   }
@@ -101,11 +101,11 @@ int main(int argc, char** argv) {
   // shape checks (atk_lo..atk_hi) covers it. The protected replicas have
   // latched by then and their leakage over the same window is ~0.
   const double b_leak_unprotected = benchutil::metric(
-      "partial_unprotected_replica_atk_cps", b.server_attacker_cps(0, lo, hi));
+      "partial_unprotected_replica_atk_cps", b.servers[0].attacker_cps(lo, hi));
   double b_leak_protected_max = 0;
   for (std::size_t i = 1; i < 4; ++i) {
     b_leak_protected_max =
-        std::max(b_leak_protected_max, b.server_attacker_cps(i, lo, hi));
+        std::max(b_leak_protected_max, b.servers[i].attacker_cps(lo, hi));
   }
   benchutil::metric("partial_protected_replica_atk_cps_max",
                     b_leak_protected_max);

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   // (solver-refused attempts never reach the wire and are excluded).
   const double success_pct = r.client_wire_success_pct(atk_lo, atk_hi);
   // Aggregate attacker establishment rate during the same window.
-  const double attacker_cps = r.server_attacker_cps(0, atk_lo, atk_hi);
+  const double attacker_cps = r.servers[0].attacker_cps(atk_lo, atk_hi);
   const double bot_attempt_rate = r.bot_measured_rate(atk_lo, atk_hi);
   const double pre_success = r.client_success_pct(pre_lo, pre_hi);
 

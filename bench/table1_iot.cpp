@@ -12,7 +12,7 @@ using namespace tcpz;
 
 int main(int argc, char** argv) {
   const auto args = benchutil::parse(argc, argv);
-  auto base = benchutil::paper_scenario(args);
+  scenario::Spec base = benchutil::paper_spec(args);
   if (!args.full) {
     base.duration = SimTime::seconds(90);
     base.attack_start = SimTime::seconds(20);
@@ -52,24 +52,24 @@ int main(int argc, char** argv) {
   // server, compared with the Xeon-class botnet.
   std::printf("\nend-to-end: 10-bot connection flood at 500 pps each\n");
   double iot_cps = 0, xeon_cps = 0;
+  base.servers.policies = {defense::PolicySpec::puzzles()};
+  base.servers.difficulty = nash;
+  const std::size_t lo = benchutil::atk_lo(base), hi = benchutil::atk_hi(base);
   {
-    sim::ScenarioConfig cfg = base;
-    cfg.attack = sim::AttackType::kConnFlood;
-    cfg.defense = tcp::DefenseMode::kPuzzles;
-    cfg.difficulty = nash;
-    cfg.bot_cpu = {sim::kIotDevices[0].hash_rate, 1, 1};  // weakest board
-    const auto res = sim::run_scenario(cfg);
-    iot_cps = res.server.attacker_cps(benchutil::atk_lo(cfg),
-                                      benchutil::atk_hi(cfg));
+    scenario::Spec spec = base;
+    scenario::AttackSpec atk;  // patched conn flood
+    atk.cpu = {sim::kIotDevices[0].hash_rate, 1, 1};  // weakest board
+    spec.attacks = {atk};
+    iot_cps = benchutil::run_scenario(spec, args, "iot")
+                  .server()
+                  .attacker_cps(lo, hi);
   }
   {
-    sim::ScenarioConfig cfg = base;
-    cfg.attack = sim::AttackType::kConnFlood;
-    cfg.defense = tcp::DefenseMode::kPuzzles;
-    cfg.difficulty = nash;
-    const auto res = sim::run_scenario(cfg);  // default Xeon-class bots
-    xeon_cps = res.server.attacker_cps(benchutil::atk_lo(cfg),
-                                       benchutil::atk_hi(cfg));
+    scenario::Spec spec = base;
+    spec.attacks = {scenario::AttackSpec{}};  // default Xeon-class bots
+    xeon_cps = benchutil::run_scenario(spec, args, "xeon")
+                   .server()
+                   .attacker_cps(lo, hi);
   }
   std::printf("IoT botnet effective rate:  %6.2f cps\n", iot_cps);
   std::printf("Xeon botnet effective rate: %6.2f cps\n", xeon_cps);

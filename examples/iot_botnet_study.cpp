@@ -5,26 +5,34 @@
 //   ./build/examples/iot_botnet_study
 #include <cstdio>
 
+#include "defense/spec.hpp"
+#include "scenario/spec.hpp"
 #include "sim/devices.hpp"
-#include "sim/scenario.hpp"
 
 using namespace tcpz;
 using namespace tcpz::sim;
 
 namespace {
 
-double effective_cps(const DeviceProfile& dev, int n_bots) {
-  ScenarioConfig cfg = ScenarioConfig{}.scaled();
-  cfg.attack = AttackType::kConnFlood;
-  cfg.defense = tcp::DefenseMode::kPuzzles;
-  cfg.difficulty = {2, 17};
-  cfg.n_bots = n_bots;
-  cfg.bot_rate = 5000.0 / n_bots;
-  cfg.bot_cpu = {dev.hash_rate, dev.cores, 1};
-  const ScenarioResult res = run_scenario(cfg);
+/// Attacker connections/s the Nash-puzzle server admits over the steady part
+/// of the attack window, against `bots` running a patched conn flood.
+double effective_cps(const scenario::AttackSpec& bots) {
+  scenario::Spec s = scenario::Spec{}.scaled();
+  s.servers.policies = {defense::PolicySpec::puzzles()};
+  s.servers.difficulty = {2, 17};
+  s.attacks = {bots};
+  const scenario::Result res = scenario::run(s);
   const std::size_t a =
-      cfg.attack_start_bin() + (cfg.attack_end_bin() - cfg.attack_start_bin()) / 4;
-  return res.server.attacker_cps(a, cfg.attack_end_bin() - 1);
+      s.attack_start_bin() + (s.attack_end_bin() - s.attack_start_bin()) / 4;
+  return res.server().attacker_cps(a, s.attack_end_bin() - 1);
+}
+
+double effective_cps(const DeviceProfile& dev, int n_bots) {
+  scenario::AttackSpec bots;
+  bots.count = n_bots;
+  bots.rate = 5000.0 / n_bots;
+  bots.cpu = {dev.hash_rate, dev.cores, 1};
+  return effective_cps(bots);
 }
 
 }  // namespace
@@ -51,14 +59,8 @@ int main() {
   std::printf("%-10s %22.2f\n", "10x D1", d1);
   std::printf("%-10s %22.2f\n", "10x D4", d4);
 
-  ScenarioConfig xeon = ScenarioConfig{}.scaled();
-  xeon.attack = AttackType::kConnFlood;
-  xeon.defense = tcp::DefenseMode::kPuzzles;
-  xeon.difficulty = nash;
-  const ScenarioResult xr = run_scenario(xeon);
-  const std::size_t a = xeon.attack_start_bin() +
-                        (xeon.attack_end_bin() - xeon.attack_start_bin()) / 4;
-  const double xeon_cps = xr.server.attacker_cps(a, xeon.attack_end_bin() - 1);
+  // The default attack group: 10 Xeon-class bots at 500 pps each.
+  const double xeon_cps = effective_cps(scenario::AttackSpec{});
   std::printf("%-10s %22.2f\n", "10x Xeon", xeon_cps);
 
   // The economics argument of §1/§6.4: to regain an effective 5000 cps

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "core/tcppuzzles.hpp"
+#include "defense/spec.hpp"
 
 using namespace tcpz;
 
@@ -49,8 +50,10 @@ int main() {
   // For the demo, force the challenge path (no attack is filling queues) and
   // use a difficulty a laptop solves instantly.
   server.listener->set_difficulty({2, 12});
+  defense::PolicySpec policy = defense::PolicySpec::puzzles();
+  policy.always_challenge = true;
   tcp::ListenerConfig lcfg = server.listener->config();
-  lcfg.always_challenge = true;
+  lcfg.policy = policy.factory();
   auto listener = std::make_unique<tcp::Listener>(
       lcfg, crypto::SecretKey::from_seed(3), 4, server.engine);
   auto engine = server.engine;

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "core/tcppuzzles.hpp"
+#include "defense/spec.hpp"
 #include "shim/udp_transport.hpp"
 
 using namespace tcpz;
@@ -54,8 +55,9 @@ int main(int argc, char** argv) {
     tcp::ListenerConfig lcfg;
     lcfg.local_addr = kServerAddr;
     lcfg.local_port = 80;
-    lcfg.mode = tcp::DefenseMode::kPuzzles;
-    lcfg.always_challenge = true;
+    defense::PolicySpec policy = defense::PolicySpec::puzzles();
+    policy.always_challenge = true;
+    lcfg.policy = policy.factory();
     lcfg.difficulty = {2, static_cast<std::uint8_t>(m)};
     tcp::Listener listener(lcfg, secret, 1, engine);
     while (!stop.load()) {

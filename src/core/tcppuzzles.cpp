@@ -1,5 +1,7 @@
 #include "core/tcppuzzles.hpp"
 
+#include "defense/spec.hpp"
+
 namespace tcpz {
 
 Version library_version() { return Version{1, 0, 0}; }
@@ -17,7 +19,7 @@ ProtectedServer make_protected_server(const ProtectedServerSettings& settings,
   lcfg.local_port = settings.local_port;
   lcfg.listen_backlog = settings.listen_backlog;
   lcfg.accept_backlog = settings.accept_backlog;
-  lcfg.mode = tcp::DefenseMode::kPuzzles;
+  lcfg.policy = defense::PolicySpec::puzzles().factory();
   lcfg.difficulty = out.plan.difficulty;
   out.listener = std::make_unique<tcp::Listener>(lcfg, secret, seed, out.engine);
   return out;

@@ -4,7 +4,7 @@
 //   1. the puzzle scheme itself        -> puzzle/engine.hpp
 //   2. a difficulty chosen on theory   -> game/planner.hpp (DifficultyPlanner)
 //   3. a protected TCP endpoint        -> tcp/listener.hpp, tcp/connector.hpp
-// plus, for evaluation, the simulator  -> sim/scenario.hpp
+// plus, for evaluation, the simulator  -> scenario/spec.hpp
 //
 // This header pulls the public API together and adds the small glue type
 // (PuzzleProtectedServer settings) the examples use.

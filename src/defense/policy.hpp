@@ -2,10 +2,8 @@
 //
 // The paper's contribution is a *family* of handshake defenses —
 // opportunistic puzzles, SYN cookies as baseline and backup, and the §7
-// adaptive extensions. The listener used to hard-code the family as a
-// three-value DefenseMode enum branched through its state machine; this
-// layer turns each member into a DefensePolicy the listener consults at its
-// three decision points:
+// adaptive extensions. Each member is a DefensePolicy the listener consults
+// at its three decision points:
 //
 //   on_syn   — what to answer a fresh SYN with: admit to the listen queue
 //              (plain SYN-ACK), mint a stateless challenge, mint a stateless
@@ -22,7 +20,7 @@
 // explicit: a policy can decide, never mutate.
 //
 // Concrete policies live in defense/policies.hpp; declarative construction
-// (and the DefenseMode compatibility mapping) in defense/spec.hpp.
+// in defense/spec.hpp.
 #pragma once
 
 #include <cstdint>

@@ -12,27 +12,6 @@ const char* to_string(PolicySpec::Kind kind) {
   return "unknown";
 }
 
-PolicySpec PolicySpec::from_mode(tcp::DefenseMode mode) {
-  switch (mode) {
-    case tcp::DefenseMode::kNone: return none();
-    case tcp::DefenseMode::kSynCookies: return syn_cookies();
-    case tcp::DefenseMode::kPuzzles: return puzzles();
-  }
-  return none();
-}
-
-PolicySpec PolicySpec::from_legacy(tcp::DefenseMode mode, bool always_challenge,
-                                   SimTime protection_hold,
-                                   double protection_engage_water,
-                                   std::optional<AdaptiveConfig> adaptive) {
-  PolicySpec s = from_mode(mode);
-  s.always_challenge = always_challenge;
-  s.protection_hold = protection_hold;
-  s.protection_engage_water = protection_engage_water;
-  s.adaptive = adaptive;
-  return s;
-}
-
 std::unique_ptr<DefensePolicy> PolicySpec::build() const {
   std::unique_ptr<DefensePolicy> p;
   switch (kind) {

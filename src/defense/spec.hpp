@@ -2,10 +2,6 @@
 // configs, fleet per-replica lists and result files carry around. A spec is
 // copyable and comparable where a live policy (stateful, non-copyable) is
 // not; build() turns it into a fresh DefensePolicy instance.
-//
-// The legacy tcp::DefenseMode enum maps onto specs via from_mode(): the
-// three-value enum is now nothing more than a name for three canonical
-// specs.
 #pragma once
 
 #include <memory>
@@ -13,7 +9,6 @@
 
 #include "core/adaptive.hpp"
 #include "defense/policies.hpp"
-#include "tcp/defense_mode.hpp"
 
 namespace tcpz::defense {
 
@@ -50,19 +45,6 @@ struct PolicySpec {
   [[nodiscard]] static PolicySpec syn_cookies() { return of(Kind::kSynCookies); }
   [[nodiscard]] static PolicySpec puzzles() { return of(Kind::kPuzzles); }
   [[nodiscard]] static PolicySpec hybrid() { return of(Kind::kHybrid); }
-
-  /// The DefenseMode compatibility shim: the enum names one of the three
-  /// canonical specs.
-  [[nodiscard]] static PolicySpec from_mode(tcp::DefenseMode mode);
-
-  /// The full legacy-knob shim: a DefenseMode plus the scattered controller
-  /// knobs the pre-policy scenario configs carried. Both scenario layers
-  /// (sim::ScenarioConfig::policy_spec and the fleet's per-replica mode
-  /// list) map their legacy fields through this one function, so the
-  /// mapping can never drift between them.
-  [[nodiscard]] static PolicySpec from_legacy(
-      tcp::DefenseMode mode, bool always_challenge, SimTime protection_hold,
-      double protection_engage_water, std::optional<AdaptiveConfig> adaptive);
 
   /// Fluent helper: the same spec with the adaptive decorator enabled.
   [[nodiscard]] PolicySpec with_adaptive(AdaptiveConfig cfg) const {

@@ -15,15 +15,6 @@ const char* to_string(StrategySpec::Kind kind) {
   return "unknown";
 }
 
-StrategySpec StrategySpec::from_type(sim::AttackType type, bool solve_puzzles) {
-  switch (type) {
-    case sim::AttackType::kSynFlood: return syn_flood();
-    case sim::AttackType::kConnFlood: return conn_flood(solve_puzzles);
-    case sim::AttackType::kBogusSolutionFlood: return bogus_solution_flood();
-  }
-  return conn_flood(solve_puzzles);
-}
-
 std::unique_ptr<AttackStrategy> StrategySpec::build() const {
   switch (kind) {
     case Kind::kSynFlood: return std::make_unique<SynFloodStrategy>();

@@ -3,16 +3,11 @@
 // mirror of defense::PolicySpec. A spec is copyable and comparable where a
 // live strategy (stateful, non-copyable) is not; build() turns it into a
 // fresh AttackStrategy instance.
-//
-// The legacy sim::AttackType enum maps onto specs via from_type(): the
-// three-value enum is now nothing more than a name for three canonical
-// specs.
 #pragma once
 
 #include <memory>
 
 #include "offense/strategies.hpp"
-#include "sim/attack_type.hpp"
 
 namespace tcpz::offense {
 
@@ -86,11 +81,6 @@ struct StrategySpec {
     s.patched = patched;
     return s;
   }
-
-  /// The AttackType compatibility shim: the enum names one of the three
-  /// canonical specs (solve_puzzles is only meaningful for kConnFlood).
-  [[nodiscard]] static StrategySpec from_type(sim::AttackType type,
-                                              bool solve_puzzles = true);
 
   /// Builds a fresh strategy instance.
   [[nodiscard]] std::unique_ptr<AttackStrategy> build() const;

@@ -1,11 +1,10 @@
 // Concrete attack strategies.
 //
-// The legacy three (SYN flood, connection flood, bogus-solution flood) are
-// trace-exact ports of the behaviours sim::AttackerAgent used to hard-code:
-// they consume no randomness of their own and decide exactly where the old
-// branches did, so fixed-seed scenarios reproduce byte-for-byte.
+// The paper's three (SYN flood, connection flood, bogus-solution flood)
+// consume no randomness of their own, so a fixed-seed scenario reproduces
+// byte-for-byte (tests/scenario_trace_test.cpp pins all three).
 //
-// The new ones open the attacker models the paper only gestures at:
+// The others open the attacker models the paper only gestures at:
 //  * PulsedStrategy      — shrew-style on/off duty cycles aimed at the
 //                          opportunistic latch hysteresis (burst while
 //                          protection is down, go quiet until it disengages);

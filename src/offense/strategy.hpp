@@ -4,10 +4,8 @@
 // The paper's evaluation is a matrix of attacker behaviours × defenses: SYN
 // floods, connection floods (patched and legacy kernels), bogus-solution
 // floods (§7), rate/botnet sweeps (Figs. 13-14) and partial adoption
-// (Fig. 15). sim::AttackerAgent used to hard-code the behaviours as a
-// three-value AttackType enum branched through its packet path; this layer
-// turns each behaviour into an AttackStrategy the agent consults at its
-// decision points:
+// (Fig. 15). Each behaviour is an AttackStrategy sim::AttackerAgent
+// consults at its decision points:
 //
 //   on_slot      — at every emission slot of the constant-rate flood loop:
 //                  send a spoofed SYN, launch a real connection attempt
@@ -30,8 +28,7 @@
 // part of the reproducible trace.
 //
 // Concrete strategies live in offense/strategies.hpp; declarative
-// construction (and the AttackType compatibility mapping) in
-// offense/spec.hpp.
+// construction in offense/spec.hpp.
 #pragma once
 
 #include <cstdint>

@@ -67,11 +67,6 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
     throw std::invalid_argument("par: shards must be >= 1");
   }
   if (par.shards == 1) return scenario::run(spec);
-  if (spec.seeding != scenario::SeedMode::kDerivedStreams) {
-    throw std::invalid_argument(
-        "par: sharding requires SeedMode::kDerivedStreams — legacy "
-        "sequential seeding depends on global construction order");
-  }
 
   const auto wall_start = std::chrono::steady_clock::now();
   const int n = par.shards;

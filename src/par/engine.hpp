@@ -14,7 +14,7 @@
 // event sequence numbers are assigned identically on every repeat. With
 // shards == 1 the run is byte-identical to scenario::run (it is the same
 // code path). Across different shard counts results are statistically
-// equivalent, not bitwise equal: SeedMode::kDerivedStreams keeps every
+// equivalent, not bitwise equal: derived per-agent seeding keeps every
 // agent's RNG stream shard-count-independent, but cross-shard queueing is
 // approximated (each shard serializes remote egress on its own portal
 // link), so packet interleavings differ.
@@ -52,8 +52,8 @@ struct ShardPlan {
 [[nodiscard]] ShardPlan plan_shards(const scenario::Spec& spec, int n_shards);
 
 /// Runs `spec` on `par.shards` worker threads. shards == 1 delegates to
-/// scenario::run (byte-identical single-thread semantics). Requires
-/// SeedMode::kDerivedStreams and a positive lookahead for shards > 1.
+/// scenario::run (byte-identical single-thread semantics). Requires a
+/// positive lookahead for shards > 1.
 [[nodiscard]] scenario::Result run(const scenario::Spec& spec,
                                    const ParSpec& par);
 

@@ -1,10 +1,7 @@
-// The unified scenario engine (see spec.hpp and engine.hpp). One code path
-// builds every topology the two legacy drivers handled — single server,
-// addressable multi-server group, load-balanced fleet — and runs any mix of
-// attack groups against it. Construction order, agent seeding order and
-// per-agent RNG use are mirrored from the legacy engines exactly: under
-// SeedMode::kLegacySequential a legacy-shaped spec reproduces the
-// pre-refactor traces byte-for-byte (tests/scenario_trace_test.cpp).
+// The scenario engine (see spec.hpp and engine.hpp). One code path builds
+// every topology — single server, addressable multi-server group,
+// load-balanced fleet — and runs any mix of attack groups against it.
+// Fixed-seed traces are pinned by tests/scenario_trace_test.cpp.
 //
 // The construction lives in Engine (engine.hpp) so the sharded driver in
 // src/par/ can instantiate one engine per worker shard; scenario::run() is
@@ -35,36 +32,16 @@
 namespace tcpz::scenario {
 namespace {
 
-constexpr std::uint32_t kServerAddr = addrs::kServerAddr;
-constexpr std::uint16_t kServerPort = addrs::kServerPort;
+enum class Role : std::uint64_t { kServer = 1, kClient = 2, kBot = 3 };
 
-std::uint32_t server_addr(int i) { return addrs::server(i); }
-std::uint32_t client_addr(int i) { return addrs::client(i); }
-std::uint32_t bot_addr(int i) { return addrs::bot(i); }
-bool is_bot_addr(std::uint32_t addr) { return addrs::is_bot(addr); }
-
-/// Per-agent seed assignment. Derived mode hashes a stable (role, group,
-/// index) id against the spec seed; legacy mode replays the old engines'
-/// shared sequential seeder stream (servers, then clients, then bots).
-class SeedSource {
- public:
-  enum class Role : std::uint64_t { kServer = 1, kClient = 2, kBot = 3 };
-
-  SeedSource(SeedMode mode, std::uint64_t root)
-      : mode_(mode), root_(root), seq_(root) {}
-
-  std::uint64_t next(Role role, std::uint64_t group, std::uint64_t index) {
-    if (mode_ == SeedMode::kLegacySequential) return seq_.next();
-    const std::uint64_t id = (static_cast<std::uint64_t>(role) << 56) |
-                             (group << 32) | index;
-    return Rng::derive_seed(root_, id);
-  }
-
- private:
-  SeedMode mode_;
-  std::uint64_t root_;
-  Rng seq_;
-};
+/// Per-agent seed: a stable (role, group, index) id hashed against the spec
+/// seed, so no agent's stream depends on how many others exist.
+std::uint64_t agent_seed(std::uint64_t root, Role role, std::uint64_t group,
+                         std::uint64_t index) {
+  const std::uint64_t id =
+      (static_cast<std::uint64_t>(role) << 56) | (group << 32) | index;
+  return Rng::derive_seed(root, id);
+}
 
 void validate(const Spec& spec) {
   if (spec.servers.count < 1) {
@@ -90,8 +67,8 @@ void validate(const Spec& spec) {
     if (a.count < 0) {
       throw std::invalid_argument("scenario: attack group count must be >= 0");
     }
-    // An empty group never emits, so its rate is irrelevant — legacy
-    // "no attack" baselines (n_bots = 0, bot_rate = 0) stay valid.
+    // An empty group never emits, so its rate is irrelevant — "no attack"
+    // baselines (count = 0, rate = 0) stay valid.
     if (a.count > 0 && a.rate <= 0.0) {
       throw std::invalid_argument("scenario: attack group rate must be > 0");
     }
@@ -108,9 +85,6 @@ std::string AttackSpec::label() const {
 }
 
 Spec Spec::scaled() const {
-  // Same rates, shorter timeline; the attack window stays shorter than the
-  // default protection hold so it measures the protected steady state (see
-  // sim::ScenarioConfig::scaled).
   Spec s = *this;
   s.duration = SimTime::seconds(120);
   s.attack_start = SimTime::seconds(30);
@@ -224,15 +198,8 @@ double Result::bot_measured_rate(std::size_t from, std::size_t to) const {
 
 double Result::attacker_cps(std::size_t from, std::size_t to) const {
   double sum = 0;
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    sum += server_attacker_cps(i, from, to);
-  }
+  for (const auto& s : servers) sum += s.attacker_cps(from, to);
   return sum;
-}
-
-double Result::server_attacker_cps(std::size_t server, std::size_t from,
-                                   std::size_t to) const {
-  return servers[server].established_attacker.mean_rate(from, to);
 }
 
 int n_discrete_clients(const Spec& spec) {
@@ -276,7 +243,6 @@ struct Engine::Impl {
 
   net::Simulator sim;
   net::Topology topo{sim};
-  SeedSource seeds;
 
   net::Router* r1 = nullptr;
   net::Router* r2 = nullptr;
@@ -328,19 +294,13 @@ struct Engine::Impl {
         env(e),
         sharded(e != nullptr && e->n_shards > 1),
         wmodel(s.workload.model_spec()),
-        n_discrete(n_discrete_clients(s)),
-        seeds(s.seeding, s.seed) {
+        n_discrete(n_discrete_clients(s)) {
     validate(spec);
     if (sharded) validate_env();
     build();
   }
 
   void validate_env() const {
-    if (spec.seeding != SeedMode::kDerivedStreams) {
-      throw std::invalid_argument(
-          "scenario::Engine: sharding requires SeedMode::kDerivedStreams — "
-          "legacy sequential seeding depends on global construction order");
-    }
     if (!env->send) {
       throw std::invalid_argument("scenario::Engine: ShardEnv::send unset");
     }
@@ -367,8 +327,6 @@ struct Engine::Impl {
   }
 
   void build() {
-    using Role = SeedSource::Role;
-
     // Fig. 16: three fully connected backbone routers; the service edge
     // (server, server group, or balancer + fleet) hangs off r1. Every shard
     // carries the router triangle — local traffic uses its local replica.
@@ -386,12 +344,12 @@ struct Engine::Impl {
     if (spec.fleet.enabled) {
       if (owns_infra()) {
         fleet::LoadBalancerConfig lcfg;
-        lcfg.vip = kServerAddr;
+        lcfg.vip = addrs::kServerAddr;
         lcfg.policy = spec.fleet.balance;
         lcfg.flow_idle_timeout = spec.fleet.lb_flow_idle_timeout;
         lb = static_cast<fleet::LoadBalancer*>(topo.add_node(
             std::make_unique<fleet::LoadBalancer>(sim, "lb", lcfg)));
-        topo.advertise(lb, kServerAddr);
+        topo.advertise(lb, addrs::kServerAddr);
         topo.connect(lb, r1,
                      {spec.fleet.lb_uplink_bps, spec.net.link_delay, 4u << 20});
         // Replicas terminate VIP traffic directly (DSR); their hosts carry
@@ -399,7 +357,7 @@ struct Engine::Impl {
         // route.
         for (int i = 0; i < spec.servers.count; ++i) {
           net::Host* h = topo.add_host("replica" + std::to_string(i),
-                                       kServerAddr, /*advertise=*/false);
+                                       addrs::kServerAddr, /*advertise=*/false);
           auto [to_replica, from_replica] = topo.connect(lb, h, server_link);
           (void)from_replica;
           lb->add_backend(to_replica);
@@ -419,7 +377,7 @@ struct Engine::Impl {
         }
         net::Host* h = topo.add_host(
             spec.servers.count == 1 ? "server" : "server" + std::to_string(i),
-            server_addr(i));
+            addrs::server(i));
         topo.connect(h, r1, server_link);
         server_hosts.push_back(h);
       }
@@ -436,7 +394,7 @@ struct Engine::Impl {
         continue;
       }
       net::Host* h =
-          topo.add_host("client" + std::to_string(i), client_addr(i));
+          topo.add_host("client" + std::to_string(i), addrs::client(i));
       topo.connect(h, i % 2 == 0 ? r2 : r3, host_link);
       client_hosts.push_back(h);
     }
@@ -449,7 +407,7 @@ struct Engine::Impl {
             continue;
           }
           net::Host* h =
-              topo.add_host("bot" + std::to_string(bot), bot_addr(bot));
+              topo.add_host("bot" + std::to_string(bot), addrs::bot(bot));
           topo.connect(h, bot % 2 == 0 ? r3 : r2, host_link);
           bot_hosts.push_back(h);
         }
@@ -511,8 +469,8 @@ struct Engine::Impl {
       const defense::PolicySpec pspec = spec.server_policy(i);
       sim::ServerAgentConfig scfg;
       scfg.listener.local_addr =
-          spec.fleet.enabled ? kServerAddr : server_addr(i);
-      scfg.listener.local_port = kServerPort;
+          spec.fleet.enabled ? addrs::kServerAddr : addrs::server(i);
+      scfg.listener.local_port = addrs::kServerPort;
       scfg.listener.listen_backlog = listen_backlog;
       scfg.listener.accept_backlog = accept_backlog;
       scfg.listener.difficulty = spec.servers.difficulty;
@@ -526,12 +484,13 @@ struct Engine::Impl {
       scfg.cpu = spec.servers.cpu;
       scfg.tick_interval = spec.tick_interval;
       scfg.sample_interval = spec.sample_interval;
-      scfg.is_attacker = is_bot_addr;
+      scfg.is_attacker = addrs::is_bot;
       const bool puzzles = pspec.wants_engine();
       servers.push_back(std::make_unique<sim::ServerAgent>(
           sim, *server_hosts[static_cast<std::size_t>(i)], scfg,
           spec.fleet.enabled ? directory->current_secret() : *secret,
-          seeds.next(Role::kServer, 0, static_cast<std::uint64_t>(i)),
+          agent_seed(spec.seed, Role::kServer, 0,
+                     static_cast<std::uint64_t>(i)),
           puzzles ? engine : nullptr));
       if (spec.fleet.enabled && puzzles) {
         directory->subscribe(&servers.back()->listener());
@@ -568,8 +527,8 @@ struct Engine::Impl {
       }
       sim::ClientAgentConfig ccfg;
       ccfg.model = wmodel.factory();
-      ccfg.server_addr = kServerAddr;
-      ccfg.server_port = kServerPort;
+      ccfg.server_addr = addrs::kServerAddr;
+      ccfg.server_port = addrs::kServerPort;
       ccfg.request_rate = spec.workload.request_rate;
       ccfg.request_bytes = spec.workload.request_bytes;
       ccfg.response_bytes = spec.workload.response_bytes;
@@ -585,7 +544,8 @@ struct Engine::Impl {
       ccfg.sample_interval = spec.sample_interval;
       clients.push_back(std::make_unique<sim::ClientAgent>(
           sim, *client_hosts[static_cast<std::size_t>(i)], ccfg,
-          seeds.next(Role::kClient, 0, static_cast<std::uint64_t>(i))));
+          agent_seed(spec.seed, Role::kClient, 0,
+                     static_cast<std::uint64_t>(i))));
       clients.back()->start(spec.duration);
     }
 
@@ -656,10 +616,10 @@ struct Engine::Impl {
     // list; which target a given slot aims at is the strategy's call.
     std::vector<sim::AttackTarget> targets;
     if (spec.fleet.enabled) {
-      targets.push_back({kServerAddr, kServerPort});
+      targets.push_back({addrs::kServerAddr, addrs::kServerPort});
     } else {
       for (int i = 0; i < spec.servers.count; ++i) {
-        targets.push_back({server_addr(i), kServerPort});
+        targets.push_back({addrs::server(i), addrs::kServerPort});
       }
     }
     {
@@ -693,7 +653,7 @@ struct Engine::Impl {
               1 + spec.servers.count + static_cast<int>(host_idx));
           bots.push_back(std::make_unique<sim::AttackerAgent>(
               sim, *bot_hosts[host_idx], acfg,
-              seeds.next(Role::kBot, group_idx,
+              agent_seed(spec.seed, Role::kBot, group_idx,
                          static_cast<std::uint64_t>(i))));
           bots.back()->start(spec.duration);
         }
@@ -706,20 +666,20 @@ struct Engine::Impl {
     // exact contention.
     if (sharded) {
       if (spec.fleet.enabled) {
-        if (owns_infra()) inject_points[kServerAddr] = r1;
+        if (owns_infra()) inject_points[addrs::kServerAddr] = r1;
       } else {
         for (int i = 0; i < spec.servers.count; ++i) {
-          if (owns_server(i)) inject_points[server_addr(i)] = r1;
+          if (owns_server(i)) inject_points[addrs::server(i)] = r1;
         }
       }
       for (int i = 0; i < n_discrete; ++i) {
         if (owns_client(i)) {
-          inject_points[client_addr(i)] = i % 2 == 0 ? r2 : r3;
+          inject_points[addrs::client(i)] = i % 2 == 0 ? r2 : r3;
         }
       }
       for (std::size_t j = 0; j < env->bot_owner.size(); ++j) {
         if (owns_bot(static_cast<int>(j))) {
-          inject_points[bot_addr(static_cast<int>(j))] =
+          inject_points[addrs::bot(static_cast<int>(j))] =
               j % 2 == 0 ? r3 : r2;
         }
       }
@@ -732,18 +692,18 @@ struct Engine::Impl {
   void install_portals() {
     std::vector<std::uint32_t> remote;
     if (spec.fleet.enabled) {
-      if (!owns_infra()) remote.push_back(kServerAddr);
+      if (!owns_infra()) remote.push_back(addrs::kServerAddr);
     } else {
       for (int i = 0; i < spec.servers.count; ++i) {
-        if (!owns_server(i)) remote.push_back(server_addr(i));
+        if (!owns_server(i)) remote.push_back(addrs::server(i));
       }
     }
     for (int i = 0; i < n_discrete; ++i) {
-      if (!owns_client(i)) remote.push_back(client_addr(i));
+      if (!owns_client(i)) remote.push_back(addrs::client(i));
     }
     for (std::size_t j = 0; j < env->bot_owner.size(); ++j) {
       if (!owns_bot(static_cast<int>(j))) {
-        remote.push_back(bot_addr(static_cast<int>(j)));
+        remote.push_back(addrs::bot(static_cast<int>(j)));
       }
     }
     if (remote.empty()) return;

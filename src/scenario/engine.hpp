@@ -4,9 +4,7 @@
 //
 // An Engine owns one net::Simulator plus the slice of the Fig. 16 world a
 // shard is responsible for. With no ShardEnv (or n_shards == 1) it builds
-// the whole scenario and is byte-identical to the historical single-thread
-// scenario::run() — construction order, seeding order and per-agent RNG use
-// are exactly the legacy sequence (pinned by tests/scenario_trace_test.cpp).
+// the whole scenario — exactly what scenario::run() executes.
 //
 // With a ShardEnv, only the agents the env assigns to this shard are
 // instantiated (plus the backbone-router skeleton every shard shares), and
@@ -48,8 +46,7 @@ class Engine {
   /// env == nullptr (or env->n_shards == 1) builds the full scenario.
   /// Construction also starts every owned agent; the caller advances time
   /// with run_until. A recorder installed on the constructing thread (see
-  /// obs/trace.hpp) witnesses construction-time trace events too, exactly
-  /// like the historical run().
+  /// obs/trace.hpp) witnesses construction-time trace events too.
   explicit Engine(const Spec& spec, const ShardEnv* env = nullptr);
   ~Engine();
 

@@ -9,20 +9,14 @@
 // health events. scenario::run() executes it on the Fig. 16 network and
 // returns every metric the paper's figures need.
 //
-// This engine subsumes the two near-duplicate drivers that grew side by
-// side (sim::run_scenario and fleet::run_fleet_scenario); both survive only
-// as thin shims that translate their legacy config structs into a Spec.
-// The shims request SeedMode::kLegacySequential, which reproduces the old
-// engines' agent seeding draw-for-draw — fixed-seed legacy scenarios are
-// byte-for-byte identical to the pre-refactor implementation (pinned by
-// tests/scenario_trace_test.cpp). Native specs default to
-// SeedMode::kDerivedStreams: every agent's RNG derives via
-// Rng::derive_seed from (spec seed, agent id) where the id packs (role,
-// group position, index), so growing a group or appending a new one never
-// perturbs any existing agent's stream. (Group ids are positional:
-// removing or reordering *earlier* groups renumbers the later ones — and
-// shifts their bots' 10.3.0.x addresses — so only append-style edits are
-// trace-neutral.)
+// Every agent's RNG seed derives via Rng::derive_seed from (spec seed,
+// agent id), where the id packs (role, group position, index), so growing
+// a group or appending a new one never perturbs any existing agent's
+// stream — and the sharded driver (src/par/) can build any subset of the
+// agents on any shard. (Group ids are positional: removing or reordering
+// *earlier* groups renumbers the later ones — and shifts their bots'
+// 10.3.0.x addresses — so only append-style edits are trace-neutral.)
+// Fixed-seed traces are pinned by tests/scenario_trace_test.cpp.
 #pragma once
 
 #include <cstddef>
@@ -51,9 +45,6 @@ namespace tcpz::scenario {
 /// random memory accesses (§7's Abadi-style alternative — memory latency is
 /// far more uniform across device classes than compute throughput).
 enum class PowKind : std::uint8_t { kCpuBound, kMemoryBound };
-
-/// How per-agent RNG streams are seeded (see the header comment).
-enum class SeedMode : std::uint8_t { kDerivedStreams, kLegacySequential };
 
 /// The Fig. 16 network: three fully connected backbone routers, the
 /// server(s) behind r1, clients and bots split across r2/r3.
@@ -120,8 +111,10 @@ struct ServerSpec {
   /// entry = that policy everywhere; otherwise exactly one per server.
   std::vector<defense::PolicySpec> policies;
   puzzle::Difficulty difficulty{2, 17};  ///< the Nash difficulty of §4.4
-  /// Linux-style asymmetry: a large SYN backlog and a smaller accept
-  /// backlog (see sim::ScenarioConfig for the Fig. 11 reading).
+  /// Linux-style asymmetry: a large SYN backlog (tcp_max_syn_backlog) and a
+  /// smaller accept backlog (somaxconn/ListenBacklog). The attacker leakage
+  /// per opportunistic opening is one accept backlog, so this ratio sets the
+  /// Fig. 11 rate-limit factor.
   std::size_t listen_backlog = 4096;
   std::size_t accept_backlog = 1024;
   /// µ from the Fig. 3b stress test.
@@ -178,7 +171,6 @@ struct TimelineEvent {
 
 struct Spec {
   std::uint64_t seed = 42;
-  SeedMode seeding = SeedMode::kDerivedStreams;
 
   // Timeline.
   SimTime duration = SimTime::seconds(600);
@@ -197,9 +189,11 @@ struct Spec {
   SimTime sample_interval = SimTime::milliseconds(250);
   ObsSpec obs;
 
-  /// Same rates and shapes on a short timeline: 120 s run, attack 30-80 s —
-  /// kept shorter than the default protection hold (see
-  /// sim::ScenarioConfig::scaled).
+  /// Same rates and shapes on a short timeline: 120 s run, attack 30-80 s.
+  /// The attack window is kept shorter than the default protection hold so
+  /// it measures the protected steady state, as the bulk of the paper's
+  /// 6-minute window does; benches' --full restores paper scale (including
+  /// the periodic opportunistic openings).
   [[nodiscard]] Spec scaled() const;
 
   /// The defense spec server i runs (resolves the policies vector rules).
@@ -282,11 +276,8 @@ struct Result {
                                          std::size_t to) const;
 
   /// Flood leakage: attacker connections established per second over bins
-  /// [from, to), cluster-wide / per server.
+  /// [from, to), cluster-wide (per server: servers[i].attacker_cps).
   [[nodiscard]] double attacker_cps(std::size_t from, std::size_t to) const;
-  [[nodiscard]] double server_attacker_cps(std::size_t server,
-                                           std::size_t from,
-                                           std::size_t to) const;
 };
 
 [[nodiscard]] Result run(const Spec& spec);

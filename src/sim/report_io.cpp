@@ -22,10 +22,11 @@ File open_or_throw(const std::string& path) {
 
 }  // namespace
 
-std::size_t write_csv(const ScenarioResult& result, const ScenarioConfig& cfg,
-                      const std::string& prefix) {
+std::size_t write_csv(const scenario::Result& result,
+                      const scenario::Spec& spec, const std::string& prefix) {
   std::size_t files = 0;
-  const std::size_t bins = cfg.duration_bins();
+  const std::size_t bins = spec.duration_bins();
+  const ServerReport& server = result.server();
 
   {
     File f = open_or_throw(prefix + "_throughput.csv");
@@ -35,7 +36,7 @@ std::size_t write_csv(const ScenarioResult& result, const ScenarioConfig& cfg,
     }
     std::fprintf(f.get(), "\n");
     for (std::size_t t = 0; t < bins; ++t) {
-      std::fprintf(f.get(), "%zu,%.4f", t, result.server.tx_mbps(t, t + 1));
+      std::fprintf(f.get(), "%zu,%.4f", t, server.tx_mbps(t, t + 1));
       for (const auto& c : result.clients) {
         std::fprintf(f.get(), ",%.4f", c.rx_mbps(t, t + 1));
       }
@@ -50,10 +51,10 @@ std::size_t write_csv(const ScenarioResult& result, const ScenarioConfig& cfg,
       const SimTime a = SimTime::seconds(static_cast<std::int64_t>(t));
       const SimTime b = a + SimTime::seconds(1);
       std::fprintf(f.get(), "%zu,%.1f,%.1f,%.4f,%.0f\n", t,
-                   result.server.listen_queue.mean_in(a, b),
-                   result.server.accept_queue.mean_in(a, b),
-                   result.server.cpu.mean_in(a, b),
-                   result.server.difficulty_m.mean_in(a, b));
+                   server.listen_queue.mean_in(a, b),
+                   server.accept_queue.mean_in(a, b),
+                   server.cpu.mean_in(a, b),
+                   server.difficulty_m.mean_in(a, b));
     }
     ++files;
   }
@@ -62,8 +63,8 @@ std::size_t write_csv(const ScenarioResult& result, const ScenarioConfig& cfg,
     std::fprintf(f.get(), "t_s,attacker_cps,client_cps,bot_measured_pps\n");
     for (std::size_t t = 0; t < bins; ++t) {
       std::fprintf(f.get(), "%zu,%.2f,%.2f,%.1f\n", t,
-                   result.server.established_attacker.rate_at(t),
-                   result.server.established_client.rate_at(t),
+                   server.established_attacker.rate_at(t),
+                   server.established_client.rate_at(t),
                    result.bot_measured_rate(t, t + 1));
     }
     ++files;
@@ -80,11 +81,11 @@ std::size_t write_csv(const ScenarioResult& result, const ScenarioConfig& cfg,
   }
   {
     File f = open_or_throw(prefix + "_summary.csv");
-    const auto& c = result.server.counters;
+    const auto& c = server.counters;
     std::fprintf(f.get(), "key,value\n");
-    std::fprintf(f.get(), "policy,%s\n", result.server.policy.c_str());
+    std::fprintf(f.get(), "policy,%s\n", server.policy.c_str());
     std::fprintf(f.get(), "final_difficulty_m,%.0f\n",
-                 result.server.final_difficulty_m);
+                 server.final_difficulty_m);
     // Every counter, expanded from the field table — the old hand-written
     // row list had drifted to 17 of 31 fields (drops_listen_full among the
     // silently missing); the table makes that class of bug impossible.

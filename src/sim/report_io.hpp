@@ -9,13 +9,13 @@
 
 #include <string>
 
-#include "sim/scenario.hpp"
+#include "scenario/spec.hpp"
 
 namespace tcpz::sim {
 
 /// Writes the CSV family; returns the number of files written. Throws
 /// std::runtime_error if a file cannot be created.
-std::size_t write_csv(const ScenarioResult& result, const ScenarioConfig& cfg,
-                      const std::string& prefix);
+std::size_t write_csv(const scenario::Result& result,
+                      const scenario::Spec& spec, const std::string& prefix);
 
 }  // namespace tcpz::sim

@@ -6,26 +6,11 @@
 #include <stdexcept>
 
 #include "crypto/hmac.hpp"
-#include "defense/spec.hpp"
+#include "defense/policies.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace tcpz::tcp {
-namespace {
-
-/// The DefenseMode compatibility shim: map the legacy enum + flat knobs to
-/// the equivalent declarative policy spec.
-defense::PolicySpec legacy_spec(const ListenerConfig& cfg, DefenseMode mode) {
-  defense::PolicySpec spec = defense::PolicySpec::from_mode(mode);
-  spec.always_challenge = cfg.always_challenge;
-  spec.cookie_fallback = cfg.cookie_fallback;
-  spec.protection_hold = cfg.protection_hold;
-  spec.protection_engage_water = cfg.protection_engage_water;
-  return spec;
-}
-
-}  // namespace
-
 Listener::Listener(ListenerConfig cfg, crypto::SecretKey secret,
                    std::uint64_t seed,
                    std::shared_ptr<const puzzle::PuzzleEngine> engine)
@@ -35,7 +20,7 @@ Listener::Listener(ListenerConfig cfg, crypto::SecretKey secret,
       cookies_(secret),
       rng_(seed),
       policy_(cfg_.policy ? cfg_.policy()
-                          : legacy_spec(cfg_, cfg_.mode).build()),
+                          : std::make_unique<defense::NonePolicy>()),
       listen_(cfg.listen_backlog),
       accept_(cfg.accept_backlog) {
   if (!policy_) {
@@ -55,11 +40,6 @@ void Listener::set_policy(std::unique_ptr<defense::DefensePolicy> policy) {
     throw std::invalid_argument("Listener: no PuzzleEngine installed");
   }
   policy_ = std::move(policy);
-}
-
-void Listener::set_mode(DefenseMode mode) {
-  set_policy(legacy_spec(cfg_, mode).build());
-  cfg_.mode = mode;
 }
 
 void Listener::set_difficulty(puzzle::Difficulty d) {

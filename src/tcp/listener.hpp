@@ -13,15 +13,14 @@
 //    answered with RST (the deception mechanism of §5).
 //  * SYN cookies are implemented as the comparison baseline and as the
 //    backup option.
-//  * Difficulty (k, m) and mode are runtime-tunable, mirroring the sysctl
-//    interface.
+//  * Difficulty (k, m) and the defense policy are runtime-tunable,
+//    mirroring the sysctl interface.
 //
 // WHICH defense applies — and when it engages — is decided by a pluggable
 // defense::DefensePolicy (src/defense/policy.hpp) the listener consults at
 // its three decision points (on_syn / on_ack / on_tick). The listener owns
 // the mechanics: queues, retransmits, stateless credential validation and
-// wire formatting. The legacy DefenseMode enum survives as a compatibility
-// shim that maps to the equivalent policy (defense::PolicySpec::from_mode).
+// wire formatting.
 //
 // The class is sans-I/O: callers feed segments and ticks in, and get
 // segments to transmit back. That makes it equally usable from unit tests,
@@ -38,7 +37,6 @@
 #include "defense/policy.hpp"
 #include "puzzle/engine.hpp"
 #include "tcp/counters.hpp"
-#include "tcp/defense_mode.hpp"
 #include "tcp/queues.hpp"
 #include "tcp/segment.hpp"
 #include "tcp/syncookie.hpp"
@@ -52,17 +50,10 @@ struct ListenerConfig {
   std::uint16_t local_port = 80;
   std::size_t listen_backlog = 1024;
   std::size_t accept_backlog = 1024;
-  /// First-class defense selection: when set, the listener is built from
-  /// this factory and the legacy shim fields below (mode, cookie_fallback,
-  /// always_challenge, protection_hold, protection_engage_water) are
-  /// ignored. See defense::PolicySpec::factory().
+  /// The defense policy the listener is built from (see
+  /// defense::PolicySpec::factory()); unset means stock TCP.
   defense::PolicyFactory policy;
-  /// Legacy shim: when `policy` is unset, the mode plus the knobs below are
-  /// mapped to the equivalent policy via defense::PolicySpec.
-  DefenseMode mode = DefenseMode::kNone;
   puzzle::Difficulty difficulty{2, 17};
-  /// Use SYN cookies when puzzles are enabled but no engine is configured.
-  bool cookie_fallback = false;
   SimTime synack_timeout = SimTime::seconds(1);
   /// Linux tcp_synack_retries default: 5 retries with exponential backoff,
   /// a ~63 s half-open lifetime. This lifetime is what keeps the listen
@@ -78,15 +69,6 @@ struct ListenerConfig {
   /// Flight-recorder track this listener's trace events report under (one
   /// track per agent/replica in the Chrome-trace export; see src/obs/).
   std::uint16_t trace_track = 0;
-  /// Challenge every SYN regardless of queue state (legacy shim; see
-  /// defense::PuzzlePolicyConfig::always_challenge).
-  bool always_challenge = false;
-  /// Opportunistic-controller hysteresis (legacy shim; see
-  /// defense::PuzzlePolicyConfig::hold).
-  SimTime protection_hold = SimTime::seconds(60);
-  /// Engage watermark (legacy shim; see
-  /// defense::PuzzlePolicyConfig::engage_water).
-  double protection_engage_water = 1.0;
 };
 
 class Listener {
@@ -130,11 +112,6 @@ class Listener {
   /// policies mid-attack re-opens the opportunistic window until the new
   /// policy's own controller engages.
   void set_policy(std::unique_ptr<defense::DefensePolicy> policy);
-  /// Legacy shim: installs the canonical policy for `mode`, carrying over
-  /// the shim knobs from the construction-time config. Same restart
-  /// semantics as set_policy — and it *replaces* whatever policy is active,
-  /// including a custom one installed via ListenerConfig::policy.
-  void set_mode(DefenseMode mode);
   void set_difficulty(puzzle::Difficulty d);
   void set_engine(std::shared_ptr<const puzzle::PuzzleEngine> engine);
 

@@ -12,10 +12,9 @@ namespace tcpz::workload {
 /// per user, fixed request/response sizes, and a bounded in-kernel solve
 /// queue (challenges beyond `max_pending` outstanding solves are refused).
 ///
-/// This is a trace-exact port of the logic previously hard-wired in
-/// sim::ClientAgent: next_arrival() performs the identical Exp(λ) draw (via
-/// exp_interarrival) in the identical order, so legacy-seeded scenarios
-/// replay byte-for-byte.
+/// next_arrival() performs exactly one Exp(λ) draw per arrival (via
+/// exp_interarrival); the golden traces in tests/scenario_trace_test.cpp and
+/// tests/policy_trace_test.cpp pin that draw order.
 class OpenLoopPoisson final : public TrafficModel {
  public:
   OpenLoopPoisson(double request_rate, std::uint32_t request_bytes,

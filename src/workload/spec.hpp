@@ -2,12 +2,11 @@
 // hybrid kind, how the modeled population splits into fluid mass and a
 // sampled discrete cohort.
 //
-// Mirrors defense::PolicySpec (PR 3) and offense::StrategySpec (PR 5): a
-// comparable value type with canonical factories, a `from_legacy` shim that
-// absorbs the flat knobs older configs carry, and `build()`/`factory()`
-// producing live models. scenario::WorkloadSpec embeds an optional ModelSpec;
-// when absent, the legacy knobs are shimmed through from_legacy so every
-// pre-existing scenario is expressible — and replays byte-for-byte.
+// Mirrors defense::PolicySpec and offense::StrategySpec: a comparable value
+// type with canonical factories, `from_legacy` for the flat WorkloadSpec
+// knobs, and `build()`/`factory()` producing live models.
+// scenario::WorkloadSpec embeds an optional ModelSpec; when absent, the flat
+// knobs go through from_legacy.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +45,8 @@ struct ModelSpec {
   [[nodiscard]] static ModelSpec hybrid(std::uint64_t users,
                                         double cohort_ratio);
 
-  /// Shim for configs that predate ModelSpec: the flat WorkloadSpec /
-  /// ScenarioConfig knobs become an open-loop model with the same demand.
+  /// The flat WorkloadSpec knobs as an open-loop model with the same
+  /// demand.
   [[nodiscard]] static ModelSpec from_legacy(double request_rate,
                                              std::uint32_t request_bytes,
                                              std::uint32_t response_bytes,

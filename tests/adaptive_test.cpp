@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/adaptive.hpp"
-#include "sim/scenario.hpp"
+#include "defense/spec.hpp"
+#include "scenario/spec.hpp"
 
 namespace tcpz {
 namespace {
@@ -148,23 +149,22 @@ TEST(AdaptiveController, ReportsYield) {
 // ---------------------------------------------------------------------------
 
 TEST(AdaptiveController, EndToEndHardensAndRelaxes) {
-  sim::ScenarioConfig cfg;
-  cfg.seed = 11;
-  cfg.duration = SimTime::seconds(60);
-  cfg.attack_start = SimTime::seconds(10);
-  cfg.attack_end = SimTime::seconds(30);
-  cfg.n_clients = 4;
-  cfg.client_rate = 10.0;
-  cfg.response_bytes = 20'000;
-  cfg.n_bots = 4;
-  cfg.bot_rate = 800.0;
-  cfg.listen_backlog = 256;
-  cfg.accept_backlog = 256;
-  cfg.service_rate = 300.0;
-  cfg.attack = sim::AttackType::kConnFlood;
-  cfg.defense = tcp::DefenseMode::kPuzzles;
-  cfg.difficulty = {2, 15};
-  cfg.protection_hold = SimTime::seconds(10);  // let demand fall post-attack
+  scenario::Spec s;
+  s.seed = 11;
+  s.duration = SimTime::seconds(60);
+  s.attack_start = SimTime::seconds(10);
+  s.attack_end = SimTime::seconds(30);
+  s.workload.n_clients = 4;
+  s.workload.request_rate = 10.0;
+  s.workload.response_bytes = 20'000;
+  s.servers.listen_backlog = 256;
+  s.servers.accept_backlog = 256;
+  s.servers.service_rate = 300.0;
+  s.servers.difficulty = {2, 15};
+  scenario::AttackSpec a;
+  a.count = 4;
+  a.rate = 800.0;
+  s.attacks = {a};  // patched conn flood
 
   AdaptiveConfig actl;
   actl.base = {2, 15};
@@ -172,16 +172,18 @@ TEST(AdaptiveController, EndToEndHardensAndRelaxes) {
   actl.high_demand = 1000.0;
   actl.low_demand = 100.0;
   actl.patience = 2;
-  cfg.adaptive = actl;
+  defense::PolicySpec policy =
+      defense::PolicySpec::puzzles().with_adaptive(actl);
+  policy.protection_hold = SimTime::seconds(10);  // let demand fall post-attack
+  s.servers.policies = {policy};
 
-  const auto res = sim::run_scenario(cfg);
+  const scenario::Result res = scenario::run(s);
+  const auto& m = res.server().difficulty_m;
 
-  const double m_before =
-      res.server.difficulty_m.mean_in(SimTime::seconds(1), SimTime::seconds(9));
-  const double m_during = res.server.difficulty_m.max_in(
-      SimTime::seconds(15), SimTime::seconds(30));
-  const double m_end = res.server.difficulty_m.mean_in(SimTime::seconds(55),
-                                                       SimTime::seconds(60));
+  const double m_before = m.mean_in(SimTime::seconds(1), SimTime::seconds(9));
+  const double m_during =
+      m.max_in(SimTime::seconds(15), SimTime::seconds(30));
+  const double m_end = m.mean_in(SimTime::seconds(55), SimTime::seconds(60));
   EXPECT_DOUBLE_EQ(m_before, 15.0) << "no hardening without an attack";
   EXPECT_GT(m_during, 15.0) << "controller must harden under the flood";
   EXPECT_LT(m_end, m_during) << "controller must relax after the flood";

@@ -1,6 +1,6 @@
 // Tests for the pluggable defense layer (src/defense/): policy decision
-// tables driven by synthetic QueueViews, the DefenseMode/PolicySpec mapping,
-// and the new composable policies (hybrid, adaptive decorator, custom
+// tables driven by synthetic QueueViews, the canonical PolicySpec factories,
+// and the composable policies (hybrid, adaptive decorator, custom
 // factories) wired through a real Listener.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "defense/policies.hpp"
 #include "defense/spec.hpp"
 #include "puzzle/engine.hpp"
-#include "sim/scenario.hpp"
 #include "tcp/listener.hpp"
 
 namespace tcpz {
@@ -180,16 +179,20 @@ TEST(HybridPolicy, ChallengesOnAcceptPressureCookiesOnListenPressure) {
 // Spec mapping and construction
 // ---------------------------------------------------------------------------
 
-TEST(PolicySpec, FromModeMapsToCanonicalPolicies) {
-  EXPECT_STREQ(PolicySpec::from_mode(tcp::DefenseMode::kNone).build()->name(),
-               "none");
-  EXPECT_STREQ(
-      PolicySpec::from_mode(tcp::DefenseMode::kSynCookies).build()->name(),
-      "syncookies");
-  EXPECT_STREQ(
-      PolicySpec::from_mode(tcp::DefenseMode::kPuzzles).build()->name(),
-      "puzzles");
+TEST(PolicySpec, CanonicalSpecsBuildNamedPolicies) {
+  EXPECT_STREQ(PolicySpec::none().build()->name(), "none");
+  EXPECT_STREQ(PolicySpec::syn_cookies().build()->name(), "syncookies");
+  EXPECT_STREQ(PolicySpec::puzzles().build()->name(), "puzzles");
   EXPECT_STREQ(PolicySpec::hybrid().build()->name(), "hybrid");
+}
+
+TEST(PolicySpec, UnsetListenerPolicyIsStockTcp) {
+  tcp::ListenerConfig cfg;
+  cfg.local_addr = kServerAddr;
+  cfg.local_port = kServerPort;
+  const tcp::Listener listener(cfg, crypto::SecretKey::from_seed(3), 1,
+                               nullptr);
+  EXPECT_STREQ(listener.policy_name(), "none");
 }
 
 TEST(PolicySpec, AdaptiveWrapsPuzzleMintingKindsOnly) {
@@ -369,48 +372,6 @@ TEST_F(PolicyListenerTest, SetPolicySwitchesAtRuntimeAndValidatesEngine) {
   listener_->set_engine(engine_);
   listener_->set_policy(PolicySpec::hybrid().build());
   EXPECT_STREQ(listener_->policy_name(), "hybrid");
-}
-
-// The legacy-knob mapping is maintained in exactly one place
-// (PolicySpec::from_legacy); both scenario layers go through it.
-TEST(PolicySpecFromLegacy, MapsEveryKnobOnce) {
-  AdaptiveConfig actl;
-  actl.base = {2, 15};
-  const PolicySpec s = PolicySpec::from_legacy(
-      tcp::DefenseMode::kPuzzles, /*always_challenge=*/true,
-      SimTime::seconds(12), /*engage_water=*/0.75, actl);
-  EXPECT_EQ(s.kind, PolicySpec::Kind::kPuzzles);
-  EXPECT_TRUE(s.always_challenge);
-  EXPECT_EQ(s.protection_hold, SimTime::seconds(12));
-  EXPECT_DOUBLE_EQ(s.protection_engage_water, 0.75);
-  ASSERT_TRUE(s.adaptive.has_value());
-  EXPECT_EQ(s.adaptive->base, (puzzle::Difficulty{2, 15}));
-
-  // The kind comes from from_mode — the enum names a canonical spec.
-  EXPECT_EQ(PolicySpec::from_legacy(tcp::DefenseMode::kNone, false,
-                                    SimTime::seconds(60), 1.0, std::nullopt)
-                .kind,
-            PolicySpec::Kind::kNone);
-  EXPECT_EQ(PolicySpec::from_legacy(tcp::DefenseMode::kSynCookies, false,
-                                    SimTime::seconds(60), 1.0, std::nullopt)
-                .kind,
-            PolicySpec::Kind::kSynCookies);
-}
-
-// sim::ScenarioConfig::policy_spec is nothing but from_legacy over the
-// config's shim fields (and the explicit spec short-circuits it).
-TEST(PolicySpecFromLegacy, ScenarioConfigShimGoesThroughIt) {
-  sim::ScenarioConfig cfg;
-  cfg.defense = tcp::DefenseMode::kPuzzles;
-  cfg.always_challenge = true;
-  cfg.protection_hold = SimTime::seconds(33);
-  cfg.protection_engage_water = 0.5;
-  EXPECT_EQ(cfg.policy_spec(),
-            PolicySpec::from_legacy(tcp::DefenseMode::kPuzzles, true,
-                                    SimTime::seconds(33), 0.5, std::nullopt));
-
-  cfg.policy = PolicySpec::hybrid();
-  EXPECT_EQ(cfg.policy_spec(), PolicySpec::hybrid());
 }
 
 }  // namespace

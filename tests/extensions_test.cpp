@@ -7,8 +7,9 @@
 #include <sstream>
 
 #include "game/heterogeneous.hpp"
+#include "defense/spec.hpp"
+#include "scenario/spec.hpp"
 #include "sim/report_io.hpp"
-#include "sim/scenario.hpp"
 
 namespace tcpz {
 namespace {
@@ -31,35 +32,36 @@ std::size_t count_lines(const std::string& s) {
 }
 
 TEST(ReportIo, WritesAllCsvFamilies) {
-  sim::ScenarioConfig cfg;
-  cfg.seed = 3;
-  cfg.duration = SimTime::seconds(12);
-  cfg.attack_start = SimTime::seconds(4);
-  cfg.attack_end = SimTime::seconds(9);
-  cfg.n_clients = 2;
-  cfg.client_rate = 5.0;
-  cfg.response_bytes = 5'000;
-  cfg.n_bots = 2;
-  cfg.bot_rate = 200.0;
-  cfg.listen_backlog = 64;
-  cfg.accept_backlog = 64;
-  cfg.service_rate = 100.0;
-  cfg.attack = sim::AttackType::kConnFlood;
-  cfg.defense = tcp::DefenseMode::kPuzzles;
-  cfg.difficulty = {2, 14};
-  const auto res = sim::run_scenario(cfg);
+  scenario::Spec s;
+  s.seed = 3;
+  s.duration = SimTime::seconds(12);
+  s.attack_start = SimTime::seconds(4);
+  s.attack_end = SimTime::seconds(9);
+  s.workload.n_clients = 2;
+  s.workload.request_rate = 5.0;
+  s.workload.response_bytes = 5'000;
+  s.servers.listen_backlog = 64;
+  s.servers.accept_backlog = 64;
+  s.servers.service_rate = 100.0;
+  s.servers.difficulty = {2, 14};
+  s.servers.policies = {defense::PolicySpec::puzzles()};
+  scenario::AttackSpec a;
+  a.count = 2;
+  a.rate = 200.0;
+  s.attacks = {a};  // patched conn flood
+  const scenario::Result res = scenario::run(s);
 
   const std::string prefix = ::testing::TempDir() + "tcpz_report";
-  EXPECT_EQ(sim::write_csv(res, cfg, prefix), 5u);
+  EXPECT_EQ(sim::write_csv(res, s, prefix), 5u);
 
   const std::string throughput = slurp(prefix + "_throughput.csv");
   EXPECT_NE(throughput.find("t_s,server_tx_mbps,client0_rx_mbps,client1_rx_mbps"),
             std::string::npos);
-  EXPECT_EQ(count_lines(throughput), 1 + cfg.duration_bins());
+  EXPECT_EQ(count_lines(throughput), 1 + s.duration_bins());
 
   const std::string queues = slurp(prefix + "_queues.csv");
   EXPECT_NE(queues.find("listen,accept"), std::string::npos);
-  EXPECT_EQ(count_lines(queues), 1 + cfg.duration_bins());
+  EXPECT_EQ(count_lines(queues), 1 + s.duration_bins());
 
   const std::string summary = slurp(prefix + "_summary.csv");
   EXPECT_NE(summary.find("established_total,"), std::string::npos);
@@ -73,14 +75,13 @@ TEST(ReportIo, WritesAllCsvFamilies) {
 }
 
 TEST(ReportIo, ThrowsOnUnwritablePath) {
-  sim::ScenarioConfig cfg;
-  cfg.duration = SimTime::seconds(1);
-  cfg.attack_start = cfg.duration;
-  cfg.attack_end = cfg.duration;
-  cfg.n_clients = 1;
-  cfg.n_bots = 0;
-  const auto res = sim::run_scenario(cfg);
-  EXPECT_THROW((void)sim::write_csv(res, cfg, "/nonexistent-dir/x"),
+  scenario::Spec s;
+  s.duration = SimTime::seconds(1);
+  s.attack_start = s.duration;
+  s.attack_end = s.duration;
+  s.workload.n_clients = 1;
+  const scenario::Result res = scenario::run(s);
+  EXPECT_THROW((void)sim::write_csv(res, s, "/nonexistent-dir/x"),
                std::runtime_error);
 }
 
@@ -154,34 +155,36 @@ TEST(MemoryBoundPow, ScenarioNarrowsDeviceGap) {
   // A weak-client population completes more under memory-bound PoW at a
   // comparable strong-device work target.
   auto base = [] {
-    sim::ScenarioConfig cfg;
-    cfg.seed = 5;
-    cfg.duration = SimTime::seconds(20);
-    cfg.attack_start = SimTime::seconds(5);
-    cfg.attack_end = SimTime::seconds(15);
-    cfg.n_clients = 3;
-    cfg.client_rate = 5.0;
-    cfg.response_bytes = 5'000;
-    cfg.n_bots = 3;
-    cfg.bot_rate = 400.0;
-    cfg.listen_backlog = 128;
-    cfg.accept_backlog = 128;
-    cfg.service_rate = 150.0;
-    cfg.attack = sim::AttackType::kConnFlood;
-    cfg.defense = tcp::DefenseMode::kPuzzles;
-    cfg.client_cpu = {50'000.0, 1, 1, 40e6};  // IoT-class client
-    return cfg;
+    scenario::Spec s;
+    s.seed = 5;
+    s.duration = SimTime::seconds(20);
+    s.attack_start = SimTime::seconds(5);
+    s.attack_end = SimTime::seconds(15);
+    s.workload.n_clients = 3;
+    s.workload.request_rate = 5.0;
+    s.workload.response_bytes = 5'000;
+    s.workload.cpu = {50'000.0, 1, 1, 40e6};  // IoT-class client
+    s.servers.listen_backlog = 128;
+    s.servers.accept_backlog = 128;
+    s.servers.service_rate = 150.0;
+    s.servers.policies = {defense::PolicySpec::puzzles()};
+    scenario::AttackSpec a;
+    a.count = 3;
+    a.rate = 400.0;
+    s.attacks = {a};  // patched conn flood
+    return s;
   }();
 
-  sim::ScenarioConfig hash_cfg = base;
-  hash_cfg.pow = sim::PowKind::kCpuBound;
-  hash_cfg.difficulty = {2, 17};  // 2.6 s/solve on the weak client
-  const auto hash_res = sim::run_scenario(hash_cfg);
+  scenario::Spec hash_spec = base;
+  hash_spec.pow = scenario::PowKind::kCpuBound;
+  hash_spec.servers.difficulty = {2, 17};  // 2.6 s/solve on the weak client
+  const scenario::Result hash_res = scenario::run(hash_spec);
 
-  sim::ScenarioConfig mem_cfg = base;
-  mem_cfg.pow = sim::PowKind::kMemoryBound;
-  mem_cfg.difficulty = {2, 25};  // ~0.8 s/solve on the weak client's memory
-  const auto mem_res = sim::run_scenario(mem_cfg);
+  scenario::Spec mem_spec = base;
+  mem_spec.pow = scenario::PowKind::kMemoryBound;
+  // ~0.8 s/solve on the weak client's memory.
+  mem_spec.servers.difficulty = {2, 25};
+  const scenario::Result mem_res = scenario::run(mem_spec);
 
   std::uint64_t hash_ok = 0, mem_ok = 0;
   for (const auto& c : hash_res.clients) hash_ok += c.total_completions;

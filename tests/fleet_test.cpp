@@ -8,12 +8,15 @@
 #include <vector>
 
 #include "crypto/secret.hpp"
+#include "defense/spec.hpp"
 #include "fleet/load_balancer.hpp"
 #include "fleet/replay_cache.hpp"
-#include "fleet/scenario.hpp"
 #include "fleet/secret_directory.hpp"
 #include "net/topology.hpp"
+#include "offense/spec.hpp"
+#include "policy_fixtures.hpp"
 #include "puzzle/engine.hpp"
+#include "scenario/spec.hpp"
 #include "tcp/connector.hpp"
 #include "tcp/listener.hpp"
 
@@ -159,8 +162,7 @@ struct ReplicaPair {
     tcp::ListenerConfig cfg;
     cfg.local_addr = kVip;
     cfg.local_port = kPort;
-    cfg.mode = tcp::DefenseMode::kPuzzles;
-    cfg.always_challenge = true;
+    cfg.policy = fixtures::always_puzzles().factory();
     a = std::make_unique<tcp::Listener>(cfg, secret, 1, engine);
     b = std::make_unique<tcp::Listener>(cfg, secret, 2, engine);
   }
@@ -258,8 +260,7 @@ struct RotatingFleet {
     tcp::ListenerConfig cfg;
     cfg.local_addr = kVip;
     cfg.local_port = kPort;
-    cfg.mode = tcp::DefenseMode::kPuzzles;
-    cfg.always_challenge = true;
+    cfg.policy = fixtures::always_puzzles().factory();
     a = std::make_unique<tcp::Listener>(cfg, directory.current_secret(), 1,
                                         directory.current_engine());
     b = std::make_unique<tcp::Listener>(cfg, directory.current_secret(), 2,
@@ -518,139 +519,149 @@ TEST(LoadBalancer, IdleSweepBoundsFlowTableUnderSpoofedSynFlood) {
 // End-to-end fleet scenarios (small timelines to stay fast)
 // ---------------------------------------------------------------------------
 
-FleetScenarioConfig small_fleet(std::uint64_t seed) {
-  FleetScenarioConfig f;
-  f.base.seed = seed;
-  f.base.duration = SimTime::seconds(40);
-  f.base.attack_start = SimTime::seconds(10);
-  f.base.attack_end = SimTime::seconds(30);
-  f.base.n_clients = 6;
-  f.base.client_rate = 10.0;
-  f.base.response_bytes = 20'000;
-  f.base.n_bots = 0;
-  f.base.protection_hold = SimTime::seconds(20);
-  f.n_replicas = 3;
-  return f;
+defense::PolicySpec puzzles_hold20() {
+  defense::PolicySpec p = defense::PolicySpec::puzzles();
+  p.protection_hold = SimTime::seconds(20);
+  return p;
+}
+
+/// A 3-replica fleet with puzzles (20 s protection hold) on every replica.
+scenario::Spec small_fleet(std::uint64_t seed) {
+  scenario::Spec s;
+  s.seed = seed;
+  s.duration = SimTime::seconds(40);
+  s.attack_start = SimTime::seconds(10);
+  s.attack_end = SimTime::seconds(30);
+  s.workload.n_clients = 6;
+  s.workload.request_rate = 10.0;
+  s.workload.response_bytes = 20'000;
+  s.servers.count = 3;
+  s.servers.policies = {puzzles_hold20()};
+  s.fleet.enabled = true;
+  return s;
+}
+
+/// small_fleet() on 4 replicas (5-tuple hash) under a late-ending flood of
+/// 4 non-solving conn-flood bots.
+scenario::Spec partial_adoption_fleet() {
+  scenario::Spec s = small_fleet(13);
+  s.duration = SimTime::seconds(45);
+  s.attack_end = SimTime::seconds(35);
+  scenario::AttackSpec a;
+  a.count = 4;
+  a.rate = 200.0;
+  // A classic flood tool: unpatched, never solves.
+  a.strategy = offense::StrategySpec::conn_flood(/*patched=*/false);
+  s.attacks = {a};
+  s.servers.count = 4;
+  s.fleet.balance = BalancePolicy::kFiveTupleHash;
+  return s;
 }
 
 TEST(FleetScenario, BalancedFleetServesClients) {
-  FleetScenarioConfig f = small_fleet(11);
-  f.policy = BalancePolicy::kRoundRobin;
-  const FleetResult r = run_fleet_scenario(f);
+  scenario::Spec s = small_fleet(11);
+  s.fleet.balance = BalancePolicy::kRoundRobin;
+  const scenario::Result r = scenario::run(s);
 
   EXPECT_GT(r.client_success_ratio(), 0.95);
-  for (const auto& replica : r.replicas) {
+  for (const auto& replica : r.servers) {
     EXPECT_GT(replica.counters.established_total, 0u)
         << "idle replica in a balanced fleet";
   }
   EXPECT_EQ(r.cluster.established_total,
-            r.replicas[0].counters.established_total +
-                r.replicas[1].counters.established_total +
-                r.replicas[2].counters.established_total);
+            r.servers[0].counters.established_total +
+                r.servers[1].counters.established_total +
+                r.servers[2].counters.established_total);
   EXPECT_EQ(r.lb.no_backend_drops, 0u);
 }
 
 TEST(FleetScenario, FailoverKeepsClusterServing) {
-  FleetScenarioConfig f = small_fleet(12);
-  f.policy = BalancePolicy::kRoundRobin;
-  f.events = {{SimTime::seconds(12), 0, false}, {SimTime::seconds(25), 0, true}};
-  const FleetResult r = run_fleet_scenario(f);
+  scenario::Spec s = small_fleet(12);
+  s.fleet.balance = BalancePolicy::kRoundRobin;
+  s.events = {{SimTime::seconds(12), 0, false},
+              {SimTime::seconds(25), 0, true}};
+  const scenario::Result r = scenario::run(s);
 
   // Flows parked on the dead replica are disrupted, everything else keeps
   // working; the cluster serves throughout.
   EXPECT_GT(r.lb.failover_evictions, 0u);
   EXPECT_GT(r.client_success_ratio(), 0.7);
-  EXPECT_GT(r.replicas[1].counters.established_total, 0u);
-  EXPECT_GT(r.replicas[2].counters.established_total, 0u);
+  EXPECT_GT(r.servers[1].counters.established_total, 0u);
+  EXPECT_GT(r.servers[2].counters.established_total, 0u);
 }
 
 TEST(FleetScenario, PartialAdoptionLeaksThroughUnprotectedReplica) {
-  FleetScenarioConfig f = small_fleet(13);
-  f.base.duration = SimTime::seconds(45);
-  f.base.attack_end = SimTime::seconds(35);
-  f.base.n_bots = 4;
-  f.base.bot_rate = 200.0;
-  f.base.bots_solve = false;  // classic flood tool
-  f.base.attack = sim::AttackType::kConnFlood;
-  f.n_replicas = 4;
-  f.policy = BalancePolicy::kFiveTupleHash;
-  f.replica_modes = {tcp::DefenseMode::kNone, tcp::DefenseMode::kPuzzles,
-                     tcp::DefenseMode::kPuzzles, tcp::DefenseMode::kPuzzles};
-  const FleetResult r = run_fleet_scenario(f);
+  scenario::Spec s = partial_adoption_fleet();
+  s.servers.policies = {defense::PolicySpec::none(), puzzles_hold20(),
+                        puzzles_hold20(), puzzles_hold20()};
+  const scenario::Result r = scenario::run(s);
 
   // Late attack window: by then the puzzle replicas' protection has latched
   // and their pre-protection parked entries (the Fig. 8 "opportunistic
   // openings") have drained, so remaining leakage flows through the legacy
   // replica.
   const std::size_t lo = 25, hi = 34;
-  const double unprotected = r.replica_attacker_cps(0, lo, hi);
+  const double unprotected = r.servers[0].attacker_cps(lo, hi);
   EXPECT_GT(unprotected, 1.0) << "flood should leak through the legacy replica";
   for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_GT(unprotected, 3.0 * r.replica_attacker_cps(i, lo, hi))
+    EXPECT_GT(unprotected, 3.0 * r.servers[i].attacker_cps(lo, hi))
         << "puzzle replica " << i << " leaked like the legacy one";
   }
 }
 
 TEST(FleetScenario, MixedPolicyFleetContainsLeakageToLegacyReplica) {
-  // Heterogeneous per-replica policies through the new spec API: one legacy
-  // (unprotected) replica, one adaptive-puzzles, one hybrid, one plain
-  // puzzles — all in one run. The partial-adoption invariant must hold
-  // through the policy layer exactly as it did with per-replica modes: the
-  // flood leaks through the legacy replica and every protected replica
-  // (whatever its policy flavour) contains it.
-  FleetScenarioConfig f = small_fleet(13);
-  f.base.duration = SimTime::seconds(45);
-  f.base.attack_end = SimTime::seconds(35);
-  f.base.n_bots = 4;
-  f.base.bot_rate = 200.0;
-  f.base.bots_solve = false;  // classic flood tool
-  f.base.attack = sim::AttackType::kConnFlood;
-  f.n_replicas = 4;
-  f.policy = BalancePolicy::kFiveTupleHash;
+  // Heterogeneous per-replica policies: one legacy (unprotected) replica,
+  // one adaptive-puzzles, one hybrid, one plain puzzles — all in one run.
+  // The partial-adoption invariant must hold whatever the policy flavour:
+  // the flood leaks through the legacy replica and every protected replica
+  // contains it.
+  scenario::Spec s = partial_adoption_fleet();
   AdaptiveConfig actl;
-  actl.base = f.base.difficulty;
-  f.replica_policies = {defense::PolicySpec::none(),
+  actl.base = s.servers.difficulty;
+  s.servers.policies = {defense::PolicySpec::none(),
                         defense::PolicySpec::puzzles().with_adaptive(actl),
                         defense::PolicySpec::hybrid(),
                         defense::PolicySpec::puzzles()};
-  const FleetResult r = run_fleet_scenario(f);
+  const scenario::Result r = scenario::run(s);
 
   // Reports name each replica's policy instead of a bare enum value.
-  ASSERT_EQ(r.replicas.size(), 4u);
-  EXPECT_EQ(r.replicas[0].policy, "none");
-  EXPECT_EQ(r.replicas[1].policy, "adaptive+puzzles");
-  EXPECT_EQ(r.replicas[2].policy, "hybrid");
-  EXPECT_EQ(r.replicas[3].policy, "puzzles");
+  ASSERT_EQ(r.servers.size(), 4u);
+  EXPECT_EQ(r.servers[0].policy, "none");
+  EXPECT_EQ(r.servers[1].policy, "adaptive+puzzles");
+  EXPECT_EQ(r.servers[2].policy, "hybrid");
+  EXPECT_EQ(r.servers[3].policy, "puzzles");
 
   // Late attack window (see PartialAdoptionLeaksThroughUnprotectedReplica):
   // protected replicas have latched, remaining leakage flows through the
   // legacy one.
   const std::size_t lo = 25, hi = 34;
-  const double unprotected = r.replica_attacker_cps(0, lo, hi);
+  const double unprotected = r.servers[0].attacker_cps(lo, hi);
   EXPECT_GT(unprotected, 1.0) << "flood should leak through the legacy replica";
   for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_GT(unprotected, 3.0 * r.replica_attacker_cps(i, lo, hi))
-        << "protected replica " << i << " (" << r.replicas[i].policy
+    EXPECT_GT(unprotected, 3.0 * r.servers[i].attacker_cps(lo, hi))
+        << "protected replica " << i << " (" << r.servers[i].policy
         << ") leaked like the legacy one";
   }
   // The protected replicas minted challenges; the legacy one never did.
-  EXPECT_EQ(r.replicas[0].counters.challenges_sent, 0u);
+  EXPECT_EQ(r.servers[0].counters.challenges_sent, 0u);
   for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_GT(r.replicas[i].counters.challenges_sent, 0u);
+    EXPECT_GT(r.servers[i].counters.challenges_sent, 0u);
   }
 }
 
 TEST(FleetScenario, RotationUnderLoadKeepsClientsConnected) {
-  FleetScenarioConfig f = small_fleet(14);
-  f.base.always_challenge = true;  // exercise the puzzle path continuously
+  scenario::Spec s = small_fleet(14);
+  defense::PolicySpec policy = puzzles_hold20();
+  policy.always_challenge = true;  // exercise the puzzle path continuously
+  s.servers.policies = {policy};
   // Every request solves, so keep the per-client solver (one lane) below
   // saturation: ~0.19 s per solve at m=16 against 4 requests/s.
-  f.base.client_rate = 4.0;
-  f.base.client_max_pending_solves = 8;  // absorb solve-queue bursts
-  f.base.difficulty = puzzle::Difficulty{2, 16};
-  f.rotation_interval = SimTime::seconds(10);
-  f.rotation_overlap = SimTime::seconds(3);
-  const FleetResult r = run_fleet_scenario(f);
+  s.workload.request_rate = 4.0;
+  s.workload.max_pending_solves = 8;  // absorb solve-queue bursts
+  s.servers.difficulty = puzzle::Difficulty{2, 16};
+  s.fleet.rotation_interval = SimTime::seconds(10);
+  s.fleet.rotation_overlap = SimTime::seconds(3);
+  const scenario::Result r = scenario::run(s);
 
   EXPECT_GE(r.secret_rotations, 3u);
   EXPECT_EQ(r.cluster.secret_rotations, 3u * r.secret_rotations);

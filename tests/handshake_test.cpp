@@ -6,12 +6,16 @@
 #include <memory>
 
 #include "crypto/secret.hpp"
+#include "defense/spec.hpp"
+#include "policy_fixtures.hpp"
 #include "puzzle/engine.hpp"
 #include "tcp/connector.hpp"
 #include "tcp/listener.hpp"
 
 namespace tcpz::tcp {
 namespace {
+
+using defense::PolicySpec;
 
 constexpr std::uint32_t kServerAddr = ipv4(10, 1, 0, 1);
 constexpr std::uint16_t kServerPort = 80;
@@ -59,9 +63,6 @@ class ListenerTest : public ::testing::Test {
     cfg.local_port = kServerPort;
     if (cfg.listen_backlog == 1024) cfg.listen_backlog = 4;
     if (cfg.accept_backlog == 1024) cfg.accept_backlog = 4;
-    // Most tests exercise the strict "challenge iff full" behaviour; the
-    // hysteresis has its own tests below.
-    cfg.protection_engage_water = 1.0;
     secret_ = crypto::SecretKey::from_seed(7);
     engine_ = std::make_shared<puzzle::OraclePuzzleEngine>(
         secret_, puzzle::EngineConfig{4, 4000, 100});
@@ -197,7 +198,7 @@ TEST_F(ListenerTest, WrongDestinationIgnored) {
 
 TEST_F(ListenerTest, NoDefenseDropsSynsWhenFull) {
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kNone;
+  cfg.policy = PolicySpec::none().factory();
   rebuild(cfg);
   const SimTime t = SimTime::seconds(1);
   for (int i = 0; i < 4; ++i) {
@@ -214,7 +215,7 @@ TEST_F(ListenerTest, NoDefenseDropsSynsWhenFull) {
 
 TEST_F(ListenerTest, SynCookiesStatelessWhenFull) {
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kSynCookies;
+  cfg.policy = PolicySpec::syn_cookies().factory();
   rebuild(cfg);
   const SimTime t = SimTime::seconds(1);
   for (int i = 0; i < 4; ++i) {
@@ -235,7 +236,7 @@ TEST_F(ListenerTest, SynCookiesStatelessWhenFull) {
 
 TEST_F(ListenerTest, PuzzleChallengeWhenListenQueueFull) {
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
+  cfg.policy = PolicySpec::puzzles().factory();
   cfg.difficulty = {2, 12};
   rebuild(cfg);
   const SimTime t = SimTime::seconds(1);
@@ -258,7 +259,7 @@ TEST_F(ListenerTest, PuzzleChallengeWhenListenQueueFull) {
 
 TEST_F(ListenerTest, OpportunisticNoChallengeWhenQueueHasRoom) {
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
+  cfg.policy = PolicySpec::puzzles().factory();
   rebuild(cfg);
   const SimTime t = SimTime::seconds(1);
   EXPECT_FALSE(listener_->protection_active());
@@ -269,8 +270,7 @@ TEST_F(ListenerTest, OpportunisticNoChallengeWhenQueueHasRoom) {
 
 TEST_F(ListenerTest, AlwaysChallengeOverridesQueueState) {
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
-  cfg.always_challenge = true;
+  cfg.policy = fixtures::always_puzzles().factory();
   cfg.difficulty = {1, 8};
   rebuild(cfg);
   EXPECT_TRUE(run_handshake(40005, SimTime::seconds(1)));
@@ -288,7 +288,7 @@ TEST_F(ListenerTest, ConnectionFloodFillsListenQueueAndEngagesPuzzles) {
   // challenges then flow even though the overflowing queue is the accept
   // queue (§5).
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
+  cfg.policy = PolicySpec::puzzles().factory();
   cfg.difficulty = {1, 8};
   rebuild(cfg);
   const SimTime t = SimTime::seconds(1);
@@ -326,7 +326,7 @@ TEST_F(ListenerTest, SolutionAckIgnoredWhenAcceptQueueFull) {
   // The deception mechanism: the ACK is dropped silently; the client's later
   // data segment draws a RST.
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
+  cfg.policy = PolicySpec::puzzles().factory();
   cfg.difficulty = {1, 8};
   rebuild(cfg);
   const SimTime t = SimTime::seconds(1);
@@ -369,7 +369,7 @@ TEST_F(ListenerTest, HandshakeAckParkedUntilPeerRetransmits) {
   // semantics), the entry stays in SYN_RECV, and only a later transmission
   // from the peer completes it — a silent peer (flood tool) never connects.
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kNone;
+  cfg.policy = PolicySpec::none().factory();
   cfg.accept_backlog = 1;
   rebuild(cfg);
   const SimTime t = SimTime::seconds(1);
@@ -400,7 +400,7 @@ TEST_F(ListenerTest, HandshakeAckParkedUntilPeerRetransmits) {
 
 TEST_F(ListenerTest, DataSegmentCompletesParkedEntry) {
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kNone;
+  cfg.policy = PolicySpec::none().factory();
   cfg.accept_backlog = 1;
   rebuild(cfg);
   const SimTime t = SimTime::seconds(1);
@@ -432,9 +432,8 @@ class PuzzleAckTest : public ListenerTest {
  protected:
   PuzzleAckTest() {
     ListenerConfig cfg;
-    cfg.mode = DefenseMode::kPuzzles;
+    cfg.policy = fixtures::always_puzzles().factory();
     cfg.difficulty = {2, 12};
-    cfg.always_challenge = true;
     rebuild(cfg);
   }
 
@@ -550,15 +549,13 @@ TEST_F(PuzzleAckTest, LegacyPlainAckSilentlyIgnored) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ListenerTest, ProtectionEngagesAtHighWater) {
+  PolicySpec policy = PolicySpec::puzzles();
+  policy.protection_engage_water = 0.5;
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
+  cfg.policy = policy.factory();
   cfg.listen_backlog = 8;
   cfg.accept_backlog = 8;
   rebuild(cfg);
-  // rebuild() pins water to 1.0; rebuild again with the default 0.5.
-  ListenerConfig cfg2 = listener_->config();
-  cfg2.protection_engage_water = 0.5;
-  listener_ = std::make_unique<Listener>(cfg2, secret_, 1, engine_);
 
   const SimTime t = SimTime::seconds(1);
   for (int i = 0; i < 3; ++i) {
@@ -573,10 +570,11 @@ TEST_F(ListenerTest, ProtectionEngagesAtHighWater) {
 }
 
 TEST_F(ListenerTest, ProtectionHoldOutlastsQueueDrain) {
+  PolicySpec policy = PolicySpec::puzzles();
+  policy.protection_hold = SimTime::seconds(5);
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
+  cfg.policy = policy.factory();
   cfg.listen_backlog = 2;
-  cfg.protection_hold = SimTime::seconds(5);
   rebuild(cfg);
 
   const SimTime t0 = SimTime::seconds(1);
@@ -607,7 +605,7 @@ TEST_F(ListenerTest, ProtectionHoldOutlastsQueueDrain) {
 
 TEST_F(ListenerTest, SynAckRetransmitThenExpiry) {
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kNone;
+  cfg.policy = PolicySpec::none().factory();
   cfg.synack_timeout = SimTime::seconds(1);
   cfg.max_synack_retries = 2;
   rebuild(cfg);
@@ -633,8 +631,7 @@ TEST_F(ListenerTest, SynAckRetransmitThenExpiry) {
 
 TEST_F(ListenerTest, DifficultyTunableAtRuntime) {
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
-  cfg.always_challenge = true;
+  cfg.policy = fixtures::always_puzzles().factory();
   cfg.difficulty = {1, 8};
   rebuild(cfg);
   const SimTime t = SimTime::seconds(1);
@@ -651,19 +648,14 @@ TEST_F(ListenerTest, DifficultyTunableAtRuntime) {
   EXPECT_THROW(listener_->set_difficulty({0, 8}), std::invalid_argument);
 }
 
-TEST_F(ListenerTest, ModeSwitchable) {
-  listener_->set_mode(DefenseMode::kSynCookies);
-  EXPECT_EQ(listener_->config().mode, DefenseMode::kSynCookies);
-  listener_->set_mode(DefenseMode::kPuzzles);  // engine present: allowed
-  EXPECT_EQ(listener_->config().mode, DefenseMode::kPuzzles);
-}
-
 TEST(ListenerConstruction, PuzzlesModeRequiresEngine) {
+  PolicySpec policy = PolicySpec::puzzles();
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
+  cfg.policy = policy.factory();
   EXPECT_THROW(Listener(cfg, crypto::SecretKey::from_seed(1), 1, nullptr),
                std::invalid_argument);
-  cfg.cookie_fallback = true;  // §5: cookies as the backup option
+  policy.cookie_fallback = true;  // §5: cookies as the backup option
+  cfg.policy = policy.factory();
   EXPECT_NO_THROW(Listener(cfg, crypto::SecretKey::from_seed(1), 1, nullptr));
 }
 

@@ -7,7 +7,9 @@
 #include <memory>
 
 #include "core/tcppuzzles.hpp"
+#include "defense/spec.hpp"
 #include "net/topology.hpp"
+#include "policy_fixtures.hpp"
 #include "tcp/wire_format.hpp"
 
 namespace tcpz {
@@ -37,9 +39,8 @@ class RealStackFixture : public ::testing::Test {
     tcp::ListenerConfig lcfg;
     lcfg.local_addr = kServerAddr;
     lcfg.local_port = 80;
-    lcfg.mode = tcp::DefenseMode::kPuzzles;
-    lcfg.always_challenge = true;  // force the full puzzle path
-    lcfg.difficulty = {2, 10};     // ~1k hashes: real solve stays instant
+    lcfg.policy = fixtures::always_puzzles().factory();  // full puzzle path
+    lcfg.difficulty = {2, 10};  // ~1k hashes: real solve stays instant
     listener_ = std::make_unique<tcp::Listener>(lcfg, secret, 1, engine_);
 
     server_host_->set_handler([this](SimTime now, const tcp::Segment& seg) {
@@ -135,7 +136,7 @@ TEST(ProtectedServerFacade, PlansAndBuildsListener) {
   EXPECT_EQ(server.plan.difficulty.k, 2);
   EXPECT_EQ(server.plan.difficulty.m, 17);
   ASSERT_NE(server.listener, nullptr);
-  EXPECT_EQ(server.listener->config().mode, tcp::DefenseMode::kPuzzles);
+  EXPECT_STREQ(server.listener->policy_name(), "puzzles");
   EXPECT_EQ(server.listener->config().difficulty, server.plan.difficulty);
 
   const Version v = library_version();

@@ -7,6 +7,8 @@
 #include <memory>
 
 #include "crypto/secret.hpp"
+#include "defense/spec.hpp"
+#include "policy_fixtures.hpp"
 #include "puzzle/engine.hpp"
 #include "tcp/connector.hpp"
 #include "tcp/listener.hpp"
@@ -72,8 +74,7 @@ Connector drive(Pair& p, ConnectorConfig ccfg, SimTime now,
 
 TEST(TimestamplessMode, ChallengeCarriesEmbeddedTimestamp) {
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
-  cfg.always_challenge = true;
+  cfg.policy = fixtures::always_puzzles().factory();
   cfg.difficulty = {2, 10};
   cfg.use_timestamps = false;
   auto p = make_pair(cfg);
@@ -94,8 +95,7 @@ TEST(TimestamplessMode, ServerHonorsClientWithoutTimestamps) {
   // Server has timestamps enabled but the client did not negotiate them:
   // the challenge must fall back to the embedded form.
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
-  cfg.always_challenge = true;
+  cfg.policy = fixtures::always_puzzles().factory();
   cfg.difficulty = {1, 8};
   cfg.use_timestamps = true;  // server side on
   auto p = make_pair(cfg);
@@ -117,8 +117,7 @@ TEST(TimestamplessMode, ServerHonorsClientWithoutTimestamps) {
 
 TEST(TimestamplessMode, ExpiryStillEnforced) {
   ListenerConfig cfg;
-  cfg.mode = DefenseMode::kPuzzles;
-  cfg.always_challenge = true;
+  cfg.policy = fixtures::always_puzzles().factory();
   cfg.difficulty = {1, 8};
   cfg.use_timestamps = false;
   auto p = make_pair(cfg, {4, 1000, 100});  // 1 s expiry
@@ -155,8 +154,9 @@ TEST(CookieFallback, PuzzlesModeWithoutEngineFallsBackToCookies) {
   ListenerConfig cfg;
   cfg.local_addr = kServerAddr;
   cfg.local_port = kServerPort;
-  cfg.mode = DefenseMode::kPuzzles;
-  cfg.cookie_fallback = true;
+  defense::PolicySpec policy = defense::PolicySpec::puzzles();
+  policy.cookie_fallback = true;
+  cfg.policy = policy.factory();
   cfg.listen_backlog = 2;
   const auto secret = crypto::SecretKey::from_seed(22);
   Listener listener(cfg, secret, 1, nullptr);  // no engine installed

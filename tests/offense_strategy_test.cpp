@@ -9,6 +9,7 @@
 #include "game/model.hpp"
 #include "offense/spec.hpp"
 #include "offense/strategies.hpp"
+#include "policy_fixtures.hpp"
 #include "scenario/spec.hpp"
 #include "sim/devices.hpp"
 
@@ -240,9 +241,7 @@ TEST(GameAdaptiveScenario, EstablishmentTracksPlannedBestResponse) {
   scenario::Spec s = small_base();
   // always_challenge: every attempt sees the posted price, so the attacker
   // observes the difficulty from its first patched attempt on.
-  defense::PolicySpec pol = defense::PolicySpec::puzzles();
-  pol.always_challenge = true;
-  s.servers.policies = {pol};
+  s.servers.policies = {fixtures::always_puzzles()};
   scenario::AttackSpec a;
   a.count = 3;
   a.rate = 300.0;

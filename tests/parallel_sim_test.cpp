@@ -1,9 +1,7 @@
 // Sharded-engine (src/par/) correctness pins.
 //
 //  * shards == 1 is byte-identical to the single-thread scenario::run —
-//    including against the pre-refactor golden digest the scenario trace
-//    tests pin, so the Engine refactor + par driver reproduce history
-//    exactly.
+//    including against the golden digest the scenario trace tests pin.
 //  * A fixed (seed, shards) pair is deterministic across repeats, for both
 //    result digests and the merged flight-recorder trace, at N in {2,4,8}.
 //  * Sharded runs are statistically equivalent to the single-thread run
@@ -30,22 +28,7 @@
 namespace tcpz {
 namespace {
 
-using tracedigest::digest;
-using tracedigest::fnv;
-using tracedigest::kFnvBasis;
-
-/// Folds every server (counters), the cluster sum, every client and every
-/// bot report — any re-ordered RNG draw or perturbed event shows up.
-std::uint64_t full_digest(const scenario::Result& r) {
-  std::uint64_t h = kFnvBasis;
-  for (const auto& s : r.servers) h = fnv(h, digest(s.counters));
-  h = fnv(h, digest(r.cluster));
-  for (const auto& c : r.clients) h = fnv(h, digest(c));
-  for (const auto& g : r.groups) {
-    for (const auto& b : g.bots) h = fnv(h, digest(b));
-  }
-  return h;
-}
+using tracedigest::full_digest;
 
 /// A two-server, multi-group scenario with derived seeding — agents land on
 /// every shard for all tested shard counts. WAN-scale link delay keeps the
@@ -77,27 +60,14 @@ TEST(ParallelSim, SingleShardByteIdenticalToScenarioRun) {
   EXPECT_EQ(single.events_processed, par1.events_processed);
 }
 
-// The same golden the scenario trace tests pin for the legacy conn-flood
-// fixture: par::run at one shard reproduces pre-refactor history
-// byte-for-byte, not merely "whatever scenario::run currently does".
+// The same golden scenario_trace_test pins for the scaled conn-flood
+// fixture: par::run at one shard reproduces it byte-for-byte, not merely
+// "whatever scenario::run currently does".
 TEST(ParallelSim, SingleShardReproducesGoldenTrace) {
-  scenario::Spec s;
-  s = s.scaled();
-  s.seeding = scenario::SeedMode::kLegacySequential;
-  s.servers.policies = {defense::PolicySpec::puzzles()};
-  scenario::AttackSpec a;
-  a.count = 10;
-  a.rate = 500.0;
-  a.strategy = offense::StrategySpec::conn_flood();
-  s.attacks = {a};
-  const scenario::Result r = par::run(s, {.shards = 1});
-  std::uint64_t h = kFnvBasis;
-  h = fnv(h, digest(r.server().counters));
-  for (const auto& c : r.clients) h = fnv(h, digest(c));
-  for (const auto& g : r.groups) {
-    for (const auto& b : g.bots) h = fnv(h, digest(b));
-  }
-  EXPECT_EQ(h, 0x70843e373a6e87a9ull)
+  const scenario::Spec s = tracedigest::scaled_fixture(
+      defense::PolicySpec::puzzles(), offense::StrategySpec::conn_flood());
+  const std::uint64_t h = tracedigest::sim_digest(par::run(s, {.shards = 1}));
+  EXPECT_EQ(h, tracedigest::kScaledConnFloodDigest)
       << "par 1-shard trace drifted from the golden; computed 0x" << std::hex
       << h;
 }
@@ -159,13 +129,7 @@ TEST(ParallelSim, ShardedStatisticallyMatchesSingleThread) {
   }
 }
 
-TEST(ParallelSim, RejectsLegacySeedingAndBadLookahead) {
-  scenario::Spec s = par_fixture();
-  s.seeding = scenario::SeedMode::kLegacySequential;
-  EXPECT_THROW((void)par::run(s, {.shards = 2}), std::invalid_argument);
-  // Legacy seeding is fine single-threaded.
-  EXPECT_NO_THROW((void)par::run(s, {.shards = 1}));
-
+TEST(ParallelSim, RejectsBadLookahead) {
   scenario::Spec d = par_fixture();
   // An override above the topology's minimum link delay breaks causality.
   EXPECT_THROW(

@@ -2,8 +2,10 @@
 // attack through the simulated network (the §7 replay discussion).
 #include <gtest/gtest.h>
 
+#include "defense/spec.hpp"
 #include "game/planner.hpp"
 #include "net/topology.hpp"
+#include "policy_fixtures.hpp"
 #include "puzzle/engine.hpp"
 #include "tcp/connector.hpp"
 #include "tcp/listener.hpp"
@@ -100,8 +102,7 @@ TEST(ReplayAttack, CapturedSolutionAckOccupiesOneSlotAndExpires) {
   tcp::ListenerConfig lcfg;
   lcfg.local_addr = server_host->addr();
   lcfg.local_port = 80;
-  lcfg.mode = tcp::DefenseMode::kPuzzles;
-  lcfg.always_challenge = true;
+  lcfg.policy = fixtures::always_puzzles().factory();
   lcfg.difficulty = {2, 12};
   auto listener = std::make_unique<tcp::Listener>(lcfg, secret, 1, engine);
 

@@ -1,24 +1,22 @@
-// Golden-trace regression tests for the defense-policy layer.
-//
-// The policy redesign (src/defense/) replaced the listener's hard-wired
-// DefenseMode branches with pluggable policies, under a hard constraint: the
-// refactor must be trace-preserving. These tests pin that property down so
-// future policy work can't silently drift the reproduction: the fixed-seed
-// scaled scenario and a fixed 3-replica fleet scenario are run under each
-// legacy mode, the full ListenerCounters struct is digested (FNV-1a over
-// every field, in declaration order), and the digest is compared against
-// values recorded from the pre-refactor implementation.
+// Golden-trace regression tests for the defense-policy layer: the
+// fixed-seed scaled scenario and a fixed 3-replica fleet scenario
+// (trace_digest.hpp fixtures, patched conn flood) are run under each
+// canonical policy, the full ListenerCounters struct is digested
+// (FNV-1a over every field, in declaration order), and the digest is
+// compared against recorded values — so policy work can't silently drift
+// the reproduction.
 //
 // If one of these digests changes, either (a) you changed handshake/defense
 // semantics — decide explicitly whether that is intended, and if so,
-// re-record with the harness below, or (b) you added a ListenerCounters
-// field — extend digest() and re-record. Re-recording is a one-liner: print
-// digest(counters) from a scratch main, or temporarily EXPECT the digest
-// against 0 and copy the failure output.
+// re-record (the tests print the computed digests on failure in hex), or
+// (b) you added a ListenerCounters field, which re-shapes every digest.
 #include <gtest/gtest.h>
 
-#include "fleet/scenario.hpp"
-#include "sim/scenario.hpp"
+#include <string>
+
+#include "defense/spec.hpp"
+#include "offense/spec.hpp"
+#include "scenario/spec.hpp"
 #include "trace_digest.hpp"
 
 namespace tcpz {
@@ -27,52 +25,16 @@ namespace {
 using tracedigest::digest;
 using tracedigest::fnv;
 
-/// The fixed-seed scaled §6 scenario (seed 42, 120 s, attack 30–80 s).
-sim::ScenarioConfig scaled_scenario(tcp::DefenseMode mode) {
-  sim::ScenarioConfig cfg;
-  cfg = cfg.scaled();
-  cfg.defense = mode;
-  return cfg;
-}
+const offense::StrategySpec kAttack = offense::StrategySpec::conn_flood();
 
-/// A fixed 3-replica fleet scenario exercising rotation, the shared replay
-/// cache and a bot mix on a short timeline.
-fleet::FleetScenarioConfig fleet_scenario(tcp::DefenseMode mode) {
-  fleet::FleetScenarioConfig f;
-  f.base.duration = SimTime::seconds(40);
-  f.base.attack_start = SimTime::seconds(10);
-  f.base.attack_end = SimTime::seconds(30);
-  f.base.n_clients = 6;
-  f.base.client_rate = 10.0;
-  f.base.response_bytes = 20'000;
-  f.base.n_bots = 4;
-  f.base.bot_rate = 200.0;
-  f.base.protection_hold = SimTime::seconds(20);
-  f.base.defense = mode;
-  f.n_replicas = 3;
-  f.rotation_interval = SimTime::seconds(10);
-  f.rotation_overlap = SimTime::seconds(3);
-  return f;
-}
-
-std::uint64_t fleet_replica_digest(const fleet::FleetResult& r) {
+std::uint64_t fleet_replica_digest(const scenario::Result& r) {
   std::uint64_t h = tracedigest::kFnvBasis;
-  for (const auto& rep : r.replicas) h = fnv(h, digest(rep.counters));
+  for (const auto& rep : r.servers) h = fnv(h, digest(rep.counters));
   return h;
 }
 
-// Golden values originally recorded from the pre-refactor
-// (DefenseMode-branching) listener at commit e763b18 and reproduced
-// byte-for-byte by the policy layer. Re-recorded once when
-// drops_listen_full split into drops_queue_overflow + drops_policy (the
-// digest input gained a field; every run's *behavior* was verified
-// unchanged — the split only renames which bucket each drop lands in), and
-// again when the fluid_* counters were appended for the hybrid workload
-// layer (eight always-zero fields in these discrete scenarios; the client
-// refactor and fluid-aware admission gates were first verified
-// byte-for-byte against the previous goldens before the field append).
 struct Golden {
-  tcp::DefenseMode mode;
+  defense::PolicySpec::Kind kind;
   const char* policy_name;
   std::uint64_t sim_digest;
   std::uint64_t fleet_replicas_digest;
@@ -80,55 +42,46 @@ struct Golden {
 };
 
 constexpr Golden kGolden[] = {
-    {tcp::DefenseMode::kNone, "none", 0x7db6906c4e6938f3ull,
-     0xbf8d0af9d8657abeull, 0x7b186a312b421c1bull},
-    {tcp::DefenseMode::kSynCookies, "syncookies", 0xa54d6711bab473bfull,
-     0x4c0f7d6412492c3bull, 0x8a4fa4f0f6414c17ull},
-    {tcp::DefenseMode::kPuzzles, "puzzles", 0xe3fbbfc77c7e7084ull,
-     0x23892d9587ae90b0ull, 0x11a00188119118a7ull},
+    {defense::PolicySpec::Kind::kNone, "none", 0xe7c58bf12544fea7ull,
+     0x0a2798261b7460f0ull, 0x0a0a678c717deabaull},
+    {defense::PolicySpec::Kind::kSynCookies, "syncookies",
+     0x29c0d4117d01351bull, 0x21105d1329682978ull, 0x28a7c1c1c63df580ull},
+    {defense::PolicySpec::Kind::kPuzzles, "puzzles", 0x7aa76780319b2d5cull,
+     0x55262b8294a8772full, 0x1641b04ca0693f91ull},
 };
 
 class PolicyTrace : public ::testing::TestWithParam<Golden> {};
 
-TEST_P(PolicyTrace, ScaledScenarioMatchesPreRefactorCounters) {
+TEST_P(PolicyTrace, ScaledScenarioMatchesGoldenCounters) {
   const Golden& g = GetParam();
-  const auto r = sim::run_scenario(scaled_scenario(g.mode));
-  const std::uint64_t d = digest(r.server.counters);
-  EXPECT_EQ(d, g.sim_digest) << "counter trace drifted for mode "
-                             << tcp::to_string(g.mode) << "; computed 0x"
-                             << std::hex << d;
-  EXPECT_EQ(r.server.policy, g.policy_name);
+  const scenario::Result r = scenario::run(
+      tracedigest::scaled_fixture(defense::PolicySpec::of(g.kind), kAttack));
+  const std::uint64_t d = digest(r.server().counters);
+  EXPECT_EQ(d, g.sim_digest) << "counter trace drifted for policy "
+                             << g.policy_name << "; computed 0x" << std::hex
+                             << d;
+  EXPECT_EQ(r.server().policy, g.policy_name);
 }
 
-TEST_P(PolicyTrace, FleetScenarioMatchesPreRefactorCounters) {
+TEST_P(PolicyTrace, FleetScenarioMatchesGoldenCounters) {
   const Golden& g = GetParam();
-  const auto r = fleet::run_fleet_scenario(fleet_scenario(g.mode));
+  const scenario::Result r = scenario::run(
+      tracedigest::fleet_fixture(defense::PolicySpec::of(g.kind), kAttack));
   const std::uint64_t dr = fleet_replica_digest(r);
   const std::uint64_t dc = digest(r.cluster);
   EXPECT_EQ(dr, g.fleet_replicas_digest)
-      << "per-replica counter trace drifted for mode " << tcp::to_string(g.mode)
+      << "per-replica counter trace drifted for policy " << g.policy_name
       << "; computed 0x" << std::hex << dr;
   EXPECT_EQ(dc, g.fleet_cluster_digest)
-      << "cluster counter trace drifted for mode " << tcp::to_string(g.mode)
+      << "cluster counter trace drifted for policy " << g.policy_name
       << "; computed 0x" << std::hex << dc;
-  for (const auto& rep : r.replicas) EXPECT_EQ(rep.policy, g.policy_name);
+  for (const auto& rep : r.servers) EXPECT_EQ(rep.policy, g.policy_name);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, PolicyTrace, ::testing::ValuesIn(kGolden),
                          [](const auto& info) {
-                           return std::string(tcp::to_string(info.param.mode));
+                           return std::string(info.param.policy_name);
                          });
-
-// The explicit PolicySpec path must be indistinguishable from the legacy
-// DefenseMode shim: same spec, same trace.
-TEST(PolicyTrace, ExplicitSpecMatchesLegacyShim) {
-  sim::ScenarioConfig cfg = scaled_scenario(tcp::DefenseMode::kPuzzles);
-  defense::PolicySpec spec = defense::PolicySpec::puzzles();
-  spec.protection_hold = cfg.protection_hold;
-  cfg.policy = spec;
-  const auto r = sim::run_scenario(cfg);
-  EXPECT_EQ(digest(r.server.counters), kGolden[2].sim_digest);
-}
 
 }  // namespace
 }  // namespace tcpz

@@ -1,13 +1,8 @@
-// Golden-trace regression tests for the offense/scenario-engine refactor.
-//
-// The AttackStrategy layer (src/offense/) replaced sim::AttackerAgent's
-// hard-wired AttackType branches, and the declarative scenario engine
-// (src/scenario/) replaced the twin sim/fleet scenario drivers, under the
-// same hard constraint the defense-policy redesign honored: the refactor is
-// trace-preserving. These tests pin it down beyond ListenerCounters — the
-// digest here folds every client and bot HostReport (all time-series bins,
-// CPU samples and totals), so a single re-ordered RNG draw or a perturbed
-// event anywhere in the attack path shows up.
+// Golden-trace regression tests for the offense layer and the scenario
+// engine. The digest here folds every client and bot HostReport (all
+// time-series bins, CPU samples and totals) on top of the listener
+// counters, so a single re-ordered RNG draw or a perturbed event anywhere
+// in the attack path shows up.
 //
 // If a digest changes, you changed workload/offense semantics. Decide
 // explicitly whether that is intended; if so re-record (the tests print the
@@ -16,207 +11,83 @@
 
 #include <cstdio>
 
-#include "fleet/scenario.hpp"
+#include "defense/spec.hpp"
 #include "offense/spec.hpp"
 #include "scenario/spec.hpp"
-#include "sim/scenario.hpp"
 #include "trace_digest.hpp"
 
 namespace tcpz {
 namespace {
 
 using tracedigest::digest;
-using tracedigest::fnv;
-using tracedigest::kFnvBasis;
+using tracedigest::full_digest;
+using tracedigest::sim_digest;
 
-std::uint64_t sim_digest(const sim::ScenarioResult& r) {
-  std::uint64_t h = kFnvBasis;
-  h = fnv(h, digest(r.server.counters));
-  for (const auto& c : r.clients) h = fnv(h, digest(c));
-  for (const auto& b : r.bots) h = fnv(h, digest(b));
-  return h;
-}
-
-std::uint64_t fleet_digest(const fleet::FleetResult& r) {
-  std::uint64_t h = kFnvBasis;
-  for (const auto& rep : r.replicas) h = fnv(h, digest(rep.counters));
-  h = fnv(h, digest(r.cluster));
-  for (const auto& c : r.clients) h = fnv(h, digest(c));
-  for (const auto& b : r.bots) h = fnv(h, digest(b));
-  return h;
-}
-
-/// The fixed-seed scaled §6 scenario under the default puzzles defense.
-sim::ScenarioConfig scaled_scenario(sim::AttackType attack) {
-  sim::ScenarioConfig cfg;
-  cfg = cfg.scaled();
-  cfg.attack = attack;
-  return cfg;
-}
-
-/// The fixed 3-replica fleet scenario of policy_trace_test (rotation +
-/// shared replay cache on a short timeline), under puzzles everywhere.
-fleet::FleetScenarioConfig fleet_scenario(sim::AttackType attack) {
-  fleet::FleetScenarioConfig f;
-  f.base.duration = SimTime::seconds(40);
-  f.base.attack_start = SimTime::seconds(10);
-  f.base.attack_end = SimTime::seconds(30);
-  f.base.n_clients = 6;
-  f.base.client_rate = 10.0;
-  f.base.response_bytes = 20'000;
-  f.base.n_bots = 4;
-  f.base.bot_rate = 200.0;
-  f.base.protection_hold = SimTime::seconds(20);
-  f.base.attack = attack;
-  f.n_replicas = 3;
-  f.rotation_interval = SimTime::seconds(10);
-  f.rotation_overlap = SimTime::seconds(3);
-  return f;
-}
-
-// Golden values originally recorded from the pre-refactor
-// (AttackType-branching attacker + twin scenario engines) implementation at
-// commit 0f3c11f. Re-recorded once when drops_listen_full split into
-// drops_queue_overflow + drops_policy (the counter digest gained a field;
-// run behavior verified unchanged), and again when the fluid_* counters
-// were appended for the hybrid workload layer (always zero in these
-// discrete scenarios — the TrafficModel client refactor was first verified
-// byte-for-byte against the previous goldens, then the counter append
-// re-shaped the digest input).
+// Golden values for the trace_digest.hpp fixtures under puzzles.
 struct Golden {
-  sim::AttackType attack;
+  const char* name;
+  offense::StrategySpec attack;
   std::uint64_t sim_digest;
   std::uint64_t fleet_digest;
 };
 
-constexpr Golden kGolden[] = {
-    {sim::AttackType::kSynFlood, 0x10e73aed8a2652cdull, 0x7d695e14d413e2fbull},
-    {sim::AttackType::kConnFlood, 0x70843e373a6e87a9ull, 0x0f51eb7cc3b961d1ull},
-    {sim::AttackType::kBogusSolutionFlood, 0x7e511f359bdb9d47ull,
-     0x98e6f0ed5eac8cfeull},
+const Golden kGolden[] = {
+    {"SynFlood", offense::StrategySpec::syn_flood(), 0x96090c56ff9d4857ull,
+     0x87cbbcfb4955eb55ull},
+    {"ConnFlood", offense::StrategySpec::conn_flood(),
+     tracedigest::kScaledConnFloodDigest, 0xcb63ad624f71488full},
+    {"BogusSolutionFlood", offense::StrategySpec::bogus_solution_flood(),
+     0x42aec9f0eed00bc2ull, 0xcdf19dcdc2c2cd14ull},
 };
 
 class ScenarioTrace : public ::testing::TestWithParam<Golden> {};
 
-TEST_P(ScenarioTrace, ScaledScenarioMatchesPreRefactorTrace) {
+TEST_P(ScenarioTrace, ScaledScenarioMatchesGoldenTrace) {
   const Golden& g = GetParam();
-  const auto r = sim::run_scenario(scaled_scenario(g.attack));
+  const scenario::Result r = scenario::run(
+      tracedigest::scaled_fixture(defense::PolicySpec::puzzles(), g.attack));
   const std::uint64_t d = sim_digest(r);
-  EXPECT_EQ(d, g.sim_digest) << "sim trace drifted for attack "
-                             << sim::to_string(g.attack) << "; computed 0x"
-                             << std::hex << d;
+  EXPECT_EQ(d, g.sim_digest) << "sim trace drifted for attack " << g.name
+                             << "; computed 0x" << std::hex << d;
 }
 
-TEST_P(ScenarioTrace, FleetScenarioMatchesPreRefactorTrace) {
+TEST_P(ScenarioTrace, FleetScenarioMatchesGoldenTrace) {
   const Golden& g = GetParam();
-  const auto r = fleet::run_fleet_scenario(fleet_scenario(g.attack));
-  const std::uint64_t d = fleet_digest(r);
-  EXPECT_EQ(d, g.fleet_digest) << "fleet trace drifted for attack "
-                               << sim::to_string(g.attack) << "; computed 0x"
-                               << std::hex << d;
+  const scenario::Result r = scenario::run(
+      tracedigest::fleet_fixture(defense::PolicySpec::puzzles(), g.attack));
+  const std::uint64_t d = full_digest(r);
+  EXPECT_EQ(d, g.fleet_digest) << "fleet trace drifted for attack " << g.name
+                               << "; computed 0x" << std::hex << d;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAttacks, ScenarioTrace,
-                         ::testing::ValuesIn(kGolden), [](const auto& info) {
-                           switch (info.param.attack) {
-                             case sim::AttackType::kSynFlood: return "SynFlood";
-                             case sim::AttackType::kConnFlood:
-                               return "ConnFlood";
-                             default: return "BogusSolutionFlood";
-                           }
-                         });
+                         ::testing::ValuesIn(kGolden),
+                         [](const auto& info) { return info.param.name; });
 
-std::uint64_t native_digest(const scenario::Result& r) {
-  std::uint64_t h = kFnvBasis;
-  h = fnv(h, digest(r.server().counters));
-  for (const auto& c : r.clients) h = fnv(h, digest(c));
-  for (const auto& g : r.groups) {
-    for (const auto& b : g.bots) h = fnv(h, digest(b));
-  }
-  return h;
-}
-
-// A hand-built scenario::Spec equivalent to the legacy scaled config must be
-// indistinguishable from the run_scenario shim: same spec, same trace. This
-// is the independent construction — it does not go through
-// ScenarioConfig::to_spec — so it pins the shim mapping itself.
-TEST(ScenarioTrace, HandBuiltSpecMatchesLegacyShim) {
+// A "no attack" baseline — an empty attack group with rate 0 — still runs:
+// the empty group's rate is irrelevant.
+TEST(ScenarioTrace, NoAttackBaselineWithEmptyGroupRuns) {
   scenario::Spec s;
-  s = s.scaled();
-  s.seeding = scenario::SeedMode::kLegacySequential;
-  s.servers.policies = {defense::PolicySpec::puzzles()};
-  scenario::AttackSpec a;
-  a.count = 10;
-  a.rate = 500.0;
-  a.strategy = offense::StrategySpec::conn_flood();
-  s.attacks = {a};
-  const scenario::Result r = scenario::run(s);
-  EXPECT_EQ(native_digest(r), kGolden[1].sim_digest)
-      << "hand-built spec diverged from the legacy shim";
-  EXPECT_EQ(r.server().policy, "puzzles");
-  EXPECT_EQ(r.groups.size(), 1u);
-  EXPECT_EQ(r.groups[0].name, "conn-flood");
-}
-
-std::uint64_t native_fleet_digest(const scenario::Result& r) {
-  std::uint64_t h = kFnvBasis;
-  for (const auto& rep : r.servers) h = fnv(h, digest(rep.counters));
-  h = fnv(h, digest(r.cluster));
-  for (const auto& c : r.clients) h = fnv(h, digest(c));
-  for (const auto& g : r.groups) {
-    for (const auto& b : g.bots) h = fnv(h, digest(b));
-  }
-  return h;
-}
-
-TEST(ScenarioTrace, HandBuiltFleetSpecMatchesLegacyShim) {
-  scenario::Spec s;
-  s.seeding = scenario::SeedMode::kLegacySequential;
-  s.duration = SimTime::seconds(40);
+  s.duration = SimTime::seconds(30);
   s.attack_start = SimTime::seconds(10);
-  s.attack_end = SimTime::seconds(30);
-  s.workload.n_clients = 6;
-  s.workload.request_rate = 10.0;
-  s.workload.response_bytes = 20'000;
-  defense::PolicySpec puzzles = defense::PolicySpec::puzzles();
-  puzzles.protection_hold = SimTime::seconds(20);
-  s.servers.count = 3;
-  s.servers.policies = {puzzles, puzzles, puzzles};
-  s.fleet.enabled = true;
-  s.fleet.rotation_interval = SimTime::seconds(10);
-  s.fleet.rotation_overlap = SimTime::seconds(3);
-  scenario::AttackSpec a;
-  a.count = 4;
-  a.rate = 200.0;
-  a.strategy = offense::StrategySpec::conn_flood();
-  s.attacks = {a};
+  s.attack_end = SimTime::seconds(20);
+  s.workload.n_clients = 3;
+  s.workload.request_rate = 5.0;
+  s.workload.response_bytes = 10'000;
+  scenario::AttackSpec none;
+  none.count = 0;
+  none.rate = 0.0;
+  s.attacks = {none};
   const scenario::Result r = scenario::run(s);
-  EXPECT_EQ(native_fleet_digest(r), kGolden[1].fleet_digest)
-      << "hand-built fleet spec diverged from the legacy shim";
+  ASSERT_EQ(r.groups.size(), 1u);
+  EXPECT_TRUE(r.groups[0].bots.empty());
+  EXPECT_GT(r.server().counters.established_total, 0u);
 }
 
-// A legacy "no attack" baseline (n_bots = 0, bot_rate = 0) must keep
-// running through the shim: the empty attack group's rate is irrelevant.
-TEST(ScenarioTrace, NoAttackBaselineRunsThroughShim) {
-  sim::ScenarioConfig cfg;
-  cfg = cfg.scaled();
-  cfg.duration = SimTime::seconds(30);
-  cfg.attack_start = SimTime::seconds(10);
-  cfg.attack_end = SimTime::seconds(20);
-  cfg.n_clients = 3;
-  cfg.client_rate = 5.0;
-  cfg.response_bytes = 10'000;
-  cfg.n_bots = 0;
-  cfg.bot_rate = 0.0;
-  const auto r = sim::run_scenario(cfg);
-  EXPECT_TRUE(r.bots.empty());
-  EXPECT_GT(r.server.counters.established_total, 0u);
-}
-
-// Per-bot RNG stream hygiene: under the native derived-stream seeding,
-// every agent's stream is a pure function of (spec seed, stable agent id),
-// so appending an attack group — here one that never emits a packet —
-// leaves every other agent's metrics byte-identical.
+// Per-bot RNG stream hygiene: under derived-stream seeding, every agent's
+// stream is a pure function of (spec seed, stable agent id), so appending
+// an attack group — here one that never emits a packet — leaves every other
+// agent's metrics byte-identical.
 TEST(ScenarioTrace, InsertingIdleBotLeavesOtherStreamsByteIdentical) {
   scenario::Spec s;
   s.duration = SimTime::seconds(40);
@@ -231,7 +102,6 @@ TEST(ScenarioTrace, InsertingIdleBotLeavesOtherStreamsByteIdentical) {
   a.rate = 200.0;
   a.strategy = offense::StrategySpec::conn_flood();
   s.attacks = {a};
-  ASSERT_EQ(s.seeding, scenario::SeedMode::kDerivedStreams);
   const scenario::Result base = scenario::run(s);
 
   scenario::Spec s2 = s;

@@ -2,7 +2,9 @@
 
 #include "sim/cpu.hpp"
 #include "sim/devices.hpp"
-#include "sim/scenario.hpp"
+#include "defense/spec.hpp"
+#include "offense/spec.hpp"
+#include "scenario/spec.hpp"
 
 namespace tcpz::sim {
 namespace {
@@ -90,31 +92,46 @@ TEST(Devices, IotDevicesAreWeaker) {
 // End-to-end scenarios (small timelines; assert dynamics, not absolutes)
 // ---------------------------------------------------------------------------
 
-ScenarioConfig tiny_scenario() {
-  ScenarioConfig cfg;
-  cfg.seed = 7;
-  cfg.duration = SimTime::seconds(30);
-  cfg.attack_start = SimTime::seconds(10);
-  cfg.attack_end = SimTime::seconds(20);
-  cfg.n_clients = 4;
-  cfg.client_rate = 10.0;
-  cfg.response_bytes = 20'000;
-  cfg.n_bots = 4;
-  cfg.bot_rate = 800.0;  // ~10x the accept drain, like the paper's 5000 vs 1100
-  cfg.listen_backlog = 256;
-  cfg.accept_backlog = 256;
-  cfg.service_rate = 300.0;
-  return cfg;
+using defense::PolicySpec;
+using offense::StrategySpec;
+using scenario::Result;
+using scenario::Spec;
+
+Spec tiny_scenario() {
+  Spec s;
+  s.seed = 7;
+  s.duration = SimTime::seconds(30);
+  s.attack_start = SimTime::seconds(10);
+  s.attack_end = SimTime::seconds(20);
+  s.workload.n_clients = 4;
+  s.workload.request_rate = 10.0;
+  s.workload.response_bytes = 20'000;
+  s.servers.listen_backlog = 256;
+  s.servers.accept_backlog = 256;
+  s.servers.service_rate = 300.0;
+  scenario::AttackSpec a;
+  a.count = 4;
+  a.rate = 800.0;  // ~10x the accept drain, like the paper's 5000 vs 1100
+  s.attacks = {a};
+  return s;
+}
+
+/// tiny_scenario() under one defense and one attack strategy.
+Spec tiny_scenario(const PolicySpec& policy, const StrategySpec& attack) {
+  Spec s = tiny_scenario();
+  s.servers.policies = {policy};
+  s.attacks[0].strategy = attack;
+  return s;
 }
 
 TEST(Scenario, NoAttackBaselineServesEveryone) {
-  ScenarioConfig cfg = tiny_scenario();
-  cfg.n_bots = 0;
-  cfg.defense = tcp::DefenseMode::kNone;
-  const ScenarioResult res = run_scenario(cfg);
+  Spec s = tiny_scenario();
+  s.attacks.clear();
+  s.servers.policies = {PolicySpec::none()};
+  const Result res = scenario::run(s);
 
   EXPECT_GT(res.client_success_ratio(), 0.98);
-  EXPECT_EQ(res.server.counters.challenges_sent, 0u);
+  EXPECT_EQ(res.server().counters.challenges_sent, 0u);
   // ~4 clients * 10 req/s * 20 KB * 8 = ~6.4 Mbps aggregate.
   const double mbps = res.client_rx_mbps(5, 10);
   EXPECT_GT(mbps, 4.0);
@@ -124,63 +141,53 @@ TEST(Scenario, NoAttackBaselineServesEveryone) {
 }
 
 TEST(Scenario, SynFloodKillsUndefendedServer) {
-  ScenarioConfig cfg = tiny_scenario();
-  cfg.attack = AttackType::kSynFlood;
-  cfg.defense = tcp::DefenseMode::kNone;
-  const ScenarioResult res = run_scenario(cfg);
+  const Spec s = tiny_scenario(PolicySpec::none(), StrategySpec::syn_flood());
+  const Result res = scenario::run(s);
 
   const double before = res.client_rx_mbps(5, 10);
   const double during = res.client_rx_mbps(13, 20);
   EXPECT_LT(during, before * 0.2) << "SYN flood should deny service";
-  EXPECT_GT(res.server.counters.drops_listen_full(), 100u);
+  EXPECT_GT(res.server().counters.drops_listen_full(), 100u);
   // No defense installed, so every drop is a queue overflow.
-  EXPECT_EQ(res.server.counters.drops_policy, 0u);
+  EXPECT_EQ(res.server().counters.drops_policy, 0u);
   // Listen queue saturated during the attack window.
-  EXPECT_GE(res.server.listen_queue.max_in(SimTime::seconds(12),
-                                           SimTime::seconds(20)),
-            static_cast<double>(cfg.listen_backlog));
+  EXPECT_GE(res.server().listen_queue.max_in(SimTime::seconds(12),
+                                             SimTime::seconds(20)),
+            static_cast<double>(s.servers.listen_backlog));
 }
 
 TEST(Scenario, SynCookiesSurviveSynFlood) {
-  ScenarioConfig cfg = tiny_scenario();
-  cfg.attack = AttackType::kSynFlood;
-  cfg.defense = tcp::DefenseMode::kSynCookies;
-  const ScenarioResult res = run_scenario(cfg);
+  const Result res = scenario::run(
+      tiny_scenario(PolicySpec::syn_cookies(), StrategySpec::syn_flood()));
 
   const double before = res.client_rx_mbps(5, 10);
   const double during = res.client_rx_mbps(13, 20);
   EXPECT_GT(during, before * 0.7) << "cookies should absorb a SYN flood";
-  EXPECT_GT(res.server.counters.established_cookie, 0u);
+  EXPECT_GT(res.server().counters.established_cookie, 0u);
 }
 
 TEST(Scenario, PuzzlesSurviveSynFlood) {
-  ScenarioConfig cfg = tiny_scenario();
-  cfg.attack = AttackType::kSynFlood;
-  cfg.defense = tcp::DefenseMode::kPuzzles;
-  cfg.difficulty = {1, 8};  // easy puzzles suffice for SYN floods (§6.2)
-  const ScenarioResult res = run_scenario(cfg);
+  Spec s = tiny_scenario(PolicySpec::puzzles(), StrategySpec::syn_flood());
+  s.servers.difficulty = {1, 8};  // easy puzzles suffice for SYN floods (§6.2)
+  const Result res = scenario::run(s);
 
   const double before = res.client_rx_mbps(5, 10);
   const double during = res.client_rx_mbps(13, 20);
   EXPECT_GT(during, before * 0.6);
-  EXPECT_GT(res.server.counters.challenges_sent, 0u);
-  EXPECT_GT(res.server.counters.established_puzzle, 0u);
+  EXPECT_GT(res.server().counters.challenges_sent, 0u);
+  EXPECT_GT(res.server().counters.established_puzzle, 0u);
   // Spoofed sources never answer challenges: no bogus solutions verified.
-  EXPECT_EQ(res.server.counters.solutions_invalid, 0u);
+  EXPECT_EQ(res.server().counters.solutions_invalid, 0u);
 }
 
 TEST(Scenario, ConnFloodDefeatsCookiesButNotPuzzles) {
-  ScenarioConfig base = tiny_scenario();
-  base.attack = AttackType::kConnFlood;
+  const Spec cookies =
+      tiny_scenario(PolicySpec::syn_cookies(), StrategySpec::conn_flood());
+  const Result with_cookies = scenario::run(cookies);
 
-  ScenarioConfig cookies = base;
-  cookies.defense = tcp::DefenseMode::kSynCookies;
-  const ScenarioResult with_cookies = run_scenario(cookies);
-
-  ScenarioConfig puzzles = base;
-  puzzles.defense = tcp::DefenseMode::kPuzzles;
-  puzzles.difficulty = {2, 17};
-  const ScenarioResult with_puzzles = run_scenario(puzzles);
+  Spec puzzles = tiny_scenario(PolicySpec::puzzles(), StrategySpec::conn_flood());
+  puzzles.servers.difficulty = {2, 17};
+  const Result with_puzzles = scenario::run(puzzles);
 
   const double cookie_during = with_cookies.client_rx_mbps(13, 20);
   const double puzzle_during = with_puzzles.client_rx_mbps(13, 20);
@@ -194,27 +201,25 @@ TEST(Scenario, ConnFloodDefeatsCookiesButNotPuzzles) {
   // Accept queue: saturated under cookies, mostly drained under puzzles
   // (Fig. 10).
   const SimTime w0 = SimTime::seconds(14), w1 = SimTime::seconds(20);
-  EXPECT_GE(with_cookies.server.accept_queue.max_in(w0, w1),
-            static_cast<double>(base.accept_backlog));
-  EXPECT_LT(with_puzzles.server.accept_queue.mean_in(w0, w1),
-            static_cast<double>(base.accept_backlog) * 0.5);
+  const auto accept_backlog = static_cast<double>(cookies.servers.accept_backlog);
+  EXPECT_GE(with_cookies.server().accept_queue.max_in(w0, w1), accept_backlog);
+  EXPECT_LT(with_puzzles.server().accept_queue.mean_in(w0, w1),
+            accept_backlog * 0.5);
 
   // Attackers' established-connection rate is rate-limited by solving
   // (Fig. 11).
-  const double cookie_cps = with_cookies.server.attacker_cps(13, 20);
-  const double puzzle_cps = with_puzzles.server.attacker_cps(13, 20);
+  const double cookie_cps = with_cookies.server().attacker_cps(13, 20);
+  const double puzzle_cps = with_puzzles.server().attacker_cps(13, 20);
   EXPECT_GT(cookie_cps, puzzle_cps * 5.0);
 }
 
 TEST(Scenario, PuzzleCpuCostLandsOnAttackers) {
-  ScenarioConfig cfg = tiny_scenario();
-  cfg.attack = AttackType::kConnFlood;
-  cfg.defense = tcp::DefenseMode::kPuzzles;
-  cfg.difficulty = {2, 17};
-  const ScenarioResult res = run_scenario(cfg);
+  Spec s = tiny_scenario(PolicySpec::puzzles(), StrategySpec::conn_flood());
+  s.servers.difficulty = {2, 17};
+  const Result res = scenario::run(s);
 
   const SimTime w0 = SimTime::seconds(12), w1 = SimTime::seconds(20);
-  const double server_cpu = res.server.cpu.mean_in(w0, w1);
+  const double server_cpu = res.server().cpu.mean_in(w0, w1);
   const double client_cpu = res.mean_client_cpu(w0, w1);
   const double bot_cpu = res.mean_bot_cpu(w0, w1);
   // Fig. 9 ordering: server negligible < clients moderate < attackers high.
@@ -225,12 +230,10 @@ TEST(Scenario, PuzzleCpuCostLandsOnAttackers) {
 
 TEST(Scenario, SolvingClientsKeepServiceUnderNonSolvingAttack) {
   // Fig. 15 (*A, SC): solving clients vs a non-solving flood.
-  ScenarioConfig cfg = tiny_scenario();
-  cfg.attack = AttackType::kConnFlood;
-  cfg.bots_solve = false;
-  cfg.defense = tcp::DefenseMode::kPuzzles;
-  cfg.difficulty = {2, 17};
-  const ScenarioResult res = run_scenario(cfg);
+  Spec s = tiny_scenario(PolicySpec::puzzles(),
+                         StrategySpec::conn_flood(/*patched=*/false));
+  s.servers.difficulty = {2, 17};
+  const Result res = scenario::run(s);
 
   // Clients are limited by their serial solver (~2.7 conn/s each of a
   // 10 req/s demand), so "keeping service" means a solid non-zero fraction.
@@ -238,49 +241,47 @@ TEST(Scenario, SolvingClientsKeepServiceUnderNonSolvingAttack) {
   const double before = res.client_rx_mbps(5, 10);
   EXPECT_GT(during, before * 0.15);
   // Non-solving bots establish almost nothing once protection engages.
-  EXPECT_LT(res.server.attacker_cps(14, 20), 30.0);
+  EXPECT_LT(res.server().attacker_cps(14, 20), 30.0);
 }
 
 TEST(Scenario, BogusSolutionFloodIsRejectedCheaply) {
-  ScenarioConfig cfg = tiny_scenario();
-  cfg.attack = AttackType::kBogusSolutionFlood;
-  cfg.defense = tcp::DefenseMode::kPuzzles;
-  cfg.difficulty = {2, 17};
-  const ScenarioResult res = run_scenario(cfg);
+  Spec s = tiny_scenario(PolicySpec::puzzles(),
+                         StrategySpec::bogus_solution_flood());
+  s.servers.difficulty = {2, 17};
+  const Result res = scenario::run(s);
+  const auto& c = res.server().counters;
 
-  EXPECT_GT(res.server.counters.solutions_invalid +
-                res.server.counters.solutions_bad_ackno +
-                res.server.counters.acks_ignored_accept_full,
+  EXPECT_GT(c.solutions_invalid + c.solutions_bad_ackno +
+                c.acks_ignored_accept_full,
             100u);
-  EXPECT_EQ(res.server.counters.established_puzzle +
-                res.server.counters.established_cookie,
-            res.server.counters.solutions_valid);
+  EXPECT_EQ(c.established_puzzle + c.established_cookie, c.solutions_valid);
   // §7: verification overhead stays negligible on the server.
-  EXPECT_LT(res.server.cpu.mean_in(SimTime::seconds(12), SimTime::seconds(20)),
-            0.05);
+  EXPECT_LT(
+      res.server().cpu.mean_in(SimTime::seconds(12), SimTime::seconds(20)),
+      0.05);
 }
 
 TEST(Scenario, DeterministicForSeed) {
-  ScenarioConfig cfg = tiny_scenario();
-  cfg.duration = SimTime::seconds(15);
-  cfg.attack_start = SimTime::seconds(5);
-  cfg.attack_end = SimTime::seconds(12);
-  const ScenarioResult a = run_scenario(cfg);
-  const ScenarioResult b = run_scenario(cfg);
+  Spec s = tiny_scenario();
+  s.duration = SimTime::seconds(15);
+  s.attack_start = SimTime::seconds(5);
+  s.attack_end = SimTime::seconds(12);
+  const Result a = scenario::run(s);
+  const Result b = scenario::run(s);
   EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.server.counters.established_total,
-            b.server.counters.established_total);
+  EXPECT_EQ(a.server().counters.established_total,
+            b.server().counters.established_total);
   EXPECT_EQ(a.clients[0].total_completions, b.clients[0].total_completions);
 }
 
 TEST(Scenario, SeedChangesTrace) {
-  ScenarioConfig cfg = tiny_scenario();
-  cfg.duration = SimTime::seconds(15);
-  cfg.attack_start = SimTime::seconds(5);
-  cfg.attack_end = SimTime::seconds(12);
-  const ScenarioResult a = run_scenario(cfg);
-  cfg.seed = 8;
-  const ScenarioResult b = run_scenario(cfg);
+  Spec s = tiny_scenario();
+  s.duration = SimTime::seconds(15);
+  s.attack_start = SimTime::seconds(5);
+  s.attack_end = SimTime::seconds(12);
+  const Result a = scenario::run(s);
+  s.seed = 8;
+  const Result b = scenario::run(s);
   EXPECT_NE(a.events_processed, b.events_processed);
 }
 

@@ -11,7 +11,9 @@
 #include <memory>
 
 #include "crypto/secret.hpp"
+#include "defense/spec.hpp"
 #include "fleet/replay_cache.hpp"
+#include "policy_fixtures.hpp"
 #include "puzzle/engine.hpp"
 #include "tcp/connector.hpp"
 #include "tcp/listener.hpp"
@@ -92,8 +94,7 @@ TEST(TimeWrap, ListenerEstablishesPuzzleHandshakeAcrossWrap) {
   tcp::ListenerConfig cfg;
   cfg.local_addr = kServerAddr;
   cfg.local_port = kServerPort;
-  cfg.mode = tcp::DefenseMode::kPuzzles;
-  cfg.always_challenge = true;
+  cfg.policy = fixtures::always_puzzles().factory();
   cfg.difficulty = {2, 8};
   const auto secret = crypto::SecretKey::from_seed(21);
   auto engine = std::make_shared<puzzle::OraclePuzzleEngine>(

@@ -1,5 +1,6 @@
-// Shared FNV-1a digest helpers for the golden-trace regression tests
-// (policy_trace_test, scenario_trace_test). A digest folds every field of a
+// Shared FNV-1a digest helpers and fixtures for the golden-trace
+// regression tests (policy_trace_test, scenario_trace_test,
+// parallel_sim_test). A digest folds every field of a
 // result struct in declaration order, so "digest unchanged" means the run is
 // byte-for-byte identical as far as the struct can see.
 //
@@ -13,6 +14,9 @@
 #include <bit>
 #include <cstdint>
 
+#include "defense/spec.hpp"
+#include "offense/spec.hpp"
+#include "scenario/spec.hpp"
 #include "sim/metrics.hpp"
 #include "tcp/counters.hpp"
 
@@ -71,5 +75,75 @@ inline std::uint64_t digest(const sim::HostReport& r) {
 #undef TCPZ_X
   return h;
 }
+
+/// Every server's counters, the cluster sum, every client and every bot
+/// report — any re-ordered RNG draw or perturbed event shows up.
+inline std::uint64_t full_digest(const scenario::Result& r) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& s : r.servers) h = fnv(h, digest(s.counters));
+  h = fnv(h, digest(r.cluster));
+  for (const auto& c : r.clients) h = fnv(h, digest(c));
+  for (const auto& g : r.groups) {
+    for (const auto& b : g.bots) h = fnv(h, digest(b));
+  }
+  return h;
+}
+
+/// Single-server run: server 0's counters, every client, every bot.
+inline std::uint64_t sim_digest(const scenario::Result& r) {
+  std::uint64_t h = kFnvBasis;
+  h = fnv(h, digest(r.server().counters));
+  for (const auto& c : r.clients) h = fnv(h, digest(c));
+  for (const auto& g : r.groups) {
+    for (const auto& b : g.bots) h = fnv(h, digest(b));
+  }
+  return h;
+}
+
+/// The fixed-seed scaled §6 scenario (seed 42, 120 s, attack 30–80 s):
+/// one server, 10 bots at 500 slots/s.
+inline scenario::Spec scaled_fixture(const defense::PolicySpec& policy,
+                                     const offense::StrategySpec& attack) {
+  scenario::Spec s;
+  s = s.scaled();
+  s.servers.policies = {policy};
+  scenario::AttackSpec a;
+  a.count = 10;
+  a.rate = 500.0;
+  a.strategy = attack;
+  s.attacks = {a};
+  return s;
+}
+
+/// A fixed 3-replica fleet scenario exercising rotation, the shared replay
+/// cache and a bot mix on a short timeline; every replica runs `policy`
+/// with a 20 s protection hold.
+inline scenario::Spec fleet_fixture(defense::PolicySpec policy,
+                                    const offense::StrategySpec& attack) {
+  scenario::Spec s;
+  s.duration = SimTime::seconds(40);
+  s.attack_start = SimTime::seconds(10);
+  s.attack_end = SimTime::seconds(30);
+  s.workload.n_clients = 6;
+  s.workload.request_rate = 10.0;
+  s.workload.response_bytes = 20'000;
+  policy.protection_hold = SimTime::seconds(20);
+  s.servers.count = 3;
+  s.servers.policies = {policy};
+  s.fleet.enabled = true;
+  s.fleet.rotation_interval = SimTime::seconds(10);
+  s.fleet.rotation_overlap = SimTime::seconds(3);
+  scenario::AttackSpec a;
+  a.count = 4;
+  a.rate = 200.0;
+  a.strategy = attack;
+  s.attacks = {a};
+  return s;
+}
+
+/// sim_digest() of scaled_fixture(puzzles, patched conn flood). Pinned by
+/// scenario_trace_test (through scenario::run) and parallel_sim_test
+/// (through a 1-shard par::run), so the two drivers are held to one value.
+inline constexpr std::uint64_t kScaledConnFloodDigest = 0xbc39caee416bea59ull;
 
 }  // namespace tcpz::tracedigest

@@ -10,6 +10,7 @@
 #include "crypto/secret.hpp"
 #include "defense/spec.hpp"
 #include "offense/spec.hpp"
+#include "policy_fixtures.hpp"
 #include "puzzle/engine.hpp"
 #include "scenario/spec.hpp"
 #include "shim/udp_transport.hpp"
@@ -222,8 +223,7 @@ TEST(UdpTransport, RealPuzzleHandshakeOverLoopback) {
     tcp::ListenerConfig lcfg;
     lcfg.local_addr = kServerAddr;
     lcfg.local_port = 80;
-    lcfg.mode = tcp::DefenseMode::kPuzzles;
-    lcfg.always_challenge = true;
+    lcfg.policy = fixtures::always_puzzles().factory();
     lcfg.difficulty = {2, 10};
     tcp::Listener listener(lcfg, secret, 1, engine);
 
@@ -301,12 +301,6 @@ using tcp::ipv4;
 constexpr std::uint32_t kServerAddr = ipv4(10, 1, 0, 1);
 constexpr std::uint32_t kClientAddr = ipv4(10, 2, 0, 1);
 
-defense::PolicySpec always_puzzles() {
-  defense::PolicySpec p = defense::PolicySpec::puzzles();
-  p.always_challenge = true;
-  return p;
-}
-
 std::shared_ptr<puzzle::Sha256PuzzleEngine> test_engine(std::uint64_t seed) {
   puzzle::EngineConfig ecfg;
   ecfg.sol_len = 4;
@@ -319,7 +313,7 @@ HostConfig puzzle_host_config() {
   HostConfig hc;
   hc.listener.local_addr = kServerAddr;
   hc.listener.local_port = 80;
-  hc.listener.policy = always_puzzles().factory();
+  hc.listener.policy = fixtures::always_puzzles().factory();
   hc.listener.difficulty = {1, 8};  // ~128 hashes/solve: trivial for tests
   hc.listener.listen_backlog = 256;
   hc.listener.accept_backlog = 256;
@@ -455,7 +449,7 @@ TEST(WireHost, CrossValidationCleanPuzzlePath) {
   spec.attack_end = SimTime::seconds(15);
   spec.workload.n_clients = 8;
   spec.workload.solve_puzzles = true;
-  spec.servers.policies = {always_puzzles()};
+  spec.servers.policies = {fixtures::always_puzzles()};
   spec.servers.difficulty = {1, 8};
   spec.servers.sol_len = 4;
   const auto res = scenario::run(spec);
@@ -517,7 +511,7 @@ TEST(WireHost, CrossValidationDeceptionDrops) {
   spec.attack_end = SimTime::seconds(18);
   spec.workload.n_clients = 2;
   spec.workload.solve_puzzles = true;
-  spec.servers.policies = {always_puzzles()};
+  spec.servers.policies = {fixtures::always_puzzles()};
   spec.servers.difficulty = {1, 8};
   spec.servers.sol_len = 4;
   spec.servers.accept_backlog = 8;

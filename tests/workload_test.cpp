@@ -24,6 +24,7 @@
 #include "defense/spec.hpp"
 #include "obs/trace.hpp"
 #include "offense/spec.hpp"
+#include "policy_fixtures.hpp"
 #include "puzzle/engine.hpp"
 #include "scenario/spec.hpp"
 #include "tcp/listener.hpp"
@@ -214,9 +215,7 @@ TEST(FluidPopulationTest, BenignFlowConservesMassAndCompletes) {
 // price. Completion throughput must converge to N * hash_rate / l(p) and the
 // per-user bounded solve queue must shed the excess as refusals.
 TEST(FluidPopulationTest, ChallengedFlowIsSolveLimited) {
-  defense::PolicySpec spec = defense::PolicySpec::puzzles();
-  spec.always_challenge = true;
-  FluidHarness h(spec);
+  FluidHarness h(fixtures::always_puzzles());
   FluidPopulation pop(benign_config(50), {2, 17});
   h.run(pop, 30.0);
 
@@ -241,9 +240,7 @@ TEST(FluidPopulationTest, ChallengedFlowIsSolveLimited) {
 
 // Unpatched kernels (solve_puzzles = false) refuse every challenge.
 TEST(FluidPopulationTest, UnpatchedPopulationRefusesChallenges) {
-  defense::PolicySpec spec = defense::PolicySpec::puzzles();
-  spec.always_challenge = true;
-  FluidHarness h(spec);
+  FluidHarness h(fixtures::always_puzzles());
   FluidConfig fc = benign_config(50);
   fc.solve_puzzles = false;
   FluidPopulation pop(fc, {2, 17});
