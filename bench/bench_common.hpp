@@ -16,8 +16,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -180,6 +182,20 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// The first "model name" line of /proc/cpuinfo, or "unknown".
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
 /// results/BENCH_<artifact>.json: {"artifact", "failures", "checks",
 /// "metrics", "labels", "metrics_registry"}.
 inline void write_json_report() {
@@ -203,10 +219,15 @@ inline void write_json_report() {
     std::fprintf(f, "%s\n    \"%s\": %.9g", i ? "," : "",
                  json_escape(g_metrics[i].first).c_str(), g_metrics[i].second);
   }
-  // Every report identifies its engine configuration: "shards" is always
-  // the first label, so result files from sharded and single-thread runs of
-  // the same bench are distinguishable.
+  // Every report identifies its engine configuration and hardware: the
+  // shard count, hardware threads and CPU model always lead the labels, so
+  // sharded and single-thread runs of the same bench, and runs from
+  // different machines, are distinguishable.
   std::fprintf(f, "\n  },\n  \"labels\": {\n    \"shards\": \"%d\"", g_shards);
+  std::fprintf(f, ",\n    \"hw_threads\": \"%u\"",
+               std::thread::hardware_concurrency());
+  std::fprintf(f, ",\n    \"cpu_model\": \"%s\"",
+               json_escape(cpu_model()).c_str());
   for (std::size_t i = 0; i < g_labels.size(); ++i) {
     std::fprintf(f, ",\n    \"%s\": \"%s\"",
                  json_escape(g_labels[i].first).c_str(),

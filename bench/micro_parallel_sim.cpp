@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
       "(seed, shards); padded per-shard state beats packed");
 
   const unsigned hw = std::thread::hardware_concurrency();
-  benchutil::label("hw_threads", std::to_string(hw));
   benchutil::label("mode",
                    smoke ? "smoke" : (args.full ? "full" : "default"));
 

@@ -20,6 +20,7 @@
 #include "crypto/secret.hpp"
 #include "fleet/replay_cache.hpp"
 #include "fleet/secret_directory.hpp"
+#include "net/cadence.hpp"
 #include "net/portal.hpp"
 #include "net/topology.hpp"
 #include "puzzle/engine.hpp"
@@ -262,6 +263,10 @@ struct Engine::Impl {
   std::optional<fleet::ReplayCache> replay_cache;
 
   std::vector<std::unique_ptr<sim::ServerAgent>> servers;  ///< nullptr = remote
+  /// The discrete clients' shared tick and sample timers (per shard: each
+  /// shard's engine has its own simulator).
+  net::Cadence client_ticks{sim, spec.tick_interval, spec.duration};
+  net::Cadence client_samples{sim, spec.sample_interval, spec.duration};
   std::vector<std::unique_ptr<sim::ClientAgent>> clients;
   std::vector<std::unique_ptr<workload::FluidPopulation>> fluids;
   std::vector<tcp::Listener*> fluid_listeners;
@@ -540,12 +545,11 @@ struct Engine::Impl {
       }
       ccfg.max_pending_solves = spec.workload.max_pending_solves;
       ccfg.response_timeout = spec.workload.response_timeout;
-      ccfg.tick_interval = spec.tick_interval;
-      ccfg.sample_interval = spec.sample_interval;
       clients.push_back(std::make_unique<sim::ClientAgent>(
           sim, *client_hosts[static_cast<std::size_t>(i)], ccfg,
           agent_seed(spec.seed, Role::kClient, 0,
-                     static_cast<std::uint64_t>(i))));
+                     static_cast<std::uint64_t>(i)),
+          client_ticks, client_samples));
       clients.back()->start(spec.duration);
     }
 
@@ -589,9 +593,17 @@ struct Engine::Impl {
         fluid_listeners.push_back(
             &servers[static_cast<std::size_t>(i)]->listener());
       }
-      // The tick/sample drivers, scheduled up front (bounded by duration, a
-      // few thousand events). Steps run after the agents' own tick loops at
-      // equal timestamps only by schedule order — deterministic either way.
+      // The step/sample drivers, all scheduled here up front (bounded by
+      // duration, a few thousand events). Order at equal timestamps is
+      // schedule order: at the first tick instant the step fires after the
+      // servers' ticks and the client tick cadence, which were armed
+      // earlier in this build. From the second instant on it fires before
+      // every agent tick, because agent timers re-arm at an earlier
+      // instant, after this whole pre-schedule. The drivers stay
+      // pre-scheduled: they already cost one event per instant for all
+      // populations together, so a cadence would save nothing, and
+      // self-re-arming would move every later step behind the server and
+      // client ticks.
       if (!fluids.empty()) {
         auto* fl = &fluids;
         auto* ls = &fluid_listeners;

@@ -7,9 +7,12 @@
 namespace tcpz::sim {
 
 ClientAgent::ClientAgent(net::Simulator& sim, net::Host& host,
-                         ClientAgentConfig cfg, std::uint64_t seed)
+                         ClientAgentConfig cfg, std::uint64_t seed,
+                         net::Cadence& ticks, net::Cadence& samples)
     : sim_(sim),
       host_(host),
+      ticks_(ticks),
+      samples_(samples),
       cfg_(std::move(cfg)),
       model_(cfg_.model ? cfg_.model()
                         : std::make_unique<workload::OpenLoopPoisson>(
@@ -28,8 +31,10 @@ void ClientAgent::start(SimTime until) {
     on_segment(now, seg);
   });
   sim_.schedule_at(cfg_.start_at, [this] { request_loop(); });
-  tick_loop();
-  sample_loop();
+  // Idle until the first attempt starts; every client is sampled.
+  tick_id_ = ticks_.join([this](SimTime now) { tick(now); },
+                         /*active=*/false);
+  samples_.join([this](SimTime now) { sample(now); });
 }
 
 void ClientAgent::send_all(const std::vector<tcp::Segment>& segs) {
@@ -78,6 +83,7 @@ void ClientAgent::start_attempt(SimTime now) {
   auto [it, inserted] = attempts_.emplace(
       sport, Attempt{tcp::Connector(ccfg, rng_.next()), now,
                      now + cfg_.response_timeout, false, 0, shape, 0});
+  if (attempts_.size() == 1) ticks_.set_active(tick_id_, true);
   report_.attempts.add(now, 1.0);
   ++report_.total_attempts;
   apply(now, sport, it->second, it->second.connector.start(now));
@@ -145,6 +151,7 @@ void ClientAgent::finish_attempt(SimTime now, std::uint16_t sport,
     ++report_.total_failures;
   }
   attempts_.erase(sport);
+  if (attempts_.empty()) ticks_.set_active(tick_id_, false);
 }
 
 void ClientAgent::on_segment(SimTime now, const tcp::Segment& seg) {
@@ -166,36 +173,26 @@ void ClientAgent::on_segment(SimTime now, const tcp::Segment& seg) {
   apply(now, seg.dport, attempt, attempt.connector.on_segment(now, seg));
 }
 
-void ClientAgent::tick_loop() {
-  if (sim_.now() >= until_) return;
-  sim_.schedule_in(cfg_.tick_interval, [this] {
-    const SimTime now = sim_.now();
-    // Collect expirations first: apply/finish mutate the map.
-    std::vector<std::uint16_t> expired;
-    std::vector<std::uint16_t> live;
-    live.reserve(attempts_.size());
-    for (auto& [sport, attempt] : attempts_) {
-      (now > attempt.deadline ? expired : live).push_back(sport);
-    }
-    for (const std::uint16_t sport : live) {
-      const auto it = attempts_.find(sport);
-      if (it == attempts_.end()) continue;
-      apply(now, sport, it->second, it->second.connector.on_tick(now));
-    }
-    for (const std::uint16_t sport : expired) {
-      if (attempts_.contains(sport)) finish_attempt(now, sport, false);
-    }
-    tick_loop();
-  });
+void ClientAgent::tick(SimTime now) {
+  // Collect expirations first: apply/finish mutate the map.
+  std::vector<std::uint16_t> expired;
+  std::vector<std::uint16_t> live;
+  live.reserve(attempts_.size());
+  for (auto& [sport, attempt] : attempts_) {
+    (now > attempt.deadline ? expired : live).push_back(sport);
+  }
+  for (const std::uint16_t sport : live) {
+    const auto it = attempts_.find(sport);
+    if (it == attempts_.end()) continue;
+    apply(now, sport, it->second, it->second.connector.on_tick(now));
+  }
+  for (const std::uint16_t sport : expired) {
+    if (attempts_.contains(sport)) finish_attempt(now, sport, false);
+  }
 }
 
-void ClientAgent::sample_loop() {
-  if (sim_.now() >= until_) return;
-  sim_.schedule_in(cfg_.sample_interval, [this] {
-    const SimTime now = sim_.now();
-    report_.cpu.record(now, cpu_.sample_utilization(now, cfg_.sample_interval));
-    sample_loop();
-  });
+void ClientAgent::sample(SimTime now) {
+  report_.cpu.record(now, cpu_.sample_utilization(now, samples_.period()));
 }
 
 }  // namespace tcpz::sim

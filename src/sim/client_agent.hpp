@@ -6,6 +6,11 @@
 // rate r_c). Solving is serial through the CPU model's solver lanes — the
 // in-kernel search of the patch — and attempts beyond the solver backlog cap
 // fail immediately (connect() backpressure).
+//
+// Periodic work runs on two shared net::Cadences the scenario engine owns:
+// the tick cadence polls the connectors and expires overdue attempts, and
+// calls this client only while it has attempts in flight; the sample
+// cadence records a CPU gauge point for every client.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +19,7 @@
 
 #include <memory>
 
+#include "net/cadence.hpp"
 #include "net/node.hpp"
 #include "net/simulator.hpp"
 #include "puzzle/engine.hpp"
@@ -51,16 +57,17 @@ struct ClientAgentConfig {
   SimTime response_timeout = SimTime::seconds(10);
   SimTime syn_timeout = SimTime::seconds(1);
   int max_syn_retries = 3;
-  SimTime tick_interval = SimTime::milliseconds(100);
-  SimTime sample_interval = SimTime::milliseconds(250);
   SimTime start_at = SimTime::zero();
 };
 
 class ClientAgent {
  public:
+  /// `ticks` paces connector polling and attempt expiry; `samples` paces
+  /// the CPU gauge (its period is the utilization window).
   ClientAgent(net::Simulator& sim, net::Host& host, ClientAgentConfig cfg,
-              std::uint64_t seed);
+              std::uint64_t seed, net::Cadence& ticks, net::Cadence& samples);
 
+  /// Schedules the first request and joins both cadences.
   void start(SimTime until);
 
   [[nodiscard]] HostReport& report() { return report_; }
@@ -88,8 +95,8 @@ class ClientAgent {
   [[nodiscard]] workload::ClientView view(SimTime now);
   void on_segment(SimTime now, const tcp::Segment& seg);
   void request_loop();
-  void tick_loop();
-  void sample_loop();
+  void tick(SimTime now);
+  void sample(SimTime now);
   void start_attempt(SimTime now);
   void apply(SimTime now, std::uint16_t sport, Attempt& attempt,
              tcp::ConnectorOutput out);
@@ -98,6 +105,9 @@ class ClientAgent {
 
   net::Simulator& sim_;
   net::Host& host_;
+  net::Cadence& ticks_;
+  net::Cadence& samples_;
+  std::size_t tick_id_ = 0;
   ClientAgentConfig cfg_;
   std::unique_ptr<workload::TrafficModel> model_;
   CpuModel cpu_;
@@ -105,6 +115,7 @@ class ClientAgent {
   HostReport report_;
   SimTime until_;
 
+  /// Non-empty exactly while this client is active on the tick cadence.
   std::unordered_map<std::uint16_t, Attempt> attempts_;
   std::uint16_t next_sport_ = 1024;
   int pending_solves_ = 0;

@@ -285,5 +285,28 @@ TEST(Scenario, SeedChangesTrace) {
   EXPECT_NE(a.events_processed, b.events_processed);
 }
 
+TEST(Scenario, IdleClientsCostNoEvents) {
+  // Two runs that differ only in the number of clients, none of which has
+  // a request due before the end: the client tick and sample timers are
+  // shared cadences, so an idle client adds at most its first request-loop
+  // event instead of one event per tick and per sample.
+  Spec s;
+  s.duration = SimTime::seconds(20);
+  s.workload.request_rate = 1e-9;  // mean gap ~32 years
+  s.workload.n_clients = 50;
+  const Result few = scenario::run(s);
+  s.workload.n_clients = 2000;
+  const Result many = scenario::run(s);
+  for (const Result* r : {&few, &many}) {
+    for (const auto& c : r->clients) ASSERT_EQ(c.total_attempts, 0u);
+  }
+  ASSERT_GT(many.events_processed, few.events_processed);
+  EXPECT_LE(many.events_processed - few.events_processed, 2u * (2000 - 50));
+  // Every client still records one CPU gauge point per sample instant.
+  EXPECT_EQ(many.clients.back().cpu.points().size(),
+            few.clients.front().cpu.points().size());
+  EXPECT_EQ(few.clients.front().cpu.points().size(), 80u);
+}
+
 }  // namespace
 }  // namespace tcpz::sim
