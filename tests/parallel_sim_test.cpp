@@ -74,6 +74,23 @@ TEST(ParallelSim, SingleShardReproducesGoldenTrace) {
 
 class ParallelSimShards : public ::testing::TestWithParam<int> {};
 
+/// Golden (full_digest, merged-trace digest) of par_fixture() at a shard
+/// count. Repeat-determinism alone cannot see a change in agent placement
+/// or cross-shard injection order; these pins can.
+struct ShardGolden {
+  int shards;
+  std::uint64_t result;
+  std::uint64_t trace;
+};
+constexpr ShardGolden kShardGoldens[] = {
+    {2, 0x35c63da11271cbaaull, 0xce69b560afc0e20bull},
+    {4, 0x4118d9689cc0b84aull, 0xb9d238bfb021bdbbull},
+    {8, 0x73d2c72cf52b1126ull, 0xe51183d27b541f83ull},
+};
+
+/// full_digest of the 4-shard sharded-fleet fixture below.
+constexpr std::uint64_t kShardedFleetDigest = 0x8fe8ec8326e34c00ull;
+
 TEST_P(ParallelSimShards, FixedSeedAndShardsIsDeterministic) {
   const int n = GetParam();
   scenario::Spec s = par_fixture();
@@ -86,6 +103,17 @@ TEST_P(ParallelSimShards, FixedSeedAndShardsIsDeterministic) {
   EXPECT_EQ(a.trace->digest(), b.trace->digest())
       << "merged trace diverged across repeats at " << n << " shards";
   EXPECT_EQ(a.events_processed, b.events_processed);
+
+  const auto* golden =
+      std::find_if(std::begin(kShardGoldens), std::end(kShardGoldens),
+                   [n](const ShardGolden& g) { return g.shards == n; });
+  ASSERT_NE(golden, std::end(kShardGoldens));
+  EXPECT_EQ(full_digest(a), golden->result)
+      << "result digest drifted from the golden at " << n
+      << " shards; computed 0x" << std::hex << full_digest(a);
+  EXPECT_EQ(a.trace->digest(), golden->trace)
+      << "merged trace drifted from the golden at " << n
+      << " shards; computed 0x" << std::hex << a.trace->digest();
 }
 
 INSTANTIATE_TEST_SUITE_P(N, ParallelSimShards, ::testing::Values(2, 4, 8));
@@ -99,6 +127,9 @@ TEST(ParallelSim, ShardedFleetIsDeterministic) {
   const scenario::Result a = par::run(s, {.shards = 4});
   const scenario::Result b = par::run(s, {.shards = 4});
   EXPECT_EQ(full_digest(a), full_digest(b));
+  EXPECT_EQ(full_digest(a), kShardedFleetDigest)
+      << "sharded fleet drifted from the golden; computed 0x" << std::hex
+      << full_digest(a);
   EXPECT_GT(a.cluster.established_total, 0u);
   EXPECT_EQ(a.secret_rotations, b.secret_rotations);
   EXPECT_GT(a.secret_rotations, 0u);
