@@ -6,6 +6,35 @@
 
 namespace tcpz::offense {
 
+tcp::Segment make_bogus_solution_ack(SimTime now, const tcp::Segment& synack,
+                                     Rng& rng) {
+  const tcp::ChallengeOption& ch = *synack.options.challenge;
+  tcp::Segment ack;
+  ack.saddr = synack.daddr;
+  ack.daddr = synack.saddr;
+  ack.sport = synack.dport;
+  ack.dport = synack.sport;
+  ack.seq = synack.ack;
+  ack.ack = synack.seq + 1;
+  ack.flags = tcp::kAck;
+  const auto now_ms = static_cast<std::uint32_t>(now.nanos() / 1'000'000);
+  if (synack.options.ts) {
+    ack.options.ts = tcp::TimestampsOption{now_ms, synack.options.ts->tsval};
+  }
+  tcp::SolutionOption sol;
+  sol.mss = 1460;
+  sol.wscale = 7;
+  if (!synack.options.ts) {
+    sol.embedded_ts = ch.embedded_ts.value_or(now_ms);
+  }
+  sol.solutions.resize(static_cast<std::size_t>(ch.k) * ch.sol_len);
+  for (auto& b : sol.solutions) {
+    b = static_cast<std::uint8_t>(rng.next());
+  }
+  ack.options.solution = std::move(sol);
+  return ack;
+}
+
 SlotDecision PulsedStrategy::on_slot(const BotView& v) {
   SlotDecision on{cfg_.spoofed ? SlotAction::kSpoofedSyn : SlotAction::kConnect,
                   cfg_.patched, 0};

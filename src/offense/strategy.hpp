@@ -84,6 +84,14 @@ enum class RxAction : std::uint8_t {
   kIgnore,    ///< drop on the floor (spoofed-source backscatter)
 };
 
+/// The RxAction::kBogusAck reply to a challenge SYN-ACK: the ACK a patched
+/// stack would send, mirrored 4-tuple and timestamps, carrying garbage
+/// solution bytes of the declared (k, sol_len) size, so the server must do
+/// verification work to reject it. Draws one rng.next() per solution byte.
+[[nodiscard]] tcp::Segment make_bogus_solution_ack(SimTime now,
+                                                   const tcp::Segment& synack,
+                                                   Rng& rng);
+
 /// What to do when the patched connector asks the host to run the solver.
 enum class ChallengeAction : std::uint8_t {
   kSolve,    ///< solve, subject to the tool's serial-solver admission

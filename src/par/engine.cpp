@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <thread>
 
-#include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "par/mailbox.hpp"
 #include "scenario/engine.hpp"
@@ -20,32 +18,16 @@ using scenario::Spec;
 
 ShardPlan plan_shards(const Spec& spec, int n_shards) {
   ShardPlan plan;
-  const int n = n_shards;
-  if (spec.fleet.enabled) {
+  plan.roster = scenario::roster(spec);
+  for (const scenario::Agent& a : plan.roster) {
     // Replicas share a balancer, secret directory and replay cache — one
     // shard owns the whole service edge.
-    plan.server_owner.assign(static_cast<std::size_t>(spec.servers.count), 0);
-    plan.addr_owner[scenario::addrs::kServerAddr] = 0;
-  } else {
-    for (int i = 0; i < spec.servers.count; ++i) {
-      const int owner = i % n;
-      plan.server_owner.push_back(owner);
-      plan.addr_owner[scenario::addrs::server(i)] = owner;
-    }
-  }
-  const int n_clients = scenario::n_discrete_clients(spec);
-  for (int i = 0; i < n_clients; ++i) {
-    const int owner = i % n;
-    plan.client_owner.push_back(owner);
-    plan.addr_owner[scenario::addrs::client(i)] = owner;
-  }
-  int bot = 0;
-  for (const scenario::AttackSpec& g : spec.attacks) {
-    for (int i = 0; i < g.count; ++i, ++bot) {
-      const int owner = bot % n;
-      plan.bot_owner.push_back(owner);
-      plan.addr_owner[scenario::addrs::bot(bot)] = owner;
-    }
+    const int owner =
+        spec.fleet.enabled && a.role == scenario::Role::kServer
+            ? 0
+            : a.index % n_shards;
+    plan.owner.push_back(owner);
+    plan.addr_owner[a.addr] = owner;
   }
   return plan;
 }
@@ -75,19 +57,11 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
   // propagation delay spec.net.link_delay, and every cross-shard segment is
   // captured at least one such hop before its destination (net/portal.hpp),
   // so shards may run L ahead of each other risk-free.
-  SimTime lookahead = spec.net.link_delay;
+  const SimTime lookahead = spec.net.link_delay;
   if (lookahead <= SimTime::zero()) {
     throw std::invalid_argument(
         "par: net.link_delay must be positive — it is the conservative "
         "lookahead bound");
-  }
-  if (par.lookahead > SimTime::zero()) {
-    if (par.lookahead > lookahead) {
-      throw std::invalid_argument(
-          "par: lookahead override exceeds the topology's minimum "
-          "cross-shard link delay");
-    }
-    lookahead = par.lookahead;
   }
 
   const ShardPlan plan = plan_shards(spec, n);
@@ -115,9 +89,7 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
     try {
       env.shard = s;
       env.n_shards = n;
-      env.server_owner = plan.server_owner;
-      env.client_owner = plan.client_owner;
-      env.bot_owner = plan.bot_owner;
+      env.owner = plan.owner;
       env.send = [&boxes, &plan, s, n](SimTime at, const tcp::Segment& seg) {
         // Portals only ever see destinations with installed routes, and
         // routes exist exactly for planned remote addresses.
@@ -184,46 +156,35 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
     if (slot.error) std::rethrow_exception(slot.error);
   }
 
-  // Merge: each global slot comes from its owning shard; scalar fields live
-  // where their owner does (the fleet control plane and the fluid
+  // Merge: each agent's report comes from its owning shard; scalar fields
+  // live where their owner does (the fleet control plane and the fluid
   // populations follow server 0's shard).
   std::uint64_t total_events = 0;
   for (const ShardSlot& slot : slots) {
     total_events += slot.result.events_processed;
   }
-  const int infra = plan.server_owner[0];
+  const int infra = plan.owner[0];
   scenario::Result merged =
       std::move(slots[static_cast<std::size_t>(infra)].result);
+  for (std::size_t k = 0; k < plan.roster.size(); ++k) {
+    const int owner = plan.owner[k];
+    if (owner == infra) continue;
+    const scenario::Agent& a = plan.roster[k];
+    scenario::Result& from = slots[static_cast<std::size_t>(owner)].result;
+    const auto i = static_cast<std::size_t>(a.index);
+    if (a.role == scenario::Role::kServer) {
+      merged.servers[i] = std::move(from.servers[i]);
+    } else if (a.role == scenario::Role::kClient) {
+      merged.clients[i] = std::move(from.clients[i]);
+    } else {
+      const auto g = static_cast<std::size_t>(a.group);
+      const auto m = static_cast<std::size_t>(a.member);
+      merged.groups[g].bots[m] = std::move(from.groups[g].bots[m]);
+    }
+  }
   merged.cluster = {};
-  for (int i = 0; i < spec.servers.count; ++i) {
-    const int owner = plan.server_owner[static_cast<std::size_t>(i)];
-    if (owner != infra) {
-      merged.servers[static_cast<std::size_t>(i)] = std::move(
-          slots[static_cast<std::size_t>(owner)]
-              .result.servers[static_cast<std::size_t>(i)]);
-    }
-    merged.cluster += merged.servers[static_cast<std::size_t>(i)].counters;
-  }
-  for (std::size_t i = 0; i < plan.client_owner.size(); ++i) {
-    const int owner = plan.client_owner[i];
-    if (owner != infra) {
-      merged.clients[i] =
-          std::move(slots[static_cast<std::size_t>(owner)].result.clients[i]);
-    }
-  }
-  {
-    std::size_t bot = 0;
-    for (std::size_t g = 0; g < spec.attacks.size(); ++g) {
-      for (int i = 0; i < spec.attacks[g].count; ++i, ++bot) {
-        const int owner = plan.bot_owner[bot];
-        if (owner != infra) {
-          merged.groups[g].bots[static_cast<std::size_t>(i)] = std::move(
-              slots[static_cast<std::size_t>(owner)]
-                  .result.groups[g]
-                  .bots[static_cast<std::size_t>(i)]);
-        }
-      }
-    }
+  for (const sim::ServerReport& server : merged.servers) {
+    merged.cluster += server.counters;
   }
   merged.events_processed = total_events;
 
@@ -246,18 +207,7 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
     auto rec = std::make_shared<obs::Recorder>(spec.obs.ring_capacity,
                                                spec.obs.categories);
     for (const obs::TraceEvent& ev : all) rec->append(ev);
-    merged.tracks = scenario::track_names(spec);
-    if (!spec.obs.chrome_trace_path.empty()) {
-      obs::write_chrome_trace(*rec, merged.tracks,
-                              spec.obs.chrome_trace_path);
-    }
-    if (!spec.obs.flows_path.empty()) {
-      if (std::FILE* f = std::fopen(spec.obs.flows_path.c_str(), "w")) {
-        obs::write_flows(f, obs::reconstruct_flows(*rec));
-        std::fclose(f);
-      }
-    }
-    merged.trace = std::move(rec);
+    scenario::export_trace(spec, std::move(rec), merged);
   }
 
   merged.wall_seconds =

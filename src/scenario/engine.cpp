@@ -9,6 +9,7 @@
 #include "scenario/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -33,15 +34,32 @@
 namespace tcpz::scenario {
 namespace {
 
-enum class Role : std::uint64_t { kServer = 1, kClient = 2, kBot = 3 };
+/// Model address plan: servers at 10.1.0.1+i (a fleet shares the VIP
+/// 10.1.0.1), clients at 10.2.0.1+i, bots at 10.3.0.1+i.
+namespace addrs {
+constexpr std::uint32_t kServerAddr = tcp::ipv4(10, 1, 0, 1);
+constexpr std::uint16_t kServerPort = 80;
+std::uint32_t server(int i) {
+  return kServerAddr + static_cast<std::uint32_t>(i);
+}
+std::uint32_t client(int i) {
+  return tcp::ipv4(10, 2, 0, 1) + static_cast<std::uint32_t>(i);
+}
+std::uint32_t bot(int i) {
+  return tcp::ipv4(10, 3, 0, 1) + static_cast<std::uint32_t>(i);
+}
+bool is_bot(std::uint32_t addr) {
+  return (addr & 0xffff0000u) == tcp::ipv4(10, 3, 0, 0);
+}
+}  // namespace addrs
 
-/// Per-agent seed: a stable (role, group, index) id hashed against the spec
-/// seed, so no agent's stream depends on how many others exist.
-std::uint64_t agent_seed(std::uint64_t root, Role role, std::uint64_t group,
-                         std::uint64_t index) {
-  const std::uint64_t id =
-      (static_cast<std::uint64_t>(role) << 56) | (group << 32) | index;
-  return Rng::derive_seed(root, id);
+/// Number of discrete client hosts a spec instantiates (the sampled cohort
+/// under a hybrid model, n_clients otherwise).
+int n_discrete_clients(const Spec& spec) {
+  const workload::ModelSpec wmodel = spec.workload.model_spec();
+  return wmodel.kind == workload::ModelSpec::Kind::kHybridFluid
+             ? static_cast<int>(wmodel.cohort_size())
+             : spec.workload.n_clients;
 }
 
 void validate(const Spec& spec) {
@@ -203,30 +221,68 @@ double Result::attacker_cps(std::size_t from, std::size_t to) const {
   return sum;
 }
 
-int n_discrete_clients(const Spec& spec) {
-  const workload::ModelSpec wmodel = spec.workload.model_spec();
-  return wmodel.kind == workload::ModelSpec::Kind::kHybridFluid
-             ? static_cast<int>(wmodel.cohort_size())
-             : spec.workload.n_clients;
-}
-
-obs::TrackNames track_names(const Spec& spec) {
-  obs::TrackNames tracks;
-  tracks.emplace_back(0, "infra");
+std::vector<Agent> roster(const Spec& spec) {
+  validate(spec);
+  const int n_clients = n_discrete_clients(spec);
+  int n_bots = 0;
+  for (const AttackSpec& g : spec.attacks) n_bots += g.count;
+  std::vector<Agent> agents;
+  agents.reserve(static_cast<std::size_t>(spec.servers.count + n_clients +
+                                          n_bots));
+  const auto add = [&agents](Role role, int index, int group, int member,
+                             std::uint32_t addr, int router, int track) {
+    // Seed id: (role, group, member) — stable however many others exist.
+    const std::uint64_t seed_id = (static_cast<std::uint64_t>(role) << 56) |
+                                  (static_cast<std::uint64_t>(group) << 32) |
+                                  static_cast<std::uint64_t>(member);
+    agents.push_back({role, static_cast<std::uint8_t>(router),
+                      static_cast<std::uint16_t>(track), index, group, member,
+                      addr, seed_id});
+  };
+  // Fig. 16: the service edge hangs off r1; clients and bots alternate
+  // between r2 and r3, in opposite phase. Track 0 is shared infrastructure,
+  // servers take 1..count and bots the tracks above.
   for (int i = 0; i < spec.servers.count; ++i) {
-    tracks.emplace_back(
-        static_cast<std::uint16_t>(1 + i),
-        (spec.fleet.enabled ? "replica" : "server") + std::to_string(i));
+    add(Role::kServer, i, 0, i,
+        spec.fleet.enabled ? addrs::kServerAddr : addrs::server(i), 1, 1 + i);
+  }
+  for (int i = 0; i < n_clients; ++i) {
+    add(Role::kClient, i, 0, i, addrs::client(i), i % 2 == 0 ? 2 : 3, 0);
   }
   int bot = 0;
-  for (const AttackSpec& g : spec.attacks) {
-    for (int i = 0; i < g.count; ++i, ++bot) {
-      tracks.emplace_back(
-          static_cast<std::uint16_t>(1 + spec.servers.count + bot),
-          "bot" + std::to_string(bot) + ":" + g.label());
+  for (std::size_t g = 0; g < spec.attacks.size(); ++g) {
+    for (int m = 0; m < spec.attacks[g].count; ++m, ++bot) {
+      add(Role::kBot, bot, static_cast<int>(g), m, addrs::bot(bot),
+          bot % 2 == 0 ? 3 : 2, 1 + spec.servers.count + bot);
     }
   }
-  return tracks;
+  return agents;
+}
+
+void export_trace(const Spec& spec, std::shared_ptr<obs::Recorder> recorder,
+                  Result& result) {
+  obs::TrackNames& tracks = result.tracks;
+  tracks.emplace_back(0, "infra");
+  for (const Agent& a : roster(spec)) {
+    if (a.role == Role::kServer) {
+      tracks.emplace_back(a.track, (spec.fleet.enabled ? "replica" : "server") +
+                                       std::to_string(a.index));
+    } else if (a.role == Role::kBot) {
+      tracks.emplace_back(
+          a.track, "bot" + std::to_string(a.index) + ":" +
+                       spec.attacks[static_cast<std::size_t>(a.group)].label());
+    }
+  }
+  if (!spec.obs.chrome_trace_path.empty()) {
+    obs::write_chrome_trace(*recorder, tracks, spec.obs.chrome_trace_path);
+  }
+  if (!spec.obs.flows_path.empty()) {
+    if (std::FILE* f = std::fopen(spec.obs.flows_path.c_str(), "w")) {
+      obs::write_flows(f, obs::reconstruct_flows(*recorder));
+      std::fclose(f);
+    }
+  }
+  result.trace = std::move(recorder);
 }
 
 // ---------------------------------------------------------------------------
@@ -240,18 +296,14 @@ struct Engine::Impl {
   const ShardEnv* env;
   bool sharded;
   workload::ModelSpec wmodel;
-  int n_discrete;
+  std::vector<Agent> roster;
 
   net::Simulator sim;
   net::Topology topo{sim};
 
-  net::Router* r1 = nullptr;
-  net::Router* r2 = nullptr;
-  net::Router* r3 = nullptr;
+  std::array<net::Router*, 3> routers{};  ///< r1, r2, r3
   fleet::LoadBalancer* lb = nullptr;
-  std::vector<net::Host*> server_hosts;  ///< nullptr slots = other shards
-  std::vector<net::Host*> client_hosts;
-  std::vector<net::Host*> bot_hosts;
+  std::vector<net::Host*> hosts;  ///< per roster index; nullptr = remote
   /// Cross-shard egress (sharded only): portals and their feeder links live
   /// outside the Topology so compute_routes never considers them.
   std::vector<std::unique_ptr<net::PortalNode>> portals;
@@ -262,7 +314,8 @@ struct Engine::Impl {
   std::optional<fleet::SecretDirectory> directory;
   std::optional<fleet::ReplayCache> replay_cache;
 
-  std::vector<std::unique_ptr<sim::ServerAgent>> servers;  ///< nullptr = remote
+  // Agents by index within their role; nullptr = owned by another shard.
+  std::vector<std::unique_ptr<sim::ServerAgent>> servers;
   /// The discrete clients' shared tick and sample timers (per shard: each
   /// shard's engine has its own simulator).
   net::Cadence client_ticks{sim, spec.tick_interval, spec.duration};
@@ -278,29 +331,37 @@ struct Engine::Impl {
   int n_fluid_targets = 0;
   bool finalized = false;
 
-  [[nodiscard]] bool owns_server(int i) const {
-    return !sharded ||
-           env->server_owner[static_cast<std::size_t>(i)] == env->shard;
-  }
-  [[nodiscard]] bool owns_client(int i) const {
-    return !sharded ||
-           env->client_owner[static_cast<std::size_t>(i)] == env->shard;
-  }
-  [[nodiscard]] bool owns_bot(int i) const {
-    return !sharded ||
-           env->bot_owner[static_cast<std::size_t>(i)] == env->shard;
+  [[nodiscard]] bool owns(std::size_t k) const {
+    return !sharded || env->owner[k] == env->shard;
   }
   /// The fleet control plane (balancer, directory, health events) lives
-  /// with server 0 — the par driver keeps a fleet's servers on one shard.
-  [[nodiscard]] bool owns_infra() const { return owns_server(0); }
+  /// with server 0, roster index 0.
+  [[nodiscard]] bool owns_infra() const { return owns(0); }
+  [[nodiscard]] net::Router* router(const Agent& a) const {
+    return routers[static_cast<std::size_t>(a.router - 1)];
+  }
+  [[nodiscard]] std::uint64_t seed(const Agent& a) const {
+    return Rng::derive_seed(spec.seed, a.seed_id);
+  }
+  [[nodiscard]] std::size_t count(Role role) const {
+    return static_cast<std::size_t>(
+        std::ranges::count(roster, role, &Agent::role));
+  }
+  /// Calls fn(roster index, agent) for every owned agent of `role`, in
+  /// roster order.
+  template <typename F>
+  void for_owned(Role role, F&& fn) {
+    for (std::size_t k = 0; k < roster.size(); ++k) {
+      if (roster[k].role == role && owns(k)) fn(k, roster[k]);
+    }
+  }
 
   Impl(const Spec& s, const ShardEnv* e)
       : spec(s),
         env(e),
         sharded(e != nullptr && e->n_shards > 1),
         wmodel(s.workload.model_spec()),
-        n_discrete(n_discrete_clients(s)) {
-    validate(spec);
+        roster(scenario::roster(s)) {
     if (sharded) validate_env();
     build();
   }
@@ -309,25 +370,9 @@ struct Engine::Impl {
     if (!env->send) {
       throw std::invalid_argument("scenario::Engine: ShardEnv::send unset");
     }
-    std::size_t n_bots = 0;
-    for (const AttackSpec& g : spec.attacks) {
-      n_bots += static_cast<std::size_t>(g.count);
-    }
-    if (env->server_owner.size() !=
-            static_cast<std::size_t>(spec.servers.count) ||
-        env->client_owner.size() != static_cast<std::size_t>(n_discrete) ||
-        env->bot_owner.size() != n_bots) {
+    if (env->owner.size() != roster.size()) {
       throw std::invalid_argument(
-          "scenario::Engine: ShardEnv owner vectors mis-sized");
-    }
-    if (spec.fleet.enabled) {
-      for (const int o : env->server_owner) {
-        if (o != env->server_owner[0]) {
-          throw std::invalid_argument(
-              "scenario::Engine: fleet replicas must share one shard (they "
-              "share a balancer, directory and replay cache)");
-        }
-      }
+          "scenario::Engine: ShardEnv::owner must cover the roster");
     }
   }
 
@@ -335,91 +380,63 @@ struct Engine::Impl {
     // Fig. 16: three fully connected backbone routers; the service edge
     // (server, server group, or balancer + fleet) hangs off r1. Every shard
     // carries the router triangle — local traffic uses its local replica.
-    r1 = topo.add_router("r1");
-    r2 = topo.add_router("r2");
-    r3 = topo.add_router("r3");
+    routers = {topo.add_router("r1"), topo.add_router("r2"),
+               topo.add_router("r3")};
     const net::LinkSpec backbone{spec.net.backbone_bps, spec.net.link_delay,
                                  4u << 20};
-    topo.connect(r1, r2, backbone);
-    topo.connect(r2, r3, backbone);
-    topo.connect(r1, r3, backbone);
+    topo.connect(routers[0], routers[1], backbone);
+    topo.connect(routers[1], routers[2], backbone);
+    topo.connect(routers[0], routers[2], backbone);
 
+    if (spec.fleet.enabled && owns_infra()) {
+      fleet::LoadBalancerConfig lcfg;
+      lcfg.vip = addrs::kServerAddr;
+      lcfg.policy = spec.fleet.balance;
+      lcfg.flow_idle_timeout = spec.fleet.lb_flow_idle_timeout;
+      lb = static_cast<fleet::LoadBalancer*>(topo.add_node(
+          std::make_unique<fleet::LoadBalancer>(sim, "lb", lcfg)));
+      topo.advertise(lb, addrs::kServerAddr);
+      topo.connect(lb, routers[0],
+                   {spec.fleet.lb_uplink_bps, spec.net.link_delay, 4u << 20});
+    }
+
+    // One host per owned agent. Discrete legitimate clients are all of them
+    // under the open-loop model and the sampled cohort under a hybrid model
+    // (the fluid remainder never gets hosts — it enters the listeners as
+    // aggregate mass).
     const net::LinkSpec server_link{spec.net.server_link_bps,
                                     spec.net.link_delay, 4u << 20};
-    if (spec.fleet.enabled) {
-      if (owns_infra()) {
-        fleet::LoadBalancerConfig lcfg;
-        lcfg.vip = addrs::kServerAddr;
-        lcfg.policy = spec.fleet.balance;
-        lcfg.flow_idle_timeout = spec.fleet.lb_flow_idle_timeout;
-        lb = static_cast<fleet::LoadBalancer*>(topo.add_node(
-            std::make_unique<fleet::LoadBalancer>(sim, "lb", lcfg)));
-        topo.advertise(lb, addrs::kServerAddr);
-        topo.connect(lb, r1,
-                     {spec.fleet.lb_uplink_bps, spec.net.link_delay, 4u << 20});
+    const net::LinkSpec host_link{spec.net.host_link_bps, spec.net.link_delay,
+                                  1u << 20};
+    hosts.assign(roster.size(), nullptr);
+    for (std::size_t k = 0; k < roster.size(); ++k) {
+      if (!owns(k)) continue;
+      const Agent& a = roster[k];
+      const std::string idx = std::to_string(a.index);
+      if (a.role == Role::kServer && spec.fleet.enabled) {
         // Replicas terminate VIP traffic directly (DSR); their hosts carry
         // the VIP address but are not advertised — the balancer owns the
         // route.
-        for (int i = 0; i < spec.servers.count; ++i) {
-          net::Host* h = topo.add_host("replica" + std::to_string(i),
-                                       addrs::kServerAddr, /*advertise=*/false);
-          auto [to_replica, from_replica] = topo.connect(lb, h, server_link);
-          (void)from_replica;
-          lb->add_backend(to_replica);
-          server_hosts.push_back(h);
+        if (lb == nullptr) {
+          throw std::invalid_argument(
+              "scenario::Engine: a fleet replica must be owned with server 0");
         }
+        hosts[k] = topo.add_host("replica" + idx, a.addr, /*advertise=*/false);
+        lb->add_backend(topo.connect(lb, hosts[k], server_link).first);
+      } else if (a.role == Role::kServer) {
+        // Each server is independently addressable at 10.1.0.1+i;
+        // fleet-aware strategies spread their attempts across the list.
+        hosts[k] = topo.add_host(
+            spec.servers.count == 1 ? "server" : "server" + idx, a.addr);
+        topo.connect(hosts[k], router(a), server_link);
       } else {
-        server_hosts.assign(static_cast<std::size_t>(spec.servers.count),
-                            nullptr);
-      }
-    } else {
-      // Each server is independently addressable at 10.1.0.1+i; fleet-aware
-      // strategies spread their attempts across the list.
-      for (int i = 0; i < spec.servers.count; ++i) {
-        if (!owns_server(i)) {
-          server_hosts.push_back(nullptr);
-          continue;
-        }
-        net::Host* h = topo.add_host(
-            spec.servers.count == 1 ? "server" : "server" + std::to_string(i),
-            addrs::server(i));
-        topo.connect(h, r1, server_link);
-        server_hosts.push_back(h);
-      }
-    }
-
-    // Discrete legitimate clients: all of them under the open-loop model,
-    // the sampled cohort under a hybrid model (the fluid remainder never
-    // gets hosts — it enters the listeners as aggregate mass).
-    const net::LinkSpec host_link{spec.net.host_link_bps, spec.net.link_delay,
-                                  1u << 20};
-    for (int i = 0; i < n_discrete; ++i) {
-      if (!owns_client(i)) {
-        client_hosts.push_back(nullptr);
-        continue;
-      }
-      net::Host* h =
-          topo.add_host("client" + std::to_string(i), addrs::client(i));
-      topo.connect(h, i % 2 == 0 ? r2 : r3, host_link);
-      client_hosts.push_back(h);
-    }
-    {
-      int bot = 0;
-      for (const AttackSpec& g : spec.attacks) {
-        for (int i = 0; i < g.count; ++i, ++bot) {
-          if (!owns_bot(bot)) {
-            bot_hosts.push_back(nullptr);
-            continue;
-          }
-          net::Host* h =
-              topo.add_host("bot" + std::to_string(bot), addrs::bot(bot));
-          topo.connect(h, bot % 2 == 0 ? r3 : r2, host_link);
-          bot_hosts.push_back(h);
-        }
+        hosts[k] = topo.add_host(
+            (a.role == Role::kClient ? "client" : "bot") + idx, a.addr);
+        topo.connect(hosts[k], router(a), host_link);
       }
     }
     topo.compute_routes();
-    if (sharded) install_portals();
+    if (sharded) wire_cross_shard();
 
     // Crypto. Non-fleet: one shared oracle engine — the servers verify with
     // the same secret the oracle derives "solutions" from (DESIGN.md,
@@ -466,22 +483,17 @@ struct Engine::Impl {
                             static_cast<std::size_t>(div))
               : spec.servers.accept_backlog;
 
-    for (int i = 0; i < spec.servers.count; ++i) {
-      if (!owns_server(i)) {
-        servers.push_back(nullptr);
-        continue;
-      }
-      const defense::PolicySpec pspec = spec.server_policy(i);
+    servers.resize(count(Role::kServer));
+    for_owned(Role::kServer, [&](std::size_t k, const Agent& a) {
+      const defense::PolicySpec pspec = spec.server_policy(a.index);
       sim::ServerAgentConfig scfg;
-      scfg.listener.local_addr =
-          spec.fleet.enabled ? addrs::kServerAddr : addrs::server(i);
+      scfg.listener.local_addr = a.addr;
       scfg.listener.local_port = addrs::kServerPort;
       scfg.listener.listen_backlog = listen_backlog;
       scfg.listener.accept_backlog = accept_backlog;
       scfg.listener.difficulty = spec.servers.difficulty;
       scfg.listener.policy = pspec.factory();
-      // Track 0 is shared infrastructure; servers take 1..count.
-      scfg.listener.trace_track = static_cast<std::uint16_t>(1 + i);
+      scfg.listener.trace_track = a.track;
       scfg.service_rate = service_rate;
       scfg.n_workers = workers;
       scfg.response_bytes = spec.workload.response_bytes;
@@ -491,25 +503,24 @@ struct Engine::Impl {
       scfg.sample_interval = spec.sample_interval;
       scfg.is_attacker = addrs::is_bot;
       const bool puzzles = pspec.wants_engine();
-      servers.push_back(std::make_unique<sim::ServerAgent>(
-          sim, *server_hosts[static_cast<std::size_t>(i)], scfg,
-          spec.fleet.enabled ? directory->current_secret() : *secret,
-          agent_seed(spec.seed, Role::kServer, 0,
-                     static_cast<std::uint64_t>(i)),
-          puzzles ? engine : nullptr));
+      auto& server = servers[static_cast<std::size_t>(a.index)];
+      server = std::make_unique<sim::ServerAgent>(
+          sim, *hosts[k], scfg,
+          spec.fleet.enabled ? directory->current_secret() : *secret, seed(a),
+          puzzles ? engine : nullptr);
       if (spec.fleet.enabled && puzzles) {
-        directory->subscribe(&servers.back()->listener());
+        directory->subscribe(&server->listener());
         if (spec.fleet.shared_replay_cache) {
           fleet::ReplayCache* rc = &*replay_cache;
-          servers.back()->listener().set_replay_filter(
+          server->listener().set_replay_filter(
               [rc](const tcp::FlowKey& flow, std::uint32_t ts,
                    std::uint32_t now_ms) {
                 return rc->check_and_insert(flow, ts, now_ms);
               });
         }
       }
-      servers.back()->start(spec.duration);
-    }
+      server->start(spec.duration);
+    });
     if (spec.fleet.enabled && owns_infra()) {
       directory->start(sim, spec.duration);
       lb->start(spec.duration);
@@ -525,33 +536,24 @@ struct Engine::Impl {
     // One engine instance suffices across secret rotations: oracle
     // solutions derive from the challenge bytes alone, exactly like a real
     // brute-force solver.
-    for (int i = 0; i < n_discrete; ++i) {
-      if (!owns_client(i)) {
-        clients.push_back(nullptr);
-        continue;
-      }
+    clients.resize(count(Role::kClient));
+    for_owned(Role::kClient, [&](std::size_t k, const Agent& a) {
       sim::ClientAgentConfig ccfg;
       ccfg.model = wmodel.factory();
       ccfg.server_addr = addrs::kServerAddr;
       ccfg.server_port = addrs::kServerPort;
-      ccfg.request_rate = spec.workload.request_rate;
-      ccfg.request_bytes = spec.workload.request_bytes;
-      ccfg.response_bytes = spec.workload.response_bytes;
       ccfg.solve_puzzles = spec.workload.solve_puzzles;
       ccfg.engine = engine;
       ccfg.cpu = spec.workload.cpu;
       if (spec.pow == PowKind::kMemoryBound) {
         ccfg.solve_ops_rate = spec.workload.cpu.mem_rate;
       }
-      ccfg.max_pending_solves = spec.workload.max_pending_solves;
       ccfg.response_timeout = spec.workload.response_timeout;
-      clients.push_back(std::make_unique<sim::ClientAgent>(
-          sim, *client_hosts[static_cast<std::size_t>(i)], ccfg,
-          agent_seed(spec.seed, Role::kClient, 0,
-                     static_cast<std::uint64_t>(i)),
-          client_ticks, client_samples));
-      clients.back()->start(spec.duration);
-    }
+      auto& client = clients[static_cast<std::size_t>(a.index)];
+      client = std::make_unique<sim::ClientAgent>(
+          sim, *hosts[k], ccfg, seed(a), client_ticks, client_samples);
+      client->start(spec.duration);
+    });
 
     // Hybrid fluid remainder: the users beyond the sampled cohort enter the
     // listeners as aggregate mass, one population per server that takes
@@ -568,11 +570,11 @@ struct Engine::Impl {
       const double per_users = static_cast<double>(wmodel.fluid_users()) /
                                static_cast<double>(n_targets);
       const double cohort_per =
-          static_cast<double>(n_discrete) / static_cast<double>(n_targets);
+          static_cast<double>(clients.size()) / static_cast<double>(n_targets);
       const double service_share = spec.servers.service_rate /
                                    static_cast<double>(div);
       for (int i = 0; i < n_targets; ++i) {
-        if (!owns_server(i)) continue;
+        if (servers[static_cast<std::size_t>(i)] == nullptr) continue;
         workload::FluidConfig fc;
         fc.users = per_users;
         fc.request_rate = wmodel.request_rate;
@@ -634,88 +636,46 @@ struct Engine::Impl {
         targets.push_back({addrs::server(i), addrs::kServerPort});
       }
     }
-    {
-      std::size_t host_idx = 0;
-      std::uint64_t group_idx = 0;
-      for (const AttackSpec& g : spec.attacks) {
-        offense::StrategySpec sspec = g.strategy;
-        sspec.slot_rate = g.rate;  // lets game-adaptive convert rates to odds
-        for (int i = 0; i < g.count; ++i, ++host_idx) {
-          if (!owns_bot(static_cast<int>(host_idx))) {
-            bots.push_back(nullptr);
-            continue;
-          }
-          sim::AttackerAgentConfig acfg;
-          acfg.targets = targets;
-          acfg.strategy = sspec.factory();
-          acfg.rate = g.rate;
-          acfg.attack_start = g.start.value_or(spec.attack_start);
-          acfg.attack_end = g.end.value_or(spec.attack_end);
-          acfg.engine = engine;
-          acfg.cpu = g.cpu;
-          if (spec.pow == PowKind::kMemoryBound) {
-            acfg.solve_ops_rate = g.cpu.mem_rate;
-          }
-          acfg.max_pending_solves = g.max_pending_solves;
-          acfg.max_inflight = g.max_inflight;
-          acfg.tick_interval = spec.tick_interval;
-          acfg.sample_interval = spec.sample_interval;
-          // Bots take tracks above the server range, flat in group order.
-          acfg.trace_track = static_cast<std::uint16_t>(
-              1 + spec.servers.count + static_cast<int>(host_idx));
-          bots.push_back(std::make_unique<sim::AttackerAgent>(
-              sim, *bot_hosts[host_idx], acfg,
-              agent_seed(spec.seed, Role::kBot, group_idx,
-                         static_cast<std::uint64_t>(i))));
-          bots.back()->start(spec.duration);
-        }
-        ++group_idx;
+    bots.resize(count(Role::kBot));
+    for_owned(Role::kBot, [&](std::size_t k, const Agent& a) {
+      const AttackSpec& g = spec.attacks[static_cast<std::size_t>(a.group)];
+      offense::StrategySpec sspec = g.strategy;
+      sspec.slot_rate = g.rate;  // lets game-adaptive convert rates to odds
+      sim::AttackerAgentConfig acfg;
+      acfg.targets = targets;
+      acfg.strategy = sspec.factory();
+      acfg.rate = g.rate;
+      acfg.attack_start = g.start.value_or(spec.attack_start);
+      acfg.attack_end = g.end.value_or(spec.attack_end);
+      acfg.engine = engine;
+      acfg.cpu = g.cpu;
+      if (spec.pow == PowKind::kMemoryBound) {
+        acfg.solve_ops_rate = g.cpu.mem_rate;
       }
-    }
-
-    // Cross-shard injections enter at the destination's access router, so
-    // the access link (the dominant queueing direction under flood) keeps
-    // exact contention.
-    if (sharded) {
-      if (spec.fleet.enabled) {
-        if (owns_infra()) inject_points[addrs::kServerAddr] = r1;
-      } else {
-        for (int i = 0; i < spec.servers.count; ++i) {
-          if (owns_server(i)) inject_points[addrs::server(i)] = r1;
-        }
-      }
-      for (int i = 0; i < n_discrete; ++i) {
-        if (owns_client(i)) {
-          inject_points[addrs::client(i)] = i % 2 == 0 ? r2 : r3;
-        }
-      }
-      for (std::size_t j = 0; j < env->bot_owner.size(); ++j) {
-        if (owns_bot(static_cast<int>(j))) {
-          inject_points[addrs::bot(static_cast<int>(j))] =
-              j % 2 == 0 ? r3 : r2;
-        }
-      }
-    }
+      acfg.max_pending_solves = g.max_pending_solves;
+      acfg.max_inflight = g.max_inflight;
+      acfg.tick_interval = spec.tick_interval;
+      acfg.sample_interval = spec.sample_interval;
+      acfg.trace_track = a.track;
+      auto& bot = bots[static_cast<std::size_t>(a.index)];
+      bot = std::make_unique<sim::AttackerAgent>(sim, *hosts[k], acfg, seed(a));
+      bot->start(spec.duration);
+    });
   }
 
-  /// Routes for remote addresses point at per-egress portals: captured one
-  /// propagation hop early, serialized at the real egress link's bandwidth
-  /// (the portal link), stamped `now + extra` for the remaining hops.
-  void install_portals() {
+  /// Cross-shard wiring. Injections for owned agents enter at their access
+  /// router, so the access link (the dominant queueing direction under
+  /// flood) keeps exact contention. Routes for remote addresses point at
+  /// per-egress portals: captured one propagation hop early, serialized at
+  /// the real egress link's bandwidth (the portal link), stamped
+  /// `now + extra` for the remaining hops.
+  void wire_cross_shard() {
     std::vector<std::uint32_t> remote;
-    if (spec.fleet.enabled) {
-      if (!owns_infra()) remote.push_back(addrs::kServerAddr);
-    } else {
-      for (int i = 0; i < spec.servers.count; ++i) {
-        if (!owns_server(i)) remote.push_back(addrs::server(i));
-      }
-    }
-    for (int i = 0; i < n_discrete; ++i) {
-      if (!owns_client(i)) remote.push_back(addrs::client(i));
-    }
-    for (std::size_t j = 0; j < env->bot_owner.size(); ++j) {
-      if (!owns_bot(static_cast<int>(j))) {
-        remote.push_back(addrs::bot(static_cast<int>(j)));
+    for (std::size_t k = 0; k < roster.size(); ++k) {
+      if (owns(k)) {
+        inject_points[roster[k].addr] = router(roster[k]);
+      } else {
+        remote.push_back(roster[k].addr);
       }
     }
     if (remote.empty()) return;
@@ -741,7 +701,7 @@ struct Engine::Impl {
     std::vector<Egress> egress;
     // From an access router the remaining path is one backbone hop
     // (propagation L, serialized at backbone bandwidth).
-    for (net::Router* r : {r1, r2, r3}) {
+    for (net::Router* r : routers) {
       egress.push_back({r, attach(r, spec.net.backbone_bps, L)});
     }
     // DSR replies leave the balancer two propagation hops from any remote
@@ -765,32 +725,41 @@ struct Engine::Impl {
       }
     }
 
+    // Full-size (global shape) vectors; slots of remote agents stay
+    // default-constructed for the par driver to merge.
     Result result;
-    for (int i = 0; i < spec.servers.count; ++i) {
-      auto& slot = servers[static_cast<std::size_t>(i)];
-      if (slot == nullptr) {
-        result.servers.emplace_back();
-        continue;
+    result.servers.resize(servers.size());
+    result.clients.resize(clients.size());
+    for (const AttackSpec& g : spec.attacks) {
+      AttackGroupReport group;
+      group.name = g.label();
+      group.bots.resize(static_cast<std::size_t>(g.count));
+      result.groups.push_back(std::move(group));
+    }
+    for (std::size_t k = 0; k < roster.size(); ++k) {
+      if (!owns(k)) continue;
+      const Agent& a = roster[k];
+      const auto i = static_cast<std::size_t>(a.index);
+      if (a.role == Role::kServer) {
+        sim::ServerAgent& agent = *servers[i];
+        sim::ServerReport& report = result.servers[i];
+        report = std::move(agent.report());
+        report.counters = agent.listener().counters();
+        report.policy = agent.listener().policy_name();
+        report.final_difficulty_m = agent.listener().config().difficulty.m;
+        result.cluster += report.counters;
+        if (lb != nullptr) result.lb.backends.push_back(lb->stats(a.index));
+      } else if (a.role == Role::kClient) {
+        result.clients[i] = std::move(clients[i]->report());
+      } else {
+        result.groups[static_cast<std::size_t>(a.group)]
+            .bots[static_cast<std::size_t>(a.member)] =
+            std::move(bots[i]->report());
       }
-      auto& agent = *slot;
-      sim::ServerReport report = std::move(agent.report());
-      report.counters = agent.listener().counters();
-      report.policy = agent.listener().policy_name();
-      report.final_difficulty_m = agent.listener().config().difficulty.m;
-      result.cluster += report.counters;
-      result.servers.push_back(std::move(report));
-      if (lb != nullptr) result.lb.backends.push_back(lb->stats(i));
     }
     if (lb != nullptr) {
       result.lb.no_backend_drops = lb->no_backend_drops();
       result.lb.failover_evictions = lb->failover_evictions();
-    }
-    for (auto& c : clients) {
-      if (c == nullptr) {
-        result.clients.emplace_back();
-      } else {
-        result.clients.push_back(std::move(c->report()));
-      }
     }
     if (!fluids.empty()) {
       for (auto& f : fluids) result.fluid.push_back(std::move(f->report()));
@@ -800,21 +769,6 @@ struct Engine::Impl {
     }
     if (wmodel.kind == workload::ModelSpec::Kind::kHybridFluid) {
       result.fluid_users = wmodel.fluid_users();
-    }
-    {
-      std::size_t bot = 0;
-      for (const AttackSpec& g : spec.attacks) {
-        AttackGroupReport group;
-        group.name = g.label();
-        for (int i = 0; i < g.count; ++i, ++bot) {
-          if (bots[bot] == nullptr) {
-            group.bots.emplace_back();
-          } else {
-            group.bots.push_back(std::move(bots[bot]->report()));
-          }
-        }
-        result.groups.push_back(std::move(group));
-      }
     }
     if (directory) result.secret_rotations = directory->rotations();
     if (replay_cache) result.replay_cache_hits = replay_cache->hits();
@@ -840,13 +794,6 @@ void Engine::inject(SimTime at, const tcp::Segment& seg) {
   impl_->sim.schedule_at(at, [node, seg] { node->deliver(seg); });
 }
 
-SimTime Engine::lookahead() const {
-  // Every path between agents on different shards traverses at least one
-  // link of propagation delay `net.link_delay` beyond its capture point
-  // (all LinkSpecs in build() use it), so that is the conservative bound.
-  return impl_->spec.net.link_delay;
-}
-
 Result Engine::collect() { return impl_->collect(); }
 
 Result run(const Spec& spec) {
@@ -867,20 +814,7 @@ Result run(const Spec& spec) {
   engine.run_until(spec.duration);
   Result result = engine.collect();
 
-  if (recorder) {
-    result.tracks = track_names(spec);
-    if (!spec.obs.chrome_trace_path.empty()) {
-      obs::write_chrome_trace(*recorder, result.tracks,
-                              spec.obs.chrome_trace_path);
-    }
-    if (!spec.obs.flows_path.empty()) {
-      if (std::FILE* f = std::fopen(spec.obs.flows_path.c_str(), "w")) {
-        obs::write_flows(f, obs::reconstruct_flows(*recorder));
-        std::fclose(f);
-      }
-    }
-    result.trace = std::move(recorder);
-  }
+  if (recorder) export_trace(spec, std::move(recorder), result);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)

@@ -3,8 +3,10 @@
 // them in bounded-lookahead rounds.
 //
 // An Engine owns one net::Simulator plus the slice of the Fig. 16 world a
-// shard is responsible for. With no ShardEnv (or n_shards == 1) it builds
-// the whole scenario — exactly what scenario::run() executes.
+// shard is responsible for. Every agent is described once, by its entry in
+// roster(spec); the engine builds hosts and agents, wires portals and
+// collects reports by walking that table. With no ShardEnv (or n_shards ==
+// 1) it builds the whole scenario — exactly what scenario::run() executes.
 //
 // With a ShardEnv, only the agents the env assigns to this shard are
 // instantiated (plus the backbone-router skeleton every shard shares), and
@@ -17,8 +19,10 @@
 // full contention, which is the queueing direction that matters under flood.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "obs/export.hpp"
 #include "scenario/spec.hpp"
@@ -26,16 +30,37 @@
 
 namespace tcpz::scenario {
 
-/// Shard assignment handed to an Engine by the par driver. Owner vectors
-/// are indexed by the agent's global index (bots flat in group order) and
-/// must be identical on every shard — each engine derives both its own
-/// agent set and the remote-address portal routes from them.
+/// Agent roles, in roster order. The values are part of every agent's
+/// seed id, so they are fixed.
+enum class Role : std::uint8_t { kServer = 1, kClient = 2, kBot = 3 };
+
+/// One agent of the Fig. 16 world: everything about it that construction,
+/// shard placement, cross-shard routing, trace export and result merging
+/// need, decided once by roster().
+struct Agent {
+  Role role = Role::kServer;
+  std::uint8_t router = 1;  ///< access router: 1, 2 or 3 (Fig. 16 r1..r3)
+  std::uint16_t track = 0;  ///< trace track; 0 = shared infra (clients)
+  int index = 0;            ///< within the role; bots flat in group order
+  int group = 0;            ///< attack group (bots), else 0
+  int member = 0;           ///< index within the group (bots), else index
+  std::uint32_t addr = 0;   ///< model address; fleet replicas share the VIP
+  std::uint64_t seed_id = 0;  ///< stable id the agent's RNG seed derives from
+};
+
+/// Every agent `spec` instantiates, in build order: servers, then the
+/// discrete clients, then bots in group order. A position in this vector
+/// is the agent's roster index. Throws std::invalid_argument for an
+/// invalid spec.
+[[nodiscard]] std::vector<Agent> roster(const Spec& spec);
+
+/// Shard assignment handed to an Engine by the par driver.
 struct ShardEnv {
   int shard = 0;
   int n_shards = 1;
-  std::vector<int> server_owner;  ///< size servers.count; fleet: all equal
-  std::vector<int> client_owner;  ///< size n_discrete_clients(spec)
-  std::vector<int> bot_owner;     ///< flat bot index, group order
+  /// Owner shard per roster index; identical on every shard — each engine
+  /// derives both its own agent set and its portal routes from it.
+  std::vector<int> owner;
   /// Receives (inject_time, segment) for cross-shard traffic captured by
   /// this shard's portals, on this shard's thread, during its round.
   std::function<void(SimTime, const tcp::Segment&)> send;
@@ -62,12 +87,6 @@ class Engine {
   /// lookahead invariant guarantees it for barrier-drained messages).
   void inject(SimTime at, const tcp::Segment& seg);
 
-  /// The conservative synchronization horizon this scenario supports: the
-  /// minimum delay of any link cross-shard traffic traverses. Every
-  /// cross-agent interaction flows through at least one such hop, so each
-  /// shard may run `lookahead()` ahead of the others risk-free.
-  [[nodiscard]] SimTime lookahead() const;
-
   /// Stops fleet control-plane timers and gathers reports. Vectors in the
   /// Result are full-size (global shape); slots owned by other shards are
   /// default-constructed — the par driver merges per-slot. Trace, tracks
@@ -79,31 +98,11 @@ class Engine {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Number of discrete client hosts a spec instantiates (the sampled cohort
-/// under a hybrid model, n_clients otherwise).
-[[nodiscard]] int n_discrete_clients(const Spec& spec);
-
-/// The export track-naming table for a spec (0 = infra, 1..count = servers,
-/// then one per bot flat in group order) — shared by scenario::run and the
-/// par driver's post-merge export.
-[[nodiscard]] obs::TrackNames track_names(const Spec& spec);
-
-/// Model address plan (shared with src/par/ for owner lookups).
-namespace addrs {
-inline constexpr std::uint32_t kServerAddr = tcp::ipv4(10, 1, 0, 1);
-inline constexpr std::uint16_t kServerPort = 80;
-[[nodiscard]] inline std::uint32_t server(int i) {
-  return kServerAddr + static_cast<std::uint32_t>(i);
-}
-[[nodiscard]] inline std::uint32_t client(int i) {
-  return tcp::ipv4(10, 2, 0, 1) + static_cast<std::uint32_t>(i);
-}
-[[nodiscard]] inline std::uint32_t bot(int i) {
-  return tcp::ipv4(10, 3, 0, 1) + static_cast<std::uint32_t>(i);
-}
-[[nodiscard]] inline bool is_bot(std::uint32_t addr) {
-  return (addr & 0xffff0000u) == tcp::ipv4(10, 3, 0, 0);
-}
-}  // namespace addrs
+/// Finishes a traced run for scenario::run and the par driver's post-merge
+/// export: names the tracks (0 = infra, 1..count = servers, then one per
+/// bot flat in group order), writes the Chrome trace and flows file
+/// `spec.obs` asks for, and hands the recorder and names to `result`.
+void export_trace(const Spec& spec, std::shared_ptr<obs::Recorder> recorder,
+                  Result& result);
 
 }  // namespace tcpz::scenario

@@ -128,38 +128,6 @@ void AttackerAgent::launch_attempt(SimTime now, bool patched,
   apply(now, sport, it->second.connector.start(now));
 }
 
-tcp::Segment AttackerAgent::make_bogus_solution_ack(SimTime now,
-                                                    const tcp::Segment& synack) {
-  const tcp::ChallengeOption& ch = *synack.options.challenge;
-  tcp::Segment ack;
-  ack.saddr = synack.daddr;
-  ack.daddr = synack.saddr;
-  ack.sport = synack.dport;
-  ack.dport = synack.sport;
-  ack.seq = synack.ack;
-  ack.ack = synack.seq + 1;
-  ack.flags = tcp::kAck;
-  const std::uint32_t now_ms =
-      static_cast<std::uint32_t>(now.nanos() / 1'000'000);
-  if (synack.options.ts) {
-    ack.options.ts = tcp::TimestampsOption{now_ms, synack.options.ts->tsval};
-  }
-  tcp::SolutionOption sol;
-  sol.mss = 1460;
-  sol.wscale = 7;
-  if (!synack.options.ts) {
-    sol.embedded_ts = ch.embedded_ts.value_or(now_ms);
-  }
-  // Garbage of the right shape: the server must do verification work to
-  // reject it.
-  sol.solutions.resize(static_cast<std::size_t>(ch.k) * ch.sol_len);
-  for (auto& b : sol.solutions) {
-    b = static_cast<std::uint8_t>(rng_.next());
-  }
-  ack.options.solution = std::move(sol);
-  return ack;
-}
-
 void AttackerAgent::apply(SimTime now, std::uint16_t sport,
                           tcp::ConnectorOutput out) {
   send_all(out.segments);
@@ -258,7 +226,7 @@ void AttackerAgent::on_segment(SimTime now, const tcp::Segment& seg) {
     TCPZ_TRACE(now, obs::Code::kBogusAck, cfg_.trace_track, seg,
                (static_cast<std::uint64_t>(seg.options.challenge->k) << 8) |
                    seg.options.challenge->m);
-    send_all({make_bogus_solution_ack(now, seg)});
+    send_all({offense::make_bogus_solution_ack(now, seg, rng_)});
     report_.established.add(now, 1.0);  // it *believes* it connected
     ++report_.total_established;
     erase_attempt(it);

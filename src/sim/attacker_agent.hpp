@@ -100,8 +100,6 @@ class AttackerAgent {
   void send_all(const std::vector<tcp::Segment>& segs);
   /// Erases an attempt, descheduling any in-flight solve completion.
   void erase_attempt(AttemptMap::iterator it);
-  [[nodiscard]] tcp::Segment make_bogus_solution_ack(SimTime now,
-                                                     const tcp::Segment& synack);
 
   net::Simulator& sim_;
   net::Host& host_;

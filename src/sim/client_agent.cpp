@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "workload/models.hpp"
-
 namespace tcpz::sim {
 
 ClientAgent::ClientAgent(net::Simulator& sim, net::Host& host,
@@ -14,12 +12,13 @@ ClientAgent::ClientAgent(net::Simulator& sim, net::Host& host,
       ticks_(ticks),
       samples_(samples),
       cfg_(std::move(cfg)),
-      model_(cfg_.model ? cfg_.model()
-                        : std::make_unique<workload::OpenLoopPoisson>(
-                              cfg_.request_rate, cfg_.request_bytes,
-                              cfg_.response_bytes, cfg_.max_pending_solves)),
       cpu_(cfg_.cpu),
-      rng_(seed) {}
+      rng_(seed) {
+  if (!cfg_.model) {
+    throw std::invalid_argument("client: a workload model factory is required");
+  }
+  model_ = cfg_.model();
+}
 
 workload::ClientView ClientAgent::view(SimTime now) {
   return {now, attempts_.size(), pending_solves_, &rng_};

@@ -2,10 +2,11 @@
 // TCP connection, sends a gettext request and waits for the response. The
 // *demand* decisions — when the next attempt starts, how it is sized, and
 // whether a puzzle challenge is worth solving — are delegated to a pluggable
-// workload::TrafficModel (default: the paper's §6 open-loop Poisson model at
-// rate r_c). Solving is serial through the CPU model's solver lanes — the
-// in-kernel search of the patch — and attempts beyond the solver backlog cap
-// fail immediately (connect() backpressure).
+// workload::TrafficModel the config must supply (scenario specs default to
+// the paper's §6 open-loop Poisson model at rate r_c). Solving is serial
+// through the CPU model's solver lanes — the in-kernel search of the patch
+// — and attempts beyond the solver backlog cap fail immediately (connect()
+// backpressure).
 //
 // Periodic work runs on two shared net::Cadences the scenario engine owns:
 // the tick cadence polls the connectors and expires overdue attempts, and
@@ -35,9 +36,6 @@ namespace tcpz::sim {
 struct ClientAgentConfig {
   std::uint32_t server_addr = 0;
   std::uint16_t server_port = 80;
-  double request_rate = workload::profiles::kRequestRate;  ///< req/s (Poisson)
-  std::uint32_t request_bytes = workload::profiles::kRequestBytes;
-  std::uint32_t response_bytes = workload::profiles::kResponseBytes;
   bool solve_puzzles = true;  ///< patched kernel?
   double max_price_hashes = std::numeric_limits<double>::infinity();
   /// Shared puzzle engine (the oracle in simulations); required when the
@@ -49,10 +47,8 @@ struct ClientAgentConfig {
   /// Work-unit rate for solving (0 = cpu.hash_rate). Memory-bound puzzles
   /// pass cpu.mem_rate here.
   double solve_ops_rate = 0.0;
-  int max_pending_solves = workload::profiles::kMaxPendingSolves;
-  /// Workload model factory. When empty, the agent builds the legacy
-  /// open-loop Poisson model from the flat knobs above (request_rate,
-  /// request/response bytes, max_pending_solves) — byte-identical traces.
+  /// Workload model factory (required): arrivals, request sizing, solver
+  /// backlog cap and challenge acceptance all come from the model.
   workload::ModelFactory model;
   SimTime response_timeout = SimTime::seconds(10);
   SimTime syn_timeout = SimTime::seconds(1);

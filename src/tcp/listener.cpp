@@ -8,7 +8,6 @@
 #include "crypto/hmac.hpp"
 #include "defense/policies.hpp"
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 
 namespace tcpz::tcp {
 Listener::Listener(ListenerConfig cfg, crypto::SecretKey secret,

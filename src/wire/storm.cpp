@@ -141,7 +141,7 @@ void StormClient::handle_rx(SimTime now, const tcp::Segment& seg) {
       return;
     case offense::RxAction::kBogusAck:
       if (seg.is_syn_ack() && seg.options.challenge) {
-        (void)net_.send(make_bogus_ack(now, seg));
+        (void)net_.send(offense::make_bogus_solution_ack(now, seg, rng_));
         ++stats_.bogus_acks;
         // The bot believes it connected (§7); the attempt is done here.
         finish(seg.dport, offense::Outcome::kEstablished, now);
@@ -238,38 +238,6 @@ tcp::Segment StormClient::make_spoofed_syn(SimTime now) {
     syn.options.ts = tcp::TimestampsOption{to_ms(now), 0};
   }
   return syn;
-}
-
-tcp::Segment StormClient::make_bogus_ack(SimTime now,
-                                         const tcp::Segment& synack) {
-  // Same shape sim::AttackerAgent emits: mirror the 4-tuple, garbage
-  // solution bytes of the declared (k, sol_len) size so the server must do
-  // verification work to reject them.
-  const tcp::ChallengeOption& ch = *synack.options.challenge;
-  tcp::Segment ack;
-  ack.saddr = synack.daddr;
-  ack.daddr = synack.saddr;
-  ack.sport = synack.dport;
-  ack.dport = synack.sport;
-  ack.seq = synack.ack;
-  ack.ack = synack.seq + 1;
-  ack.flags = tcp::kAck;
-  const std::uint32_t now_ms = to_ms(now);
-  if (synack.options.ts) {
-    ack.options.ts = tcp::TimestampsOption{now_ms, synack.options.ts->tsval};
-  }
-  tcp::SolutionOption sol;
-  sol.mss = 1460;
-  sol.wscale = 7;
-  if (!synack.options.ts) {
-    sol.embedded_ts = ch.embedded_ts.value_or(now_ms);
-  }
-  sol.solutions.resize(static_cast<std::size_t>(ch.k) * ch.sol_len);
-  for (auto& b : sol.solutions) {
-    b = static_cast<std::uint8_t>(rng_.next());
-  }
-  ack.options.solution = std::move(sol);
-  return ack;
 }
 
 void StormClient::send_all(const std::vector<tcp::Segment>& segs) {

@@ -121,8 +121,6 @@ class StormClient {
   void finish(std::uint16_t port, offense::Outcome outcome, SimTime now);
   [[nodiscard]] std::uint16_t alloc_port();
   [[nodiscard]] tcp::Segment make_spoofed_syn(SimTime now);
-  [[nodiscard]] tcp::Segment make_bogus_ack(SimTime now,
-                                            const tcp::Segment& synack);
   void send_all(const std::vector<tcp::Segment>& segs);
 
   StormConfig cfg_;

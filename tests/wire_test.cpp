@@ -3,9 +3,16 @@
 // two threads over actual sockets with real SHA-256 puzzle solving.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "crypto/secret.hpp"
 #include "defense/spec.hpp"
@@ -414,6 +421,92 @@ TEST(WireHost, BogusSolutionFloodBurnsVerificationOnly) {
   EXPECT_GT(c.solutions_invalid, 0u);
   EXPECT_GE(c.solution_acks, c.solutions_invalid);
   EXPECT_LT(c.established_total, stats.bogus_acks / 16);
+}
+
+// Hostile bytes mixed into live traffic: truncated datagrams and single-bit
+// flips of valid encodings, sent paced from a side socket while a patched
+// storm runs. Each one must be counted as a decode error and dropped before
+// the listener, and the storm's handshakes must go through untouched.
+TEST(WireHost, HostileDatagramsRejectedDuringStorm) {
+  const auto secret = crypto::SecretKey::from_seed(41);
+  Host host(puzzle_host_config(), secret, 1, test_engine(41));
+  host.start();
+
+  // Build the hostile set up front and check each datagram really is
+  // undecodable: truncations below preamble + TCP header, and bit flips
+  // anywhere but the preamble's payload-length word (bytes 8..11, outside
+  // the checksum — see WireCodec.AnyBitFlipIsDetected).
+  tcp::Segment syn;
+  syn.saddr = ipv4(10, 66, 0, 1);
+  syn.daddr = kServerAddr;
+  syn.sport = 4242;
+  syn.dport = 80;
+  syn.seq = 0x01020304;
+  syn.flags = tcp::kSyn;
+  syn.options.mss = 1460;
+  syn.options.wscale = 7;
+  syn.options.ts = tcp::TimestampsOption{1, 0};
+  const Bytes valid = tcp::encode_segment(syn);
+  Rng rng(17);
+  std::vector<Bytes> hostile;
+  for (int i = 0; i < 300; ++i) {
+    Bytes d = valid;
+    if (i % 2 == 0) {
+      d.resize(1 + rng.uniform_u64(tcp::kWirePreambleSize +
+                                   tcp::kTcpHeaderSize - 1));
+    } else {
+      std::size_t byte = 0;
+      do {
+        byte = rng.uniform_u64(d.size());
+      } while (byte >= 8 && byte < 12);
+      d[byte] ^= static_cast<std::uint8_t>(1u << rng.uniform_u64(8));
+    }
+    ASSERT_FALSE(tcp::decode_segment(d).segment.has_value())
+        << "datagram " << i;
+    hostile.push_back(std::move(d));
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_port = htons(host.bound_port());
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::uint64_t sent = 0;  // read only after join()
+  std::thread sender([&] {
+    for (const Bytes& d : hostile) {
+      if (::sendto(fd, d.data(), d.size(), 0,
+                   reinterpret_cast<const sockaddr*>(&to), sizeof to) ==
+          static_cast<ssize_t>(d.size())) {
+        ++sent;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  StormConfig sc = storm_config_against(host);
+  sc.conn_rate = 200.0;
+  sc.duration = SimTime::milliseconds(500);
+  sc.engine = test_engine(999);
+  sc.seed = 9;
+  StormClient storm(sc, host.clock());
+  const StormStats stats = storm.run();
+  sender.join();
+  ::close(fd);
+
+  // Loopback sendto queues the datagram on the host's socket before it
+  // returns, and the host drains the socket to EAGAIN before it honours a
+  // stop, so every sent datagram is decoded before join() returns.
+  host.stop();
+  host.join();
+
+  EXPECT_EQ(sent, hostile.size());
+  EXPECT_EQ(host.stats().decode_errors, sent);
+  EXPECT_GT(stats.established, 0u);
+  const tcp::ListenerCounters& c = host.counters();
+  EXPECT_EQ(c.established_total, c.established_puzzle);
+  EXPECT_LE(c.established_puzzle, c.solutions_valid);
+  EXPECT_EQ(c.established_puzzle, stats.established);
 }
 
 // The headline cross-validation: the same policy code over real sockets and
