@@ -1,9 +1,8 @@
 // wire::Host + wire::StormClient quickstart: the defense layer on actual
-// sockets with none of the hand-rolled plumbing udp_live_demo carries. A
-// puzzle-protected host (epoll, timerfd ticks, unmodified DefensePolicy)
-// serves on a loopback UDP port; a storm client drives real handshakes at a
-// configurable rate with genuine SHA-256 solving, then an unsolving
-// bogus-ACK flood shows the verification path rejecting garbage.
+// sockets. A puzzle-protected host (a deadline-ticked epoll loop, unmodified
+// DefensePolicy) serves on a loopback UDP port; a storm client drives real
+// handshakes at a configurable rate with genuine SHA-256 solving, then an
+// unsolving bogus-ACK flood shows the verification path rejecting garbage.
 //
 //   ./build/examples/wire_demo [conn_rate] [seconds] [m]
 #include <cstdio>
@@ -80,7 +79,7 @@ int main(int argc, char** argv) {
   host.join();
 
   const tcp::ListenerCounters& c = host.counters();
-  const wire::HostStats& hs = host.stats();
+  const wire::HostStats hs = host.stats();
   std::printf("\nhost: rx=%llu tx=%llu ticks=%llu accepted=%llu\n",
               static_cast<unsigned long long>(hs.rx_datagrams),
               static_cast<unsigned long long>(hs.tx_datagrams),

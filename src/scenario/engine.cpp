@@ -652,7 +652,6 @@ struct Engine::Impl {
       if (spec.pow == PowKind::kMemoryBound) {
         acfg.solve_ops_rate = g.cpu.mem_rate;
       }
-      acfg.max_pending_solves = g.max_pending_solves;
       acfg.max_inflight = g.max_inflight;
       acfg.tick_interval = spec.tick_interval;
       acfg.sample_interval = spec.sample_interval;

@@ -92,7 +92,6 @@ struct AttackSpec {
   double rate = 500.0;  ///< per-bot emission slots per second
   offense::StrategySpec strategy = offense::StrategySpec::conn_flood();
   sim::CpuSpec cpu{351'575.0, 2, 1};
-  int max_pending_solves = 6;
   int max_inflight = 250;
   /// Per-group attack window; defaults to the spec-level window (staggered
   /// or rolling multi-wave attacks set these explicitly).

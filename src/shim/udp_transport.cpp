@@ -24,7 +24,7 @@ sockaddr_in loopback(std::uint16_t port) {
 }  // namespace
 
 UdpTransport::UdpTransport(std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+  fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
   if (fd_ < 0) {
     throw std::runtime_error(std::string("UdpTransport: socket: ") +
                              std::strerror(errno));
@@ -71,22 +71,32 @@ bool UdpTransport::send(const tcp::Segment& seg) {
 }
 
 std::optional<tcp::Segment> UdpTransport::recv(int timeout_ms) {
-  pollfd pfd{fd_, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, timeout_ms);
-  if (ready <= 0) return std::nullopt;
-
   std::uint8_t buf[2048];
-  const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-  if (n <= 0) return std::nullopt;
-  ++stats_.rx_datagrams;
-
-  auto result = tcp::decode_segment(
-      std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
-  if (!result.segment) {
-    ++stats_.decode_errors;
-    return std::nullopt;
+  bool waited = timeout_ms == 0;
+  for (;;) {
+    sockaddr_in src{};
+    socklen_t slen = sizeof src;
+    const ssize_t n = ::recvfrom(fd_, buf, sizeof buf, 0,
+                                 reinterpret_cast<sockaddr*>(&src), &slen);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) return std::nullopt;
+      if (waited) return std::nullopt;
+      waited = true;
+      pollfd pfd{fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, timeout_ms) <= 0) return std::nullopt;
+      continue;
+    }
+    ++stats_.rx_datagrams;
+    auto result = tcp::decode_segment(
+        std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
+    if (!result.segment) {
+      ++stats_.decode_errors;
+      continue;
+    }
+    routes_[result.segment->saddr] = ntohs(src.sin_port);
+    return std::move(result.segment);
   }
-  return std::move(result.segment);
 }
 
 }  // namespace tcpz::shim

@@ -48,15 +48,10 @@ struct AttackerAgentConfig {
   CpuSpec cpu{351'575.0, 2, 1};
   /// Work-unit rate for solving (0 = cpu.hash_rate); see ClientAgentConfig.
   double solve_ops_rate = 0.0;
-  int max_pending_solves = 6;
   /// Finite tool concurrency: new attempts are skipped while this many are
   /// in flight (this is what caps the "measured attack rate" of Figs 13–14).
   int max_inflight = 250;
   SimTime attempt_timeout = SimTime::seconds(1);
-  /// Userspace raw-packet crafting on commodity zombie hardware is far more
-  /// expensive than kernel fast-path processing; at 500 pps this puts a bot
-  /// around the 50-60% CPU the paper's Fig. 9 shows for attackers.
-  double per_packet_cpu_sec = 0.7e-3;
   SimTime tick_interval = SimTime::milliseconds(100);
   SimTime sample_interval = SimTime::milliseconds(250);
   /// Flight-recorder track this bot's offense events report under (one

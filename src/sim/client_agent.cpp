@@ -29,7 +29,7 @@ void ClientAgent::start(SimTime until) {
   host_.set_handler([this](SimTime now, const tcp::Segment& seg) {
     on_segment(now, seg);
   });
-  sim_.schedule_at(cfg_.start_at, [this] { request_loop(); });
+  sim_.schedule_at(SimTime::zero(), [this] { request_loop(); });
   // Idle until the first attempt starts; every client is sampled.
   tick_id_ = ticks_.join([this](SimTime now) { tick(now); },
                          /*active=*/false);

@@ -53,7 +53,6 @@ struct ClientAgentConfig {
   SimTime response_timeout = SimTime::seconds(10);
   SimTime syn_timeout = SimTime::seconds(1);
   int max_syn_retries = 3;
-  SimTime start_at = SimTime::zero();
 };
 
 class ClientAgent {

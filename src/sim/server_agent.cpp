@@ -1,6 +1,12 @@
 #include "sim/server_agent.hpp"
 
 namespace tcpz::sim {
+namespace {
+
+/// CPU charged per received packet (syscall/softirq cost).
+constexpr double kPerPacketCpuSec = 2e-6;
+
+}  // namespace
 
 ServerAgent::ServerAgent(net::Simulator& sim, net::Host& host,
                          ServerAgentConfig cfg, crypto::SecretKey secret,
@@ -49,7 +55,7 @@ void ServerAgent::send_all(const std::vector<tcp::Segment>& segs) {
 
 void ServerAgent::on_segment(SimTime now, const tcp::Segment& seg) {
   report_.rx_bytes.add(now, seg.wire_size());
-  cpu_.charge_seconds(cfg_.per_packet_cpu_sec);
+  cpu_.charge_seconds(kPerPacketCpuSec);
   send_all(listener_.on_segment(now, seg));
   cpu_.charge_hash_ops(listener_.take_hash_ops());
 }

@@ -33,8 +33,6 @@ struct ServerAgentConfig {
   std::uint32_t response_bytes = workload::profiles::kResponseBytes;
   SimTime app_idle_timeout = SimTime::seconds(5);
   CpuSpec cpu = workload::profiles::server_cpu();  ///< §7: 10.8 Mhash/s
-  /// CPU charged per received packet (syscall/softirq cost).
-  double per_packet_cpu_sec = 2e-6;
   SimTime tick_interval = SimTime::milliseconds(100);
   SimTime sample_interval = SimTime::milliseconds(250);
   /// Classifier for the established-by-source-class metric.

@@ -472,7 +472,7 @@ std::vector<Segment> Listener::handle_ack(SimTime now, const Segment& seg) {
   }
 
   // 3. Data segment on an established flow.
-  if (const auto it = established_.find(flow); it != established_.end()) {
+  if (established_.contains(flow)) {
     if (seg.payload_bytes > 0) {
       ++counters_.data_segments;
       if (data_handler_) data_handler_(now, flow, seg);
@@ -517,11 +517,9 @@ std::vector<Segment> Listener::handle_ack(SimTime now, const Segment& seg) {
   if (seg.payload_bytes > 0) {
     ++counters_.data_unknown_flow;
     TCPZ_TRACE(now, obs::Code::kDataUnknownFlow, cfg_.trace_track, flow);
-    if (cfg_.rst_unknown) {
-      ++counters_.rsts_sent;
-      TCPZ_TRACE(now, obs::Code::kRstSent, cfg_.trace_track, flow);
-      return {make_rst(seg)};
-    }
+    ++counters_.rsts_sent;
+    TCPZ_TRACE(now, obs::Code::kRstSent, cfg_.trace_track, flow);
+    return {make_rst(seg)};
   }
   return {};
 }
@@ -646,7 +644,7 @@ std::vector<Segment> Listener::handle_solution_ack(SimTime now,
 }
 
 void Listener::establish(SimTime now, const AcceptedConnection& conn) {
-  established_.emplace(conn.flow, EstablishedConn{conn, false});
+  established_.insert(conn.flow);
   accept_.push(conn);
   ++counters_.established_total;
   switch (conn.path) {
@@ -705,13 +703,7 @@ std::vector<Segment> Listener::on_tick(SimTime now) {
 
 std::optional<AcceptedConnection> Listener::accept(SimTime now) {
   (void)now;
-  auto conn = accept_.pop();
-  if (conn) {
-    if (const auto it = established_.find(conn->flow); it != established_.end()) {
-      it->second.accepted = true;
-    }
-  }
-  return conn;
+  return accept_.pop();
 }
 
 void Listener::close(const FlowKey& flow) { established_.erase(flow); }

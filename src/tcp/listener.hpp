@@ -30,7 +30,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "crypto/secret.hpp"
@@ -64,8 +64,6 @@ struct ListenerConfig {
   /// Carry the challenge timestamp in the TCP timestamps option when the
   /// peer negotiated it; otherwise embed it in the challenge/solution blocks.
   bool use_timestamps = true;
-  /// Answer data segments for unknown flows with RST.
-  bool rst_unknown = true;
   /// Flight-recorder track this listener's trace events report under (one
   /// track per agent/replica in the Chrome-trace export; see src/obs/).
   std::uint16_t trace_track = 0;
@@ -203,11 +201,6 @@ class Listener {
   [[nodiscard]] std::uint64_t take_hash_ops();
 
  private:
-  struct EstablishedConn {
-    AcceptedConnection conn;
-    bool accepted = false;
-  };
-
   [[nodiscard]] std::vector<Segment> handle_syn(SimTime now, const Segment& seg);
   [[nodiscard]] std::vector<Segment> handle_ack(SimTime now, const Segment& seg);
   [[nodiscard]] std::vector<Segment> handle_solution_ack(SimTime now,
@@ -285,7 +278,7 @@ class Listener {
 
   ListenQueue listen_;
   AcceptQueue accept_;
-  std::unordered_map<FlowKey, EstablishedConn, FlowKeyHash> established_;
+  std::unordered_set<FlowKey, FlowKeyHash> established_;
 
   DataHandler data_handler_;
   EstablishHandler establish_handler_;

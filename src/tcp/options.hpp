@@ -2,7 +2,7 @@
 // (0xfd) blocks (Figs. 4 and 5). This header holds the value types and the
 // arithmetic wire_size(); the (de)serialization itself lives in
 // tcp/wire_format.{hpp,cpp} — one bounds-checked codec shared by the
-// simulator, the UDP loopback shim and the real-wire host. Options are
+// simulator and the real-wire backend's UDP transport. Options are
 // length-prefixed, NOP-padded to 32-bit alignment, and bounded by the 40
 // byte TCP option-space limit, so the packet-size overhead the paper reports
 // is measurable here too.

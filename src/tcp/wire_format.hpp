@@ -1,6 +1,7 @@
 // The single wire codec shared by every backend that puts segments on real
-// bytes: the simulator's option round-trip checks, the UDP loopback shim
-// (src/shim) and the real-wire host (src/wire).
+// bytes: the simulator's option round-trip checks and the real-wire
+// backend's one UDP transport (shim::UdpTransport, under wire::Host and
+// wire::StormClient).
 //
 // Two layers, both here so they cannot drift apart:
 //

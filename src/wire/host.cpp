@@ -1,10 +1,6 @@
 #include "wire/host.hpp"
 
-#include <arpa/inet.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -12,187 +8,109 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "tcp/wire_format.hpp"
 
 namespace tcpz::wire {
 namespace {
 
-[[noreturn]] void fail(const char* what, int err) {
-  throw std::runtime_error(std::string("wire::Host: ") + what + ": " +
-                           std::strerror(err));
-}
-
-void close_if_open(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
+/// epoll_wait timeout for a wait of `left`: whole milliseconds rounded up,
+/// so the loop wakes at or after the deadline and never spins short of it.
+int timeout_ms(SimTime left) {
+  if (left <= SimTime::zero()) return 0;
+  return static_cast<int>((left.nanos() + 999'999) / 1'000'000);
 }
 
 }  // namespace
 
 Host::Host(HostConfig cfg, crypto::SecretKey secret, std::uint64_t seed,
            std::shared_ptr<const puzzle::PuzzleEngine> engine)
-    : cfg_(cfg), listener_(cfg.listener, secret, seed, std::move(engine)) {
-  udp_fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
-  if (udp_fd_ < 0) fail("socket", errno);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(cfg_.udp_port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(udp_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const int err = errno;
-    close_if_open(udp_fd_);
-    fail("bind", err);
-  }
-  socklen_t len = sizeof addr;
-  if (::getsockname(udp_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    const int err = errno;
-    close_if_open(udp_fd_);
-    fail("getsockname", err);
-  }
-  bound_port_ = ntohs(addr.sin_port);
-
-  timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK);
-  if (timer_fd_ < 0) {
-    const int err = errno;
-    close_if_open(udp_fd_);
-    fail("timerfd_create", err);
-  }
-  stop_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (stop_fd_ < 0) {
-    const int err = errno;
-    close_if_open(udp_fd_);
-    close_if_open(timer_fd_);
-    fail("eventfd", err);
+    : cfg_(cfg),
+      listener_(cfg.listener, secret, seed, std::move(engine)),
+      net_(cfg.udp_port) {
+  if (cfg_.tick_interval <= SimTime::zero()) {
+    throw std::invalid_argument("wire::Host: tick_interval must be positive");
   }
   epoll_fd_ = ::epoll_create1(0);
   if (epoll_fd_ < 0) {
-    const int err = errno;
-    close_if_open(udp_fd_);
-    close_if_open(timer_fd_);
-    close_if_open(stop_fd_);
-    fail("epoll_create1", err);
+    throw std::runtime_error(std::string("wire::Host: epoll_create1: ") +
+                             std::strerror(errno));
   }
-  for (const int fd : {udp_fd_, timer_fd_, stop_fd_}) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      const int err = errno;
-      close_if_open(udp_fd_);
-      close_if_open(timer_fd_);
-      close_if_open(stop_fd_);
-      close_if_open(epoll_fd_);
-      fail("epoll_ctl", err);
-    }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = net_.fd();
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, net_.fd(), &ev) != 0) {
+    const int err = errno;
+    ::close(epoll_fd_);
+    throw std::runtime_error(std::string("wire::Host: epoll_ctl: ") +
+                             std::strerror(err));
   }
 }
 
 Host::~Host() {
   stop();
   join();
-  close_if_open(epoll_fd_);
-  close_if_open(stop_fd_);
-  close_if_open(timer_fd_);
-  close_if_open(udp_fd_);
+  ::close(epoll_fd_);
 }
 
 void Host::start() {
   if (thread_.joinable()) return;
   stopping_.store(false, std::memory_order_relaxed);
-
-  const auto ns = cfg_.tick_interval.nanos();
-  itimerspec spec{};
-  spec.it_interval.tv_sec = ns / 1'000'000'000;
-  spec.it_interval.tv_nsec = ns % 1'000'000'000;
-  spec.it_value = spec.it_interval;
-  if (::timerfd_settime(timer_fd_, 0, &spec, nullptr) != 0) {
-    fail("timerfd_settime", errno);
-  }
+  const SimTime anchor = clock_.now();
   // The recorder slot is thread_local (single-writer contract, see
   // obs/trace.hpp): hand the caller's installed recorder to the loop thread,
   // which installs it for exactly the run() scope and is its only writer —
   // the documented "install before start(), read after join()" behavior.
   obs::Recorder* rec = obs::recorder();
-  thread_ = std::thread([this, rec] {
+  thread_ = std::thread([this, rec, anchor] {
     obs::ScopedRecorder scoped(rec);
-    run();
+    run(anchor);
   });
 }
 
-void Host::stop() {
-  if (!thread_.joinable()) return;
-  if (stopping_.exchange(true, std::memory_order_relaxed)) return;
-  const std::uint64_t one = 1;
-  (void)!::write(stop_fd_, &one, sizeof one);
-}
+void Host::stop() { stopping_.store(true, std::memory_order_relaxed); }
 
 void Host::join() {
   if (thread_.joinable()) thread_.join();
 }
 
-void Host::run() {
-  epoll_event events[8];
-  for (;;) {
-    const int n = ::epoll_wait(epoll_fd_, events, 8, -1);
+void Host::run(SimTime anchor) {
+  // Ticks sit on the grid anchor + k * tick_interval; the wait for the next
+  // grid point is the epoll timeout, so an idle socket costs one wakeup per
+  // tick and a stop() is seen within one tick.
+  const SimTime interval = cfg_.tick_interval;
+  SimTime next_tick = anchor + interval;
+  while (!stopping_.load(std::memory_order_relaxed)) {
+    epoll_event ev;
+    const int n =
+        ::epoll_wait(epoll_fd_, &ev, 1, timeout_ms(next_tick - clock_.now()));
     if (n < 0) {
       if (errno == EINTR) continue;
       return;
     }
-    ++stats_.wakeups;
-    bool stop_seen = false;
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == stop_fd_) {
-        stop_seen = true;
-      } else if (fd == timer_fd_) {
-        std::uint64_t expirations = 0;
-        (void)!::read(timer_fd_, &expirations, sizeof expirations);
-        // Catch-up firings collapse into one tick: the listener's timers are
-        // deadline-based, so running on_tick() once at the current time does
-        // everything the missed firings would have.
-        if (expirations > 0) on_tick();
-      } else if (fd == udp_fd_) {
-        drain_udp();
-      }
+    ++wakeups_;
+    if (n > 0) drain_udp();
+    const SimTime now = clock_.now();
+    if (now >= next_tick) {
+      // Missed grid points collapse into one tick: the listener's timers are
+      // deadline-based, so one on_tick() at the current time does everything
+      // the missed ones would have.
+      on_tick(now);
+      next_tick =
+          anchor + interval * ((now - anchor).nanos() / interval.nanos() + 1);
     }
-    if (stop_seen) return;
   }
+  // Whatever reached the socket before stop() is still processed.
+  drain_udp();
 }
 
 void Host::drain_udp() {
-  std::uint8_t buf[2048];
-  for (;;) {
-    sockaddr_in src{};
-    socklen_t slen = sizeof src;
-    const ssize_t n = ::recvfrom(udp_fd_, buf, sizeof buf, 0,
-                                 reinterpret_cast<sockaddr*>(&src), &slen);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN: drained
-    }
-    ++stats_.rx_datagrams;
-    const auto result = tcp::decode_segment(
-        std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
-    if (!result.segment) {
-      ++stats_.decode_errors;
-      continue;
-    }
-    // Learn (or refresh) the return path for this model address.
-    routes_[result.segment->saddr] = src;
-    const SimTime now = clock_.now();
-    for (const auto& out : listener_.on_segment(now, *result.segment)) {
-      transmit(out);
-    }
+  while (const auto seg = net_.recv(0)) {
+    transmit(listener_.on_segment(clock_.now(), *seg));
   }
 }
 
-void Host::on_tick() {
-  ++stats_.ticks;
-  const SimTime now = clock_.now();
-  for (const auto& out : listener_.on_tick(now)) transmit(out);
+void Host::on_tick(SimTime now) {
+  ++ticks_;
+  transmit(listener_.on_tick(now));
   drain_accepts(now);
 }
 
@@ -207,44 +125,38 @@ void Host::drain_accepts(SimTime now) {
     const auto conn = listener_.accept(now);
     if (!conn) break;
     if (cfg_.accept_rate > 0) accept_tokens_ -= 1.0;
-    ++stats_.accepted;
-    if (cfg_.close_after_accept) listener_.close(conn->flow);
+    ++accepted_;
+    listener_.close(conn->flow);
   }
 }
 
-void Host::transmit(const tcp::Segment& seg) {
-  const auto it = routes_.find(seg.daddr);
-  if (it == routes_.end()) {
-    ++stats_.unroutable;
-    return;
-  }
-  const Bytes bytes = tcp::encode_segment(seg);
-  const ssize_t n =
-      ::sendto(udp_fd_, bytes.data(), bytes.size(), 0,
-               reinterpret_cast<const sockaddr*>(&it->second),
-               sizeof it->second);
-  if (n == static_cast<ssize_t>(bytes.size())) ++stats_.tx_datagrams;
+void Host::transmit(const std::vector<tcp::Segment>& segs) {
+  for (const tcp::Segment& seg : segs) (void)net_.send(seg);
+}
+
+HostStats Host::stats() const {
+  return {net_.stats(), ticks_, wakeups_, accepted_};
 }
 
 void Host::publish_metrics(obs::Registry& reg, std::string_view labels) const {
+  const HostStats s = stats();
   obs::register_metrics(reg, listener_.counters(), labels);
   reg.counter("wire.rx_datagrams", labels,
-              static_cast<double>(stats_.rx_datagrams),
+              static_cast<double>(s.rx_datagrams),
               "datagrams received by the wire host");
   reg.counter("wire.tx_datagrams", labels,
-              static_cast<double>(stats_.tx_datagrams),
+              static_cast<double>(s.tx_datagrams),
               "datagrams transmitted by the wire host");
   reg.counter("wire.decode_errors", labels,
-              static_cast<double>(stats_.decode_errors),
+              static_cast<double>(s.decode_errors),
               "datagrams the wire codec rejected");
-  reg.counter("wire.unroutable", labels,
-              static_cast<double>(stats_.unroutable),
+  reg.counter("wire.unroutable", labels, static_cast<double>(s.unroutable),
               "segments with no learned return path");
-  reg.counter("wire.ticks", labels, static_cast<double>(stats_.ticks),
+  reg.counter("wire.ticks", labels, static_cast<double>(s.ticks),
               "timer ticks processed");
-  reg.counter("wire.wakeups", labels, static_cast<double>(stats_.wakeups),
+  reg.counter("wire.wakeups", labels, static_cast<double>(s.wakeups),
               "epoll wakeups");
-  reg.counter("wire.accepted", labels, static_cast<double>(stats_.accepted),
+  reg.counter("wire.accepted", labels, static_cast<double>(s.accepted),
               "connections drained via accept()");
 }
 

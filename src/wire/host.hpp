@@ -1,12 +1,13 @@
 // wire::Host — the defense layer on an actual socket.
 //
 // Hosts an *unmodified* tcp::Listener (and through it an unmodified
-// defense::DefensePolicy) behind a non-blocking epoll loop: a real UDP
-// socket carries the full wire format of tcp/wire_format.hpp (20-byte TCP
-// header, challenge/solution options, genuine checksum) over loopback, a
-// timerfd drives on_tick() at the configured cadence, and an eventfd stops
-// the loop. The listener still owns the userspace listen/accept queue pair
-// sized by its ListenerConfig; the host only moves bytes and time.
+// defense::DefensePolicy) behind a non-blocking epoll loop over one
+// shim::UdpTransport: the transport's UDP socket carries the full wire
+// format of tcp/wire_format.hpp (20-byte TCP header, challenge/solution
+// options, genuine checksum) over loopback, and the epoll_wait timeout is
+// the deadline of the next on_tick(). The listener still owns the userspace
+// listen/accept queue pair sized by its ListenerConfig; the host only moves
+// bytes and time.
 //
 // UDP encapsulation instead of raw TCP sockets is deliberate: the paper's
 // artifact was a kernel patch, and without CAP_NET_RAW the closest runnable
@@ -17,13 +18,13 @@
 // control, retransmission of data, path MTU — none of which the handshake
 // defenses touch.
 //
-// Return routing is learned, not configured: the host remembers the UDP
-// source address of the last datagram seen from each model address and
-// answers there — exactly how the listener's statelessness is meant to work
-// (a challenge response needs no per-flow state, only a return path).
+// Return routing is learned, not configured: the transport remembers the
+// UDP source of the last datagram decoded from each model address and the
+// host answers there — exactly how the listener's statelessness is meant to
+// work (a challenge response needs no per-flow state, only a return path).
 //
 // Threading contract: everything inside run() — the listener, the policy,
-// the route map, TCPZ_TRACE sites — is touched only by the host thread.
+// the transport, TCPZ_TRACE sites — is touched only by the host thread.
 // Callers may use bound_port()/clock() at any time; counters(), stats(),
 // listener() and publish_metrics() only before start() or after join().
 // The global obs::Recorder is single-writer; in a wire run the host thread
@@ -31,31 +32,25 @@
 // sites), so install the recorder before start() and read it after join().
 #pragma once
 
-#include <netinet/in.h>
-
 #include <atomic>
 #include <memory>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 
 #include "crypto/secret.hpp"
 #include "obs/registry.hpp"
 #include "puzzle/engine.hpp"
+#include "shim/udp_transport.hpp"
 #include "tcp/listener.hpp"
 #include "wire/clock.hpp"
 
 namespace tcpz::wire {
 
-/// Transport/loop statistics, the wire analogue of shim::TransportStats.
-struct HostStats {
-  std::uint64_t rx_datagrams = 0;
-  std::uint64_t tx_datagrams = 0;
-  std::uint64_t decode_errors = 0;  ///< datagrams the wire codec rejected
-  std::uint64_t unroutable = 0;     ///< no learned return path for daddr
-  std::uint64_t ticks = 0;          ///< timerfd firings processed
-  std::uint64_t wakeups = 0;        ///< epoll_wait returns
-  std::uint64_t accepted = 0;       ///< connections drained via accept()
+/// The transport's counters plus the loop's own.
+struct HostStats : shim::TransportStats {
+  std::uint64_t ticks = 0;     ///< on_tick() calls (missed ticks collapse)
+  std::uint64_t wakeups = 0;   ///< epoll_wait returns
+  std::uint64_t accepted = 0;  ///< connections drained via accept()
 };
 
 struct HostConfig {
@@ -65,20 +60,20 @@ struct HostConfig {
   /// Real UDP port to bind on 127.0.0.1; 0 picks an ephemeral one.
   std::uint16_t udp_port = 0;
   /// on_tick()/accept-drain cadence. Wall-clock milliseconds, not sim time:
-  /// this is the granularity of SYN-ACK retransmission and policy control.
+  /// this is the granularity of SYN-ACK retransmission and policy control,
+  /// and the most a stop() waits. Must be positive.
   SimTime tick_interval = SimTime::milliseconds(10);
   /// Application accept() draining, the wire stand-in for the simulator's
   /// service rate µ: negative = drain everything every tick (capacity
   /// benchmarking), 0 = never accept (fills the accept queue — the §5
   /// deception scenarios), positive = that many accepts per second.
+  /// Accepted connections are closed at once, so long storms don't grow the
+  /// listener's established set without bound.
   double accept_rate = -1.0;
-  /// Release listener state for a connection as soon as it is accepted, so
-  /// long storms don't grow the established map without bound.
-  bool close_after_accept = true;
 };
 
-/// Non-blocking epoll host for one listener. Construction binds the socket
-/// and creates the timers; start() spawns the loop thread.
+/// Non-blocking epoll host for one listener. Construction binds the socket;
+/// start() spawns the loop thread.
 class Host {
  public:
   /// Engine may be null unless the policy needs one (same contract as
@@ -91,12 +86,13 @@ class Host {
   Host& operator=(const Host&) = delete;
 
   void start();
-  /// Signals the loop to exit (idempotent, callable from any thread).
+  /// Asks the loop to exit; it notices within one tick_interval, after a
+  /// last drain of the socket (idempotent, callable from any thread).
   void stop();
   /// Waits for the loop thread; after this the listener is safe to read.
   void join();
 
-  [[nodiscard]] std::uint16_t bound_port() const { return bound_port_; }
+  [[nodiscard]] std::uint16_t bound_port() const { return net_.bound_port(); }
   [[nodiscard]] const Clock& clock() const { return clock_; }
 
   // -- host-thread-quiescent accessors (before start() / after join()) -------
@@ -104,31 +100,27 @@ class Host {
   [[nodiscard]] const tcp::ListenerCounters& counters() const {
     return listener_.counters();
   }
-  [[nodiscard]] const HostStats& stats() const { return stats_; }
+  [[nodiscard]] HostStats stats() const;
   /// Registers the listener counters plus every HostStats field (wire.*)
   /// under `labels` — the same metrics JSON shape a sim run produces.
   void publish_metrics(obs::Registry& reg, std::string_view labels) const;
 
  private:
-  void run();
+  void run(SimTime anchor);
   void drain_udp();
-  void on_tick();
+  void on_tick(SimTime now);
   void drain_accepts(SimTime now);
-  void transmit(const tcp::Segment& seg);
+  void transmit(const std::vector<tcp::Segment>& segs);
 
   HostConfig cfg_;
   Clock clock_;
   tcp::Listener listener_;
-
-  int udp_fd_ = -1;
-  int timer_fd_ = -1;
-  int stop_fd_ = -1;
+  shim::UdpTransport net_;
   int epoll_fd_ = -1;
-  std::uint16_t bound_port_ = 0;
 
-  /// Learned return paths: model saddr -> UDP source of its last datagram.
-  std::unordered_map<std::uint32_t, sockaddr_in> routes_;
-  HostStats stats_;
+  std::uint64_t ticks_ = 0;
+  std::uint64_t wakeups_ = 0;
+  std::uint64_t accepted_ = 0;
   double accept_tokens_ = 0;
 
   std::thread thread_;

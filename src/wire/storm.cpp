@@ -15,6 +15,9 @@ void hist_add(obs::HistStats& h, double v) {
   ++h.count;
 }
 
+/// First client port; attempts cycle upward through the ephemeral range.
+constexpr std::uint16_t kBasePort = 20'000;
+
 [[nodiscard]] std::uint32_t to_ms(SimTime t) {
   return static_cast<std::uint32_t>(t.nanos() / 1'000'000);
 }
@@ -27,7 +30,7 @@ StormClient::StormClient(StormConfig cfg, Clock clock)
       net_(0),
       rng_(cfg.seed),
       strategy_(cfg.strategy.build()),
-      next_port_(cfg.base_port) {
+      next_port_(kBasePort) {
   net_.add_route(cfg_.server_addr, cfg_.server_udp_port);
 }
 
@@ -218,8 +221,8 @@ void StormClient::finish(std::uint16_t port, offense::Outcome outcome,
 std::uint16_t StormClient::alloc_port() {
   for (;;) {
     const std::uint16_t p = next_port_++;
-    if (next_port_ < cfg_.base_port) next_port_ = cfg_.base_port;  // wrapped
-    if (p >= cfg_.base_port && !attempts_.contains(p)) return p;
+    if (next_port_ < kBasePort) next_port_ = kBasePort;  // wrapped
+    if (p >= kBasePort && !attempts_.contains(p)) return p;
   }
 }
 

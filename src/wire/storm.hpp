@@ -36,8 +36,6 @@ struct StormConfig {
   /// Model address the storm's connection attempts originate from (spoofed
   /// SYNs draw their own random sources).
   std::uint32_t local_addr = tcp::ipv4(10, 2, 0, 1);
-  /// First client port; attempts cycle upward through the ephemeral range.
-  std::uint16_t base_port = 20'000;
   std::uint32_t server_addr = tcp::ipv4(10, 1, 0, 1);
   std::uint16_t server_port = 80;
   /// Real UDP port of the target wire::Host (Host::bound_port()).

@@ -178,9 +178,8 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
   }
 
   // 8. Publish occupancy: parked handshakes hold listen slots; the service
-  // backlog beyond the in-service share is accept-queue depth.
-  listener.set_fluid_occupancy(parked_,
-                               std::max(0.0, service_ - cfg_.worker_share));
+  // backlog is accept-queue depth.
+  listener.set_fluid_occupancy(parked_, std::max(0.0, service_));
 }
 
 void FluidPopulation::sample(SimTime now) {

@@ -61,9 +61,6 @@ struct FluidConfig {
   /// engine sets mu * fluid/(fluid + cohort) so fluid and discrete demand
   /// split the drain proportionally.
   double service_rate = profiles::kServiceRateMu;
-  /// Established mass concurrently *in service* (excluded from the accept
-  /// occupancy it publishes, mirroring workers holding accepted conns).
-  double worker_share = 0;
   std::uint16_t mss = 1460;  ///< response segmentation for wire-byte parity
   SimTime syn_timeout = SimTime::seconds(1);  ///< retry cadence
   int max_syn_retries = 3;

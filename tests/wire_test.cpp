@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -205,6 +206,68 @@ TEST(UdpTransport, RecvTimesOut) {
   EXPECT_FALSE(a.recv(10).has_value());
 }
 
+// An undecodable datagram between two valid ones is counted and skipped:
+// one non-blocking drain still yields both valid segments.
+TEST(UdpTransport, DrainSkipsUndecodableDatagram) {
+  UdpTransport a(0), b(0);
+  constexpr std::uint32_t kAddrB = ipv4(10, 9, 9, 9);
+  a.add_route(kAddrB, b.bound_port());
+  Segment s;
+  s.saddr = ipv4(10, 8, 8, 8);
+  s.daddr = kAddrB;
+  s.flags = kSyn;
+
+  s.sport = 1;
+  ASSERT_TRUE(a.send(s));
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_port = htons(b.bound_port());
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const std::uint8_t junk[3] = {1, 2, 3};
+  ASSERT_EQ(::sendto(fd, junk, sizeof junk, 0,
+                     reinterpret_cast<const sockaddr*>(&to), sizeof to),
+            static_cast<ssize_t>(sizeof junk));
+  ::close(fd);
+  s.sport = 2;
+  ASSERT_TRUE(a.send(s));
+
+  // Loopback sendto queues each datagram on b's socket before returning.
+  std::vector<std::uint16_t> got;
+  while (const auto seg = b.recv(0)) got.push_back(seg->sport);
+  EXPECT_EQ(got, (std::vector<std::uint16_t>{1, 2}));
+  EXPECT_EQ(b.stats().rx_datagrams, 3u);
+  EXPECT_EQ(b.stats().decode_errors, 1u);
+}
+
+// A peer with no configured route is answered on the UDP port its datagram
+// came from.
+TEST(UdpTransport, RepliesToLearnedSourcePort) {
+  UdpTransport a(0), b(0);
+  constexpr std::uint32_t kAddrA = ipv4(10, 8, 8, 8);
+  constexpr std::uint32_t kAddrB = ipv4(10, 9, 9, 9);
+  a.add_route(kAddrB, b.bound_port());
+
+  Segment s;
+  s.saddr = kAddrA;
+  s.daddr = kAddrB;
+  s.flags = kSyn;
+  ASSERT_TRUE(a.send(s));
+  const auto req = b.recv(2000);
+  ASSERT_TRUE(req.has_value());
+
+  Segment reply;
+  reply.saddr = kAddrB;
+  reply.daddr = req->saddr;
+  reply.flags = kSyn | kAck;
+  ASSERT_TRUE(b.send(reply));
+  EXPECT_EQ(b.stats().unroutable, 0u);
+  const auto got = a.recv(2000);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->flags, kSyn | kAck);
+}
+
 // ---------------------------------------------------------------------------
 // The headline shim test: a real challenged handshake between two threads
 // over loopback UDP, with genuine SHA-256 brute-force solving.
@@ -366,6 +429,24 @@ TEST(WireHost, PatchedStormEstablishesThroughPuzzlePolicy) {
   EXPECT_EQ(c.established_puzzle, stats.established);
   EXPECT_EQ(host.stats().decode_errors, 0u);
   EXPECT_EQ(host.stats().accepted, c.established_total);
+}
+
+TEST(WireHost, StopJoinReturnsPromptly) {
+  Host host(puzzle_host_config(), crypto::SecretKey::from_seed(13), 1,
+            test_engine(13));
+  host.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  const auto t0 = std::chrono::steady_clock::now();
+  host.stop();
+  host.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+}
+
+TEST(WireHost, RejectsNonPositiveTickInterval) {
+  HostConfig hc = puzzle_host_config();
+  hc.tick_interval = SimTime::zero();
+  EXPECT_THROW(Host(hc, crypto::SecretKey::from_seed(13), 1, test_engine(13)),
+               std::invalid_argument);
 }
 
 TEST(WireHost, SpoofedSynFloodChallengedStatelessly) {
