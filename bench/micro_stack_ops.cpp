@@ -52,7 +52,7 @@ void BM_ListenerSynUnderAttack(benchmark::State& state) {
   cfg.difficulty = {2, 17};
   const auto secret = crypto::SecretKey::from_seed(1);
   auto engine = std::make_shared<puzzle::OraclePuzzleEngine>(
-      secret, puzzle::EngineConfig{4, 4000, 100});
+      secret, puzzle::EngineConfig{4, 4000});
   tcp::Listener listener(cfg, secret, 1,
                          policy.wants_engine() ? engine : nullptr);
 

@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
   }
   base.workload.model = workload::ModelSpec::hybrid(kUsers, kCohortRatio);
   base.workload.model->request_rate = kPerUserRate;
-  base.workload.request_rate = kPerUserRate;  // keep the flat knobs coherent
 
   struct Case {
     const char* name;

@@ -7,9 +7,11 @@
 //
 //   ./build/examples/difficulty_planner [w_av] [alpha]
 #include <cstdio>
+#include <algorithm>
 #include <cstdlib>
 
-#include "core/tcppuzzles.hpp"
+#include "game/model.hpp"
+#include "game/planner.hpp"
 
 using namespace tcpz;
 

@@ -7,9 +7,14 @@
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <memory>
 
-#include "core/tcppuzzles.hpp"
+#include "crypto/secret.hpp"
 #include "defense/spec.hpp"
+#include "game/planner.hpp"
+#include "puzzle/engine.hpp"
+#include "tcp/connector.hpp"
+#include "tcp/listener.hpp"
 
 using namespace tcpz;
 
@@ -17,7 +22,7 @@ int main() {
   std::printf("== tcppuzzles quickstart ==\n\n");
 
   // --- 1. Plan the difficulty from profile data (§4.3/§4.4) ---------------
-  ProtectedServerSettings settings;
+  game::ProtectedServerSettings settings;
   settings.local_addr = tcp::ipv4(10, 1, 0, 1);
   settings.local_port = 80;
   // The paper's three client CPUs (Fig. 3a) and server stress test (Fig. 3b).
@@ -28,8 +33,9 @@ int main() {
   settings.plan.form = game::NashForm::kPaperExample;
   settings.engine.sol_len = 4;
 
-  auto server =
-      make_protected_server(settings, crypto::SecretKey::random(), /*seed=*/1);
+  auto server = game::make_protected_server(settings,
+                                           crypto::SecretKey::random(),
+                                           /*seed=*/1);
   std::printf("profiled w_av = %.0f hashes, alpha = %.2f\n", server.plan.w_av,
               server.plan.alpha);
   std::printf("planned Nash difficulty: %s  (expected %.0f hashes/solve, "

@@ -9,8 +9,9 @@
 #include <cstdlib>
 #include <memory>
 
-#include "core/tcppuzzles.hpp"
+#include "crypto/secret.hpp"
 #include "defense/spec.hpp"
+#include "puzzle/engine.hpp"
 #include "wire/host.hpp"
 #include "wire/storm.hpp"
 

@@ -58,13 +58,13 @@ void PuzzlePolicy::observe(SimTime now, const QueueView& q) {
   // the parked entries saturate the listen queue — which is the saturation
   // Fig. 10 shows. Once in effect, protection persists (the hold) and
   // challenges keep flowing "even if the accept queue overflows".
-  const double w = cfg_.engage_water;
+  const double w = spec_.protection_engage_water;
   const bool engaged =
       q.listen_full || static_cast<double>(q.listen_depth) >=
                            w * static_cast<double>(q.listen_capacity);
   if (engaged) {
     latched_ = true;
-    hold_until_ = now + cfg_.hold;
+    hold_until_ = now + spec_.protection_hold;
   } else if (latched_ && now >= hold_until_) {
     latched_ = false;
   }
@@ -75,7 +75,7 @@ SynDecision PuzzlePolicy::on_syn(SimTime now, const QueueView& q) {
   if (protection_active(q) && q.has_engine) return {SynAction::kChallenge};
   // §5's backup: degrade to SYN cookies when puzzles are requested but no
   // engine is installed.
-  if (!q.has_engine && cfg_.cookie_fallback && q.listen_full) {
+  if (!q.has_engine && spec_.cookie_fallback && q.listen_full) {
     return {SynAction::kCookie};
   }
   if (q.listen_full) return {SynAction::kDrop};
@@ -85,11 +85,11 @@ SynDecision PuzzlePolicy::on_syn(SimTime now, const QueueView& q) {
 AckDecision PuzzlePolicy::on_ack(SimTime now, const QueueView& q) const {
   (void)now;
   return {.check_solution = q.has_engine,
-          .check_cookie = !q.has_engine && cfg_.cookie_fallback};
+          .check_cookie = !q.has_engine && spec_.cookie_fallback};
 }
 
 bool PuzzlePolicy::protection_active(const QueueView& q) const {
-  return cfg_.always_challenge || latched_ || q.listen_full;
+  return spec_.always_challenge || latched_ || q.listen_full;
 }
 
 // ---------------------------------------------------------------------------
@@ -97,13 +97,13 @@ bool PuzzlePolicy::protection_active(const QueueView& q) const {
 // ---------------------------------------------------------------------------
 
 void HybridPolicy::observe(SimTime now, const QueueView& q) {
-  const double w = cfg_.engage_water;
+  const double w = spec_.protection_engage_water;
   const bool engaged =
       q.accept_full || static_cast<double>(q.accept_depth) >=
                            w * static_cast<double>(q.accept_capacity);
   if (engaged) {
     latched_ = true;
-    hold_until_ = now + cfg_.hold;
+    hold_until_ = now + spec_.protection_hold;
   } else if (latched_ && now >= hold_until_) {
     latched_ = false;
   }
@@ -125,7 +125,7 @@ AckDecision HybridPolicy::on_ack(SimTime now, const QueueView& q) const {
 }
 
 bool HybridPolicy::protection_active(const QueueView& q) const {
-  return cfg_.always_challenge || latched_ || q.accept_full;
+  return spec_.always_challenge || latched_ || q.accept_full;
 }
 
 // ---------------------------------------------------------------------------

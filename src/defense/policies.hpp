@@ -8,6 +8,7 @@
 
 #include "core/adaptive.hpp"
 #include "defense/policy.hpp"
+#include "defense/spec.hpp"
 
 namespace tcpz::defense {
 
@@ -32,30 +33,6 @@ class SynCookiePolicy final : public DefensePolicy {
   [[nodiscard]] bool protection_active(const QueueView& q) const override;
 };
 
-struct PuzzlePolicyConfig {
-  /// Challenge every SYN regardless of queue state (Experiment 1 needs the
-  /// puzzle path exercised without an attack filling the queues).
-  bool always_challenge = false;
-  /// Degrade to SYN cookies when no engine is installed (§5's backup).
-  bool cookie_fallback = false;
-  /// Hysteresis for the opportunistic controller: protection engages the
-  /// moment the listen queue reaches the watermark and stays "in effect"
-  /// (§5) for this long after the last full-queue observation. Without a
-  /// hold, every established connection momentarily opens one queue slot and
-  /// an attacker SYN recycles it within an RTT, leaking flood connections at
-  /// the accept drain rate. The default matches the ~30 s attack-end
-  /// detection time the paper reports; periodic re-fills during a long
-  /// attack produce exactly the opportunistic openings ("dark ticks") of
-  /// Fig. 8.
-  SimTime hold = SimTime::seconds(60);
-  /// Occupancy fraction of the listen queue at which protection engages.
-  /// 1.0 is the paper's "when the socket's queue is full"; lowering it
-  /// shrinks the burst of unchallenged connections admitted while an attack
-  /// ramps up, at the cost of the listen queue no longer filling with parked
-  /// attack state (the saturation Fig. 10 shows).
-  double engage_water = 1.0;
-};
-
 /// The paper's defense: opportunistic client puzzles. Off in normal
 /// operation (plain SYN-ACKs); once the listen queue saturates — which a
 /// connection flood reaches indirectly, by parking handshake-complete
@@ -64,7 +41,7 @@ struct PuzzlePolicyConfig {
 /// listener: the latch + hold state lives here, fed by observe().
 class PuzzlePolicy final : public DefensePolicy {
  public:
-  explicit PuzzlePolicy(PuzzlePolicyConfig cfg) : cfg_(cfg) {}
+  explicit PuzzlePolicy(const PolicySpec& spec) : spec_(spec) {}
 
   [[nodiscard]] const char* name() const override { return "puzzles"; }
   void observe(SimTime now, const QueueView& q) override;
@@ -73,24 +50,15 @@ class PuzzlePolicy final : public DefensePolicy {
                                    const QueueView& q) const override;
   [[nodiscard]] bool protection_active(const QueueView& q) const override;
   [[nodiscard]] bool requires_engine() const override {
-    return !cfg_.cookie_fallback;
+    return !spec_.cookie_fallback;
   }
 
-  [[nodiscard]] const PuzzlePolicyConfig& config() const { return cfg_; }
   [[nodiscard]] bool latched() const { return latched_; }
 
  private:
-  PuzzlePolicyConfig cfg_;
+  PolicySpec spec_;
   bool latched_ = false;
   SimTime hold_until_ = SimTime::zero();
-};
-
-struct HybridPolicyConfig {
-  bool always_challenge = false;
-  /// Hold/watermark semantics as in PuzzlePolicyConfig, but driven by the
-  /// *accept* queue.
-  SimTime hold = SimTime::seconds(60);
-  double engage_water = 1.0;
 };
 
 /// The paper's "backup option" made composable: SYN cookies defend the
@@ -101,7 +69,7 @@ struct HybridPolicyConfig {
 /// Challenge takes precedence once accept-side protection is latched.
 class HybridPolicy final : public DefensePolicy {
  public:
-  explicit HybridPolicy(HybridPolicyConfig cfg) : cfg_(cfg) {}
+  explicit HybridPolicy(const PolicySpec& spec) : spec_(spec) {}
 
   [[nodiscard]] const char* name() const override { return "hybrid"; }
   void observe(SimTime now, const QueueView& q) override;
@@ -111,11 +79,10 @@ class HybridPolicy final : public DefensePolicy {
   [[nodiscard]] bool protection_active(const QueueView& q) const override;
   [[nodiscard]] bool requires_engine() const override { return true; }
 
-  [[nodiscard]] const HybridPolicyConfig& config() const { return cfg_; }
   [[nodiscard]] bool latched() const { return latched_; }
 
  private:
-  HybridPolicyConfig cfg_;
+  PolicySpec spec_;
   bool latched_ = false;
   SimTime hold_until_ = SimTime::zero();
 };

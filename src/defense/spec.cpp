@@ -1,5 +1,7 @@
 #include "defense/spec.hpp"
 
+#include "defense/policies.hpp"
+
 namespace tcpz::defense {
 
 const char* to_string(PolicySpec::Kind kind) {
@@ -22,13 +24,10 @@ std::unique_ptr<DefensePolicy> PolicySpec::build() const {
       p = std::make_unique<SynCookiePolicy>();
       break;
     case Kind::kPuzzles:
-      p = std::make_unique<PuzzlePolicy>(
-          PuzzlePolicyConfig{always_challenge, cookie_fallback, protection_hold,
-                             protection_engage_water});
+      p = std::make_unique<PuzzlePolicy>(*this);
       break;
     case Kind::kHybrid:
-      p = std::make_unique<HybridPolicy>(HybridPolicyConfig{
-          always_challenge, protection_hold, protection_engage_water});
+      p = std::make_unique<HybridPolicy>(*this);
       break;
   }
   if (adaptive && wants_engine()) {

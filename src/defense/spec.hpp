@@ -1,14 +1,15 @@
 // Declarative, value-type description of a defense policy — what scenario
-// configs, fleet per-replica lists and result files carry around. A spec is
-// copyable and comparable where a live policy (stateful, non-copyable) is
-// not; build() turns it into a fresh DefensePolicy instance.
+// configs, fleet per-replica lists and result files carry around, and what
+// the concrete policies read their knobs from. A spec is copyable and
+// comparable where a live policy (stateful, non-copyable) is not; build()
+// turns it into a fresh DefensePolicy instance.
 #pragma once
 
 #include <memory>
 #include <optional>
 
 #include "core/adaptive.hpp"
-#include "defense/policies.hpp"
+#include "defense/policy.hpp"
 
 namespace tcpz::defense {
 
@@ -22,11 +23,29 @@ struct PolicySpec {
 
   Kind kind = Kind::kNone;
 
-  // Knobs for the puzzle/hybrid controllers (ignored by kNone/kSynCookies);
-  // semantics documented on PuzzlePolicyConfig/HybridPolicyConfig.
+  // Knobs for the puzzle/hybrid controllers (ignored by kNone/kSynCookies).
+
+  /// Challenge every SYN regardless of queue state (Experiment 1 needs the
+  /// puzzle path exercised without an attack filling the queues).
   bool always_challenge = false;
+  /// kPuzzles only: degrade to SYN cookies when no engine is installed
+  /// (§5's backup).
   bool cookie_fallback = false;
+  /// Hysteresis for the opportunistic controller: protection engages the
+  /// moment the watched queue (listen for kPuzzles, accept for kHybrid)
+  /// reaches the watermark and stays "in effect" (§5) for this long after
+  /// the last full-queue observation. Without a hold, every established
+  /// connection momentarily opens one queue slot and an attacker SYN
+  /// recycles it within an RTT, leaking flood connections at the accept
+  /// drain rate. The default matches the ~30 s attack-end detection time the
+  /// paper reports; periodic re-fills during a long attack produce exactly
+  /// the opportunistic openings ("dark ticks") of Fig. 8.
   SimTime protection_hold = SimTime::seconds(60);
+  /// Occupancy fraction of the watched queue at which protection engages.
+  /// 1.0 is the paper's "when the socket's queue is full"; lowering it
+  /// shrinks the burst of unchallenged connections admitted while an attack
+  /// ramps up, at the cost of the listen queue no longer filling with parked
+  /// attack state (the saturation Fig. 10 shows).
   double protection_engage_water = 1.0;
 
   /// When set (and the kind mints puzzles), the built policy is wrapped in

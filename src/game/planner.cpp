@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "defense/spec.hpp"
 #include "game/model.hpp"
 
 namespace tcpz::game {
@@ -93,6 +94,25 @@ Plan plan_difficulty(const PlanInput& input) {
   plan.hash_target = nash_hash_target(plan.w_av, plan.alpha, input.form);
   plan.difficulty = choose_difficulty(plan.hash_target, input.options);
   return plan;
+}
+
+ProtectedServer make_protected_server(const ProtectedServerSettings& settings,
+                                      crypto::SecretKey secret,
+                                      std::uint64_t seed) {
+  ProtectedServer out;
+  out.plan = plan_difficulty(settings.plan);
+  out.engine =
+      std::make_shared<puzzle::Sha256PuzzleEngine>(secret, settings.engine);
+
+  tcp::ListenerConfig lcfg;
+  lcfg.local_addr = settings.local_addr;
+  lcfg.local_port = settings.local_port;
+  lcfg.listen_backlog = settings.listen_backlog;
+  lcfg.accept_backlog = settings.accept_backlog;
+  lcfg.policy = defense::PolicySpec::puzzles().factory();
+  lcfg.difficulty = out.plan.difficulty;
+  out.listener = std::make_unique<tcp::Listener>(lcfg, secret, seed, out.engine);
+  return out;
 }
 
 }  // namespace tcpz::game

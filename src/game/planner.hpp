@@ -1,12 +1,17 @@
 // The practical difficulty-setting method of §4.3–§4.4: estimate w_av from
 // client hash profiling, α from a server stress test, compute the Nash hash
-// target, and factor it into wire parameters (k, m).
+// target, and factor it into wire parameters (k, m) — and, at the end, stand
+// up a real-crypto listener at the planned difficulty.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "crypto/secret.hpp"
+#include "puzzle/engine.hpp"
 #include "puzzle/types.hpp"
+#include "tcp/listener.hpp"
 
 namespace tcpz::game {
 
@@ -80,5 +85,29 @@ struct Plan {
 };
 
 [[nodiscard]] Plan plan_difficulty(const PlanInput& input);
+
+/// Everything needed to stand up a puzzle-protected listening socket with a
+/// theory-backed difficulty: profile inputs in, a ready Listener out.
+struct ProtectedServerSettings {
+  std::uint32_t local_addr = 0;
+  std::uint16_t local_port = 80;
+  std::size_t listen_backlog = 1024;
+  std::size_t accept_backlog = 1024;
+  PlanInput plan;  ///< client hash profiles + server stress test
+  puzzle::EngineConfig engine;
+};
+
+struct ProtectedServer {
+  Plan plan;  ///< the difficulty the theory chose
+  std::shared_ptr<puzzle::Sha256PuzzleEngine> engine;
+  std::unique_ptr<tcp::Listener> listener;
+};
+
+/// Builds a real-crypto (SHA-256) puzzle-protected listener from profile
+/// data. The returned listener runs opportunistic puzzles at the planned
+/// Nash difficulty.
+[[nodiscard]] ProtectedServer make_protected_server(
+    const ProtectedServerSettings& settings, crypto::SecretKey secret,
+    std::uint64_t seed);
 
 }  // namespace tcpz::game

@@ -1,5 +1,7 @@
 #include "offense/spec.hpp"
 
+#include "offense/strategies.hpp"
+
 namespace tcpz::offense {
 
 const char* to_string(StrategySpec::Kind kind) {
@@ -23,14 +25,11 @@ std::unique_ptr<AttackStrategy> StrategySpec::build() const {
     case Kind::kBogusSolutionFlood:
       return std::make_unique<BogusSolutionFloodStrategy>();
     case Kind::kPulsed:
-      return std::make_unique<PulsedStrategy>(
-          PulsedConfig{pulse_period, pulse_duty, pulse_spoofed, patched});
+      return std::make_unique<PulsedStrategy>(*this);
     case Kind::kGameAdaptive:
-      return std::make_unique<GameAdaptiveStrategy>(
-          GameAdaptiveConfig{valuation, mu, assumed, slot_rate});
+      return std::make_unique<GameAdaptiveStrategy>(*this);
     case Kind::kMultiTarget:
-      return std::make_unique<MultiTargetStrategy>(
-          MultiTargetConfig{patched, spread_spoofed});
+      return std::make_unique<MultiTargetStrategy>(*this);
   }
   return std::make_unique<ConnFloodStrategy>(patched);
 }

@@ -1,5 +1,6 @@
 // Declarative, value-type description of an attack strategy — what scenario
-// specs, attack-group lists and result files carry around; the offense-side
+// specs, attack-group lists, bot configs and result files carry around, and
+// what the concrete strategies read their knobs from; the offense-side
 // mirror of defense::PolicySpec. A spec is copyable and comparable where a
 // live strategy (stateful, non-copyable) is not; build() turns it into a
 // fresh AttackStrategy instance.
@@ -7,7 +8,8 @@
 
 #include <memory>
 
-#include "offense/strategies.hpp"
+#include "offense/strategy.hpp"
+#include "workload/profiles.hpp"
 
 namespace tcpz::offense {
 
@@ -27,20 +29,26 @@ struct StrategySpec {
   /// them (kConnFlood, kPulsed, kMultiTarget).
   bool patched = true;
 
-  // kPulsed knobs (semantics documented on PulsedConfig).
-  SimTime pulse_period = SimTime::seconds(20);
-  double pulse_duty = 0.25;
-  bool pulse_spoofed = false;
+  // -- kPulsed --
+  SimTime pulse_period = SimTime::seconds(20);  ///< full on+off cycle length
+  double pulse_duty = 0.25;  ///< fraction of the period spent on
+  bool pulse_spoofed = false;  ///< burst spoofed SYNs instead of connects
 
-  // kGameAdaptive knobs (semantics documented on GameAdaptiveConfig).
+  // -- kGameAdaptive --
+  /// The attacker's per-connection valuation w_a, in expected hash
+  /// operations it is willing to pay (the §3 follower's utility currency).
   double valuation = 1.5e5;
-  double mu = 1100.0;
+  /// Believed server service rate µ for the congestion term of Eq. (4).
+  double mu = workload::profiles::kServiceRateMu;
+  /// Price assumed until the first challenge is observed.
   puzzle::Difficulty assumed{2, 17};
-  /// Filled by the scenario engine from the attack group's emission rate.
+  /// The bot's emission rate (slots per second), so the best-response rate
+  /// converts to a per-slot solve probability. The scenario engine fills it
+  /// from the attack group's rate.
   double slot_rate = 500.0;
 
-  // kMultiTarget knobs.
-  bool spread_spoofed = false;
+  // -- kMultiTarget --
+  bool spread_spoofed = false;  ///< spread spoofed SYNs instead of connects
 
   bool operator==(const StrategySpec&) const = default;
 
@@ -69,8 +77,8 @@ struct StrategySpec {
     s.patched = patched;
     return s;
   }
-  [[nodiscard]] static StrategySpec game_adaptive(double valuation,
-                                                  double mu = 1100.0) {
+  [[nodiscard]] static StrategySpec game_adaptive(
+      double valuation, double mu = workload::profiles::kServiceRateMu) {
     StrategySpec s = of(Kind::kGameAdaptive);
     s.valuation = valuation;
     s.mu = mu;
@@ -84,11 +92,6 @@ struct StrategySpec {
 
   /// Builds a fresh strategy instance.
   [[nodiscard]] std::unique_ptr<AttackStrategy> build() const;
-
-  /// Factory form, for AttackerAgentConfig::strategy.
-  [[nodiscard]] StrategyFactory factory() const {
-    return [spec = *this] { return spec.build(); };
-  }
 };
 
 [[nodiscard]] const char* to_string(StrategySpec::Kind kind);

@@ -36,20 +36,23 @@ tcp::Segment make_bogus_solution_ack(SimTime now, const tcp::Segment& synack,
 }
 
 SlotDecision PulsedStrategy::on_slot(const BotView& v) {
-  SlotDecision on{cfg_.spoofed ? SlotAction::kSpoofedSyn : SlotAction::kConnect,
-                  cfg_.patched, 0};
-  if (cfg_.period <= SimTime::zero() || cfg_.duty >= 1.0) return on;
-  if (cfg_.duty <= 0.0) return {SlotAction::kIdle, cfg_.patched, 0};
-  const std::int64_t period = cfg_.period.nanos();
+  SlotDecision on{
+      spec_.pulse_spoofed ? SlotAction::kSpoofedSyn : SlotAction::kConnect,
+      spec_.patched, 0};
+  if (spec_.pulse_period <= SimTime::zero() || spec_.pulse_duty >= 1.0) {
+    return on;
+  }
+  if (spec_.pulse_duty <= 0.0) return {SlotAction::kIdle, spec_.patched, 0};
+  const std::int64_t period = spec_.pulse_period.nanos();
   const std::int64_t phase = (v.now - v.attack_start).nanos() % period;
   const auto on_ns =
-      static_cast<std::int64_t>(cfg_.duty * static_cast<double>(period));
+      static_cast<std::int64_t>(spec_.pulse_duty * static_cast<double>(period));
   if (phase < on_ns) return on;
-  return {SlotAction::kIdle, cfg_.patched, 0};
+  return {SlotAction::kIdle, spec_.patched, 0};
 }
 
-GameAdaptiveStrategy::GameAdaptiveStrategy(GameAdaptiveConfig cfg)
-    : cfg_(cfg), observed_(cfg.assumed) {
+GameAdaptiveStrategy::GameAdaptiveStrategy(const StrategySpec& spec)
+    : spec_(spec), observed_(spec.assumed) {
   replan(observed_);
   replans_ = 0;  // the initial plan from the assumed price is not a re-plan
 }
@@ -60,12 +63,12 @@ void GameAdaptiveStrategy::replan(puzzle::Difficulty diff) {
   // The attacker is one follower of the §3 game; its best response to the
   // posted price is the single-user equilibrium rate.
   game::GameConfig g;
-  g.valuations = {cfg_.valuation};
-  g.mu = cfg_.mu;
+  g.valuations = {spec_.valuation};
+  g.mu = spec_.mu;
   const game::Equilibrium eq = game::solve_equilibrium(g, price_);
   solve_rate_ = eq.exists ? eq.total_rate : 0.0;
-  solve_prob_ = cfg_.slot_rate > 0.0
-                    ? std::clamp(solve_rate_ / cfg_.slot_rate, 0.0, 1.0)
+  solve_prob_ = spec_.slot_rate > 0.0
+                    ? std::clamp(solve_rate_ / spec_.slot_rate, 0.0, 1.0)
                     : 0.0;
   ++replans_;
 }
@@ -110,7 +113,7 @@ void GameAdaptiveStrategy::on_outcome(const BotView&, Outcome outcome) {
   if (price_ == 0.0) return;
   if (++unchallenged_streak_ >= kFreeRideStreak) {
     price_ = 0.0;
-    solve_rate_ = cfg_.slot_rate;
+    solve_rate_ = spec_.slot_rate;
     solve_prob_ = 1.0;
     ++replans_;
   }

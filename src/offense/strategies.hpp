@@ -18,6 +18,7 @@
 // a vector of attack groups, each with its own strategy and CpuSpec.
 #pragma once
 
+#include "offense/spec.hpp"
 #include "offense/strategy.hpp"
 
 namespace tcpz::offense {
@@ -70,39 +71,18 @@ class BogusSolutionFloodStrategy final : public AttackStrategy {
   }
 };
 
-struct PulsedConfig {
-  SimTime period = SimTime::seconds(20);  ///< full on+off cycle length
-  double duty = 0.25;                     ///< fraction of the period spent on
-  bool spoofed = false;  ///< burst spoofed SYNs instead of connects
-  bool patched = true;   ///< connects: patched or legacy stack
-};
-
 /// Shrew-style duty-cycled attack. The phase is anchored at attack_start, so
 /// a burst hits, latches the opportunistic protection, and the off phase is
 /// the bet that the hold timer expires (protection disengages) before the
 /// next burst — the classic way to ride control-loop hysteresis.
 class PulsedStrategy final : public AttackStrategy {
  public:
-  explicit PulsedStrategy(PulsedConfig cfg) : cfg_(cfg) {}
+  explicit PulsedStrategy(const StrategySpec& spec) : spec_(spec) {}
   [[nodiscard]] const char* name() const override { return "pulsed"; }
   [[nodiscard]] SlotDecision on_slot(const BotView& v) override;
 
  private:
-  PulsedConfig cfg_;
-};
-
-struct GameAdaptiveConfig {
-  /// The attacker's per-connection valuation w_a, in expected hash
-  /// operations it is willing to pay (the §3 follower's utility currency).
-  double valuation = 1.5e5;
-  /// Believed server service rate µ for the congestion term of Eq. (4).
-  double mu = 1100.0;
-  /// Price assumed until the first challenge is observed.
-  puzzle::Difficulty assumed{2, 17};
-  /// The bot's emission rate (slots per second); set by the scenario engine
-  /// from the attack spec so the best-response rate converts to a per-slot
-  /// solve probability.
-  double slot_rate = 500.0;
+  StrategySpec spec_;
 };
 
 /// A rational attacker playing the paper's own game: it treats the observed
@@ -116,7 +96,7 @@ struct GameAdaptiveConfig {
 /// so a later price decrease is observed and triggers a re-plan.
 class GameAdaptiveStrategy final : public AttackStrategy {
  public:
-  explicit GameAdaptiveStrategy(GameAdaptiveConfig cfg);
+  explicit GameAdaptiveStrategy(const StrategySpec& spec);
   [[nodiscard]] const char* name() const override { return "game-adaptive"; }
   [[nodiscard]] SlotDecision on_slot(const BotView& v) override;
   [[nodiscard]] ChallengeAction on_challenge(
@@ -141,7 +121,7 @@ class GameAdaptiveStrategy final : public AttackStrategy {
   /// are abandoned at the challenge, so they cost no solver time).
   static constexpr double kProbeProbability = 0.02;
 
-  GameAdaptiveConfig cfg_;
+  StrategySpec spec_;
   puzzle::Difficulty observed_;
   double price_ = 0.0;
   double solve_rate_ = 0.0;
@@ -150,26 +130,22 @@ class GameAdaptiveStrategy final : public AttackStrategy {
   std::uint64_t replans_ = 0;
 };
 
-struct MultiTargetConfig {
-  bool patched = true;   ///< connects: patched or legacy stack
-  bool spoofed = false;  ///< spread spoofed SYNs instead of connects
-};
-
 /// Fleet-aware flood: round-robins attempts across every addressable
 /// replica, so no single server sees the full rate (and per-server
 /// protection latches see 1/n of the flood each).
 class MultiTargetStrategy final : public AttackStrategy {
  public:
-  explicit MultiTargetStrategy(MultiTargetConfig cfg) : cfg_(cfg) {}
+  explicit MultiTargetStrategy(const StrategySpec& spec) : spec_(spec) {}
   [[nodiscard]] const char* name() const override { return "multi-target"; }
   [[nodiscard]] SlotDecision on_slot(const BotView& v) override {
     const std::size_t target = next_++ % (v.n_targets ? v.n_targets : 1);
-    return {cfg_.spoofed ? SlotAction::kSpoofedSyn : SlotAction::kConnect,
-            cfg_.patched, target};
+    return {spec_.spread_spoofed ? SlotAction::kSpoofedSyn
+                                 : SlotAction::kConnect,
+            spec_.patched, target};
   }
 
  private:
-  MultiTargetConfig cfg_;
+  StrategySpec spec_;
   std::size_t next_ = 0;
 };
 

@@ -32,8 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "puzzle/types.hpp"
 #include "sim/cpu.hpp"
@@ -134,9 +132,5 @@ class AttackStrategy {
     (void)outcome;
   }
 };
-
-/// How configs carry a strategy: a factory, so every bot gets its own
-/// (stateful) instance even when configs are copied around.
-using StrategyFactory = std::function<std::unique_ptr<AttackStrategy>()>;
 
 }  // namespace tcpz::offense

@@ -130,6 +130,9 @@ class SolutionChecker {
   unsigned m_bits_;
 };
 
+/// Tolerated clock skew of an echoed timestamp into the future.
+constexpr std::uint32_t kFutureSlackMs = 100;
+
 /// Timestamp freshness shared by both engines. The 32-bit millisecond wire
 /// timestamp wraps every ~49.7 simulated days, so the comparison uses
 /// serial-number arithmetic (RFC 1982 style): the signed difference decides
@@ -144,7 +147,7 @@ VerifyError check_freshness(std::uint32_t echoed_ms, std::uint32_t now_ms,
     // Negate through int64: -INT32_MIN does not fit an int32.
     const auto ahead_ms =
         static_cast<std::uint32_t>(-static_cast<std::int64_t>(age_ms));
-    if (ahead_ms > cfg.future_slack_ms) return VerifyError::kFutureTimestamp;
+    if (ahead_ms > kFutureSlackMs) return VerifyError::kFutureTimestamp;
     return VerifyError::kNone;
   }
   if (static_cast<std::uint32_t>(age_ms) > cfg.expiry_ms) {

@@ -31,7 +31,6 @@ namespace tcpz::puzzle {
 struct EngineConfig {
   std::uint8_t sol_len = 8;          ///< l: bytes per solution / pre-image
   std::uint32_t expiry_ms = 4'000;   ///< challenge lifetime (sysctl-tunable)
-  std::uint32_t future_slack_ms = 100;  ///< tolerated clock skew into future
 };
 
 class PuzzleEngine {

@@ -53,6 +53,17 @@ bool is_bot(std::uint32_t addr) {
 }
 }  // namespace addrs
 
+/// Fig. 16 link rates: the gigabit backbone and server edge, 100 Mbit/s
+/// client and bot access links, and a 10 Gbit/s balancer uplink.
+constexpr double kBackboneBps = 1e9;
+constexpr double kServerLinkBps = 1e9;
+constexpr double kHostLinkBps = 100e6;
+constexpr double kLbUplinkBps = 10e9;
+/// The balancer forgets a flow after this long without a packet.
+constexpr SimTime kLbFlowIdleTimeout = SimTime::seconds(30);
+/// Challenge lifetime (the sysctl-tunable puzzle expiry).
+constexpr std::uint32_t kPuzzleExpiryMs = 4000;
+
 /// Number of discrete client hosts a spec instantiates (the sampled cohort
 /// under a hybrid model, n_clients otherwise).
 int n_discrete_clients(const Spec& spec) {
@@ -382,8 +393,7 @@ struct Engine::Impl {
     // carries the router triangle — local traffic uses its local replica.
     routers = {topo.add_router("r1"), topo.add_router("r2"),
                topo.add_router("r3")};
-    const net::LinkSpec backbone{spec.net.backbone_bps, spec.net.link_delay,
-                                 4u << 20};
+    const net::LinkSpec backbone{kBackboneBps, spec.net.link_delay, 4u << 20};
     topo.connect(routers[0], routers[1], backbone);
     topo.connect(routers[1], routers[2], backbone);
     topo.connect(routers[0], routers[2], backbone);
@@ -392,22 +402,21 @@ struct Engine::Impl {
       fleet::LoadBalancerConfig lcfg;
       lcfg.vip = addrs::kServerAddr;
       lcfg.policy = spec.fleet.balance;
-      lcfg.flow_idle_timeout = spec.fleet.lb_flow_idle_timeout;
+      lcfg.flow_idle_timeout = kLbFlowIdleTimeout;
       lb = static_cast<fleet::LoadBalancer*>(topo.add_node(
           std::make_unique<fleet::LoadBalancer>(sim, "lb", lcfg)));
       topo.advertise(lb, addrs::kServerAddr);
       topo.connect(lb, routers[0],
-                   {spec.fleet.lb_uplink_bps, spec.net.link_delay, 4u << 20});
+                   {kLbUplinkBps, spec.net.link_delay, 4u << 20});
     }
 
     // One host per owned agent. Discrete legitimate clients are all of them
     // under the open-loop model and the sampled cohort under a hybrid model
     // (the fluid remainder never gets hosts — it enters the listeners as
     // aggregate mass).
-    const net::LinkSpec server_link{spec.net.server_link_bps,
-                                    spec.net.link_delay, 4u << 20};
-    const net::LinkSpec host_link{spec.net.host_link_bps, spec.net.link_delay,
-                                  1u << 20};
+    const net::LinkSpec server_link{kServerLinkBps, spec.net.link_delay,
+                                    4u << 20};
+    const net::LinkSpec host_link{kHostLinkBps, spec.net.link_delay, 1u << 20};
     hosts.assign(roster.size(), nullptr);
     for (std::size_t k = 0; k < roster.size(); ++k) {
       if (!owns(k)) continue;
@@ -450,16 +459,16 @@ struct Engine::Impl {
       dcfg.rotation_interval = spec.fleet.rotation_interval;
       dcfg.overlap = spec.fleet.rotation_overlap;
       dcfg.engine.sol_len = spec.servers.sol_len;
-      dcfg.engine.expiry_ms = spec.servers.puzzle_expiry_ms;
+      dcfg.engine.expiry_ms = kPuzzleExpiryMs;
       directory.emplace(dcfg);
       // Replay entries die with the puzzle expiry (plus clock slack).
-      replay_cache.emplace(spec.servers.puzzle_expiry_ms + 1000);
+      replay_cache.emplace(kPuzzleExpiryMs + 1000);
       engine = directory->current_engine();
     } else {
       secret = crypto::SecretKey::from_seed(spec.seed);
       puzzle::EngineConfig ecfg;
       ecfg.sol_len = spec.servers.sol_len;
-      ecfg.expiry_ms = spec.servers.puzzle_expiry_ms;
+      ecfg.expiry_ms = kPuzzleExpiryMs;
       engine = std::make_shared<puzzle::OraclePuzzleEngine>(*secret, ecfg);
     }
 
@@ -496,7 +505,7 @@ struct Engine::Impl {
       scfg.listener.trace_track = a.track;
       scfg.service_rate = service_rate;
       scfg.n_workers = workers;
-      scfg.response_bytes = spec.workload.response_bytes;
+      scfg.response_bytes = wmodel.response_bytes;
       scfg.app_idle_timeout = spec.servers.app_idle_timeout;
       scfg.cpu = spec.servers.cpu;
       scfg.tick_interval = spec.tick_interval;
@@ -510,14 +519,12 @@ struct Engine::Impl {
           puzzles ? engine : nullptr);
       if (spec.fleet.enabled && puzzles) {
         directory->subscribe(&server->listener());
-        if (spec.fleet.shared_replay_cache) {
-          fleet::ReplayCache* rc = &*replay_cache;
-          server->listener().set_replay_filter(
-              [rc](const tcp::FlowKey& flow, std::uint32_t ts,
-                   std::uint32_t now_ms) {
-                return rc->check_and_insert(flow, ts, now_ms);
-              });
-        }
+        fleet::ReplayCache* rc = &*replay_cache;
+        server->listener().set_replay_filter(
+            [rc](const tcp::FlowKey& flow, std::uint32_t ts,
+                 std::uint32_t now_ms) {
+              return rc->check_and_insert(flow, ts, now_ms);
+            });
       }
       server->start(spec.duration);
     });
@@ -539,7 +546,7 @@ struct Engine::Impl {
     clients.resize(count(Role::kClient));
     for_owned(Role::kClient, [&](std::size_t k, const Agent& a) {
       sim::ClientAgentConfig ccfg;
-      ccfg.model = wmodel.factory();
+      ccfg.model = wmodel;
       ccfg.server_addr = addrs::kServerAddr;
       ccfg.server_port = addrs::kServerPort;
       ccfg.solve_puzzles = spec.workload.solve_puzzles;
@@ -577,14 +584,9 @@ struct Engine::Impl {
         if (servers[static_cast<std::size_t>(i)] == nullptr) continue;
         workload::FluidConfig fc;
         fc.users = per_users;
-        fc.request_rate = wmodel.request_rate;
-        fc.request_bytes = wmodel.request_bytes;
-        fc.response_bytes = wmodel.response_bytes;
+        fc.model = wmodel;
         fc.solve_puzzles = spec.workload.solve_puzzles;
-        fc.hash_rate = spec.workload.cpu.hash_rate;
-        fc.solver_lanes = spec.workload.cpu.solver_lanes;
-        fc.cores = spec.workload.cpu.cores;
-        fc.max_pending_solves = wmodel.max_pending_solves;
+        fc.cpu = spec.workload.cpu;
         // Proportional share of the replica's drain rate between the fluid
         // mass and the discrete cohort aimed at the same listener.
         fc.service_rate = service_share * per_users /
@@ -643,7 +645,7 @@ struct Engine::Impl {
       sspec.slot_rate = g.rate;  // lets game-adaptive convert rates to odds
       sim::AttackerAgentConfig acfg;
       acfg.targets = targets;
-      acfg.strategy = sspec.factory();
+      acfg.strategy = sspec;
       acfg.rate = g.rate;
       acfg.attack_start = g.start.value_or(spec.attack_start);
       acfg.attack_end = g.end.value_or(spec.attack_end);
@@ -701,12 +703,12 @@ struct Engine::Impl {
     // From an access router the remaining path is one backbone hop
     // (propagation L, serialized at backbone bandwidth).
     for (net::Router* r : routers) {
-      egress.push_back({r, attach(r, spec.net.backbone_bps, L)});
+      egress.push_back({r, attach(r, kBackboneBps, L)});
     }
     // DSR replies leave the balancer two propagation hops from any remote
     // edge (uplink + backbone), serialized at the uplink's bandwidth.
     if (lb != nullptr) {
-      egress.push_back({lb, attach(lb, spec.fleet.lb_uplink_bps, L + L)});
+      egress.push_back({lb, attach(lb, kLbUplinkBps, L + L)});
     }
     for (const Egress& e : egress) {
       for (const std::uint32_t addr : remote) e.node->add_route(addr, e.link);

@@ -47,30 +47,33 @@ namespace tcpz::scenario {
 enum class PowKind : std::uint8_t { kCpuBound, kMemoryBound };
 
 /// The Fig. 16 network: three fully connected backbone routers, the
-/// server(s) behind r1, clients and bots split across r2/r3.
+/// server(s) behind r1, clients and bots split across r2/r3. Link rates are
+/// fixed (scenario/engine.cpp); the per-hop delay is also the sharded
+/// runtime's lookahead.
 struct NetworkSpec {
-  double backbone_bps = 1e9;
-  double server_link_bps = 1e9;
-  double host_link_bps = 100e6;
   SimTime link_delay = SimTime::microseconds(500);
 };
 
 /// Legitimate workload (§6 defaults; response size chosen to reproduce the
-/// ~16 Mbps/client nominal throughput of Figs. 7-8).
+/// ~16 Mbps/client nominal throughput of Figs. 7-8). The flat per-user
+/// demand knobs (request_rate, request_bytes, response_bytes,
+/// max_pending_solves) apply only while `model` is unset.
 struct WorkloadSpec {
   int n_clients = 15;
   double request_rate = workload::profiles::kRequestRate;
   std::uint32_t request_bytes = workload::profiles::kRequestBytes;
   std::uint32_t response_bytes = workload::profiles::kResponseBytes;
   bool solve_puzzles = true;
-  sim::CpuSpec cpu = workload::profiles::client_cpu();
+  sim::CpuSpec cpu;  ///< the Fig. 3a desktop client
   int max_pending_solves = workload::profiles::kMaxPendingSolves;
   SimTime response_timeout = SimTime::seconds(10);
   /// The workload model. Unset = the flat knobs above shimmed through
   /// workload::ModelSpec::from_legacy (open-loop Poisson, byte-identical
-  /// traces). Set to ModelSpec::hybrid(users, cohort_ratio) for the fluid +
-  /// sampled-cohort population: `n_clients` is then ignored — the engine
-  /// instantiates model->cohort_size() discrete agents and aggregates
+  /// traces). Once set, clients, fluid mass and the server's response size
+  /// all read the model and the flat demand knobs are ignored. Set to
+  /// ModelSpec::hybrid(users, cohort_ratio) for the fluid + sampled-cohort
+  /// population: `n_clients` is then ignored too — the engine instantiates
+  /// model->cohort_size() discrete agents and aggregates
   /// model->fluid_users() as fluid mass per server.
   std::optional<workload::ModelSpec> model;
 
@@ -91,7 +94,7 @@ struct AttackSpec {
   int count = 10;
   double rate = 500.0;  ///< per-bot emission slots per second
   offense::StrategySpec strategy = offense::StrategySpec::conn_flood();
-  sim::CpuSpec cpu{351'575.0, 2, 1};
+  sim::CpuSpec cpu{workload::profiles::kClientHashRate, 2, 1};
   int max_inflight = 250;
   /// Per-group attack window; defaults to the spec-level window (staggered
   /// or rolling multi-wave attacks set these explicitly).
@@ -119,26 +122,23 @@ struct ServerSpec {
   /// µ from the Fig. 3b stress test.
   double service_rate = workload::profiles::kServiceRateMu;
   int n_workers = 1024;
-  sim::CpuSpec cpu = workload::profiles::server_cpu();
+  sim::CpuSpec cpu = sim::server_cpu();
   SimTime app_idle_timeout = SimTime::seconds(5);
-  std::uint32_t puzzle_expiry_ms = 4000;
   std::uint8_t sol_len = 4;
 };
 
 /// Load-balanced fleet topology: replicas share (and rotate) the puzzle
-/// secret through a SecretDirectory behind a DSR-style L4 balancer.
+/// secret through a SecretDirectory behind a DSR-style L4 balancer, and
+/// puzzle replicas share one solution replay cache.
 struct FleetSpec {
   bool enabled = false;
   fleet::BalancePolicy balance = fleet::BalancePolicy::kFiveTupleHash;
   /// Secret rotation cadence; zero keeps the paper's static secret.
   SimTime rotation_interval = SimTime::zero();
   SimTime rotation_overlap = SimTime::seconds(8);
-  bool shared_replay_cache = true;
   /// Split the server capacity across replicas (apples-to-apples sharding)
   /// or give every replica the full ServerSpec capacity (scale-out).
   bool divide_capacity = true;
-  double lb_uplink_bps = 10e9;
-  SimTime lb_flow_idle_timeout = SimTime::seconds(30);
 };
 
 /// Flight-recorder configuration (src/obs/). Off by default — with no

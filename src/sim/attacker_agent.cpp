@@ -16,13 +16,10 @@ constexpr double kPerPacketCpuSec = 0.7e-3;
 AttackerAgent::AttackerAgent(net::Simulator& sim, net::Host& host,
                              AttackerAgentConfig cfg, std::uint64_t seed)
     : sim_(sim), host_(host), cfg_(std::move(cfg)), cpu_(cfg_.cpu), rng_(seed) {
-  if (!cfg_.strategy) {
-    throw std::invalid_argument("attacker: a strategy factory is required");
-  }
   if (cfg_.targets.empty()) {
     throw std::invalid_argument("attacker: at least one target is required");
   }
-  strategy_ = cfg_.strategy();
+  strategy_ = cfg_.strategy.build();
 }
 
 offense::BotView AttackerAgent::view(SimTime now) {

@@ -17,12 +17,14 @@
 
 #include "net/node.hpp"
 #include "net/simulator.hpp"
+#include "offense/spec.hpp"
 #include "offense/strategy.hpp"
 #include "puzzle/engine.hpp"
 #include "sim/cpu.hpp"
 #include "sim/metrics.hpp"
 #include "tcp/connector.hpp"
 #include "util/rng.hpp"
+#include "workload/profiles.hpp"
 
 namespace tcpz::sim {
 
@@ -37,15 +39,15 @@ struct AttackTarget {
 struct AttackerAgentConfig {
   /// Servers this bot can attack; strategies pick per-slot by index.
   std::vector<AttackTarget> targets;
-  /// The behaviour behind the flood (required; see offense::StrategySpec).
-  offense::StrategyFactory strategy;
+  /// The behaviour behind the flood; every bot builds its own instance.
+  offense::StrategySpec strategy;
   double rate = 500.0;  ///< packets (connection attempts) per second
   SimTime attack_start = SimTime::seconds(120);
   SimTime attack_end = SimTime::seconds(480);
   std::shared_ptr<const puzzle::PuzzleEngine> engine;
   /// Commodity zombie: equal-or-better hash rate than clients (§6), fewer
   /// spare cores.
-  CpuSpec cpu{351'575.0, 2, 1};
+  CpuSpec cpu{workload::profiles::kClientHashRate, 2, 1};
   /// Work-unit rate for solving (0 = cpu.hash_rate); see ClientAgentConfig.
   double solve_ops_rate = 0.0;
   /// Finite tool concurrency: new attempts are skipped while this many are

@@ -13,16 +13,7 @@ ClientAgent::ClientAgent(net::Simulator& sim, net::Host& host,
       samples_(samples),
       cfg_(std::move(cfg)),
       cpu_(cfg_.cpu),
-      rng_(seed) {
-  if (!cfg_.model) {
-    throw std::invalid_argument("client: a workload model factory is required");
-  }
-  model_ = cfg_.model();
-}
-
-workload::ClientView ClientAgent::view(SimTime now) {
-  return {now, attempts_.size(), pending_solves_, &rng_};
-}
+      rng_(seed) {}
 
 void ClientAgent::start(SimTime until) {
   until_ = until;
@@ -45,7 +36,8 @@ void ClientAgent::send_all(const std::vector<tcp::Segment>& segs) {
 
 void ClientAgent::request_loop() {
   if (sim_.now() >= until_) return;
-  const SimTime next = sim_.now() + model_->next_arrival(view(sim_.now()));
+  const SimTime next =
+      sim_.now() + exp_interarrival(rng_, cfg_.model.request_rate);
   if (next >= until_) return;
   sim_.schedule_at(next, [this] {
     start_attempt(sim_.now());
@@ -67,21 +59,16 @@ void ClientAgent::start_attempt(SimTime now) {
   }
   if (sport == 0) return;  // implausible: >64k live attempts
 
-  const workload::RequestShape shape = model_->request_shape(view(now));
-
   tcp::ConnectorConfig ccfg;
   ccfg.local_addr = host_.addr();
   ccfg.local_port = sport;
   ccfg.remote_addr = cfg_.server_addr;
   ccfg.remote_port = cfg_.server_port;
   ccfg.solve_puzzles = cfg_.solve_puzzles;
-  ccfg.max_price_hashes = cfg_.max_price_hashes;
-  ccfg.syn_timeout = cfg_.syn_timeout;
-  ccfg.max_syn_retries = cfg_.max_syn_retries;
 
   auto [it, inserted] = attempts_.emplace(
       sport, Attempt{tcp::Connector(ccfg, rng_.next()), now,
-                     now + cfg_.response_timeout, false, 0, shape, 0});
+                     now + cfg_.response_timeout, false, 0, 0});
   if (attempts_.size() == 1) ticks_.set_active(tick_id_, true);
   report_.attempts.add(now, 1.0);
   ++report_.total_attempts;
@@ -94,7 +81,7 @@ void ClientAgent::apply(SimTime now, std::uint16_t sport, Attempt& attempt,
 
   if (out.solve) {
     ++report_.challenges_seen;
-    if (!model_->accept_challenge(view(now), *out.solve)) {
+    if (pending_solves_ >= cfg_.model.max_pending_solves) {
       ++report_.solves_refused;
       report_.refusals.add(now, 1.0);
       finish_attempt(now, sport, false);
@@ -128,8 +115,8 @@ void ClientAgent::apply(SimTime now, std::uint16_t sport, Attempt& attempt,
     report_.conn_time_ms.add((now - attempt.started).to_millis());
     if (!attempt.request_sent) {
       attempt.request_sent = true;
-      send_all(
-          {attempt.connector.make_data_segment(now, attempt.shape.request_bytes)});
+      send_all({attempt.connector.make_data_segment(
+          now, cfg_.model.request_bytes)});
     }
     return;
   }
@@ -163,7 +150,7 @@ void ClientAgent::on_segment(SimTime now, const tcp::Segment& seg) {
   if (attempt.connector.state() == tcp::ConnectorState::kEstablished &&
       seg.payload_bytes > 0 && !seg.is_rst()) {
     attempt.rx_payload += seg.payload_bytes;
-    if (attempt.rx_payload >= attempt.shape.response_bytes) {
+    if (attempt.rx_payload >= cfg_.model.response_bytes) {
       finish_attempt(now, seg.dport, true);
     }
     return;

@@ -1,12 +1,11 @@
 // A legitimate client: a request generator where each request opens a fresh
 // TCP connection, sends a gettext request and waits for the response. The
-// *demand* decisions — when the next attempt starts, how it is sized, and
-// whether a puzzle challenge is worth solving — are delegated to a pluggable
-// workload::TrafficModel the config must supply (scenario specs default to
-// the paper's §6 open-loop Poisson model at rate r_c). Solving is serial
-// through the CPU model's solver lanes — the in-kernel search of the patch
-// — and attempts beyond the solver backlog cap fail immediately (connect()
-// backpressure).
+// demand comes from a workload::ModelSpec: the paper's §6 open-loop Poisson
+// arrivals at rate r_c (one Exp(λ) draw per arrival — the golden traces pin
+// that draw order), fixed request/response sizes, and a solver backlog cap.
+// Solving is serial through the CPU model's solver lanes — the in-kernel
+// search of the patch — and challenges beyond the backlog cap are refused
+// (connect() backpressure).
 //
 // Periodic work runs on two shared net::Cadences the scenario engine owns:
 // the tick cadence polls the connectors and expires overdue attempts, and
@@ -15,10 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <unordered_map>
-
 #include <memory>
+#include <unordered_map>
 
 #include "net/cadence.hpp"
 #include "net/node.hpp"
@@ -28,8 +25,7 @@
 #include "sim/metrics.hpp"
 #include "tcp/connector.hpp"
 #include "util/rng.hpp"
-#include "workload/model.hpp"
-#include "workload/profiles.hpp"
+#include "workload/spec.hpp"
 
 namespace tcpz::sim {
 
@@ -37,22 +33,18 @@ struct ClientAgentConfig {
   std::uint32_t server_addr = 0;
   std::uint16_t server_port = 80;
   bool solve_puzzles = true;  ///< patched kernel?
-  double max_price_hashes = std::numeric_limits<double>::infinity();
   /// Shared puzzle engine (the oracle in simulations); required when the
   /// client is patched and the server may challenge it. Oracle solutions
   /// derive from the challenge bytes alone, so one engine instance solves
   /// challenges from any server secret epoch (see DESIGN.md, Substitutions).
   std::shared_ptr<const puzzle::PuzzleEngine> engine;
-  CpuSpec cpu = workload::profiles::client_cpu();
+  CpuSpec cpu;  ///< the Fig. 3a desktop client
   /// Work-unit rate for solving (0 = cpu.hash_rate). Memory-bound puzzles
   /// pass cpu.mem_rate here.
   double solve_ops_rate = 0.0;
-  /// Workload model factory (required): arrivals, request sizing, solver
-  /// backlog cap and challenge acceptance all come from the model.
-  workload::ModelFactory model;
+  /// Demand: arrival rate, request sizing and the solver backlog cap.
+  workload::ModelSpec model;
   SimTime response_timeout = SimTime::seconds(10);
-  SimTime syn_timeout = SimTime::seconds(1);
-  int max_syn_retries = 3;
 };
 
 class ClientAgent {
@@ -76,8 +68,6 @@ class ClientAgent {
     SimTime deadline;
     bool request_sent = false;
     std::uint64_t rx_payload = 0;
-    /// Sizing decided by the TrafficModel when the attempt started.
-    workload::RequestShape shape;
     /// Guards stale solve completions. Unlike the attacker's solve timers,
     /// the client's completion events are NOT descheduled when an attempt
     /// dies: the in-kernel search keeps a solver lane busy until it finishes
@@ -87,7 +77,6 @@ class ClientAgent {
     std::uint64_t solve_token = 0;
   };
 
-  [[nodiscard]] workload::ClientView view(SimTime now);
   void on_segment(SimTime now, const tcp::Segment& seg);
   void request_loop();
   void tick(SimTime now);
@@ -104,7 +93,6 @@ class ClientAgent {
   net::Cadence& samples_;
   std::size_t tick_id_ = 0;
   ClientAgentConfig cfg_;
-  std::unique_ptr<workload::TrafficModel> model_;
   CpuModel cpu_;
   Rng rng_;
   HostReport report_;

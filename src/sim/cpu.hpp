@@ -10,11 +10,15 @@
 #include <vector>
 
 #include "util/time.hpp"
+#include "workload/profiles.hpp"
 
 namespace tcpz::sim {
 
+/// Defaults to the desktop client of Fig. 3a: 4 cores, one serial in-kernel
+/// solver lane.
 struct CpuSpec {
-  double hash_rate = 351'575.0;  ///< SHA-256 ops/s per core (paper's w_av/0.4)
+  /// SHA-256 ops/s per core (the paper's w_av / 0.4 s).
+  double hash_rate = workload::profiles::kClientHashRate;
   int cores = 4;
   int solver_lanes = 1;  ///< concurrent in-kernel puzzle searches
   /// Random memory accesses/s per core, for memory-bound proof-of-work
@@ -22,6 +26,11 @@ struct CpuSpec {
   /// device classes than compute throughput does — that is the whole point.
   double mem_rate = 120e6;
 };
+
+/// The Fig. 3b server: 12 cores, hardware-accelerated hashing.
+[[nodiscard]] inline CpuSpec server_cpu() {
+  return CpuSpec{workload::profiles::kServerHashRate, 12, 1};
+}
 
 class CpuModel {
  public:

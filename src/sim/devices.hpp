@@ -9,6 +9,8 @@
 #include <array>
 #include <string_view>
 
+#include "workload/profiles.hpp"
+
 namespace tcpz::sim {
 
 struct DeviceProfile {
@@ -40,9 +42,6 @@ inline constexpr std::array<DeviceProfile, 4> kIotDevices{{
 /// The server of §4.4/§7: dual hexa-core Xeon @ 2.2 GHz, 10.8 Mhash/s.
 inline constexpr DeviceProfile kServerCpu{
     "server", "HP DL360 G8, dual Intel Xeon hexa-core @ 2.2 GHz",
-    10'800'000.0, 12, 150e6};
-
-/// Fleet-average client hash rate implied by the paper's w_av.
-inline constexpr double kClientFleetHashRate = 351'575.0;  // 140630 / 0.4 s
+    workload::profiles::kServerHashRate, 12, 150e6};
 
 }  // namespace tcpz::sim

@@ -32,7 +32,7 @@ struct ServerAgentConfig {
   int n_workers = 1024;  ///< apache worker/thread pool size
   std::uint32_t response_bytes = workload::profiles::kResponseBytes;
   SimTime app_idle_timeout = SimTime::seconds(5);
-  CpuSpec cpu = workload::profiles::server_cpu();  ///< §7: 10.8 Mhash/s
+  CpuSpec cpu = server_cpu();  ///< §7: 10.8 Mhash/s
   SimTime tick_interval = SimTime::milliseconds(100);
   SimTime sample_interval = SimTime::milliseconds(250);
   /// Classifier for the established-by-source-class metric.

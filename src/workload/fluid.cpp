@@ -3,8 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tcp/connector.hpp"
+
 namespace tcpz::workload {
 namespace {
+
+/// The discrete client's connector defaults: the SYN retry cadence and
+/// budget the retry drain mirrors, and the MSS that segments responses.
+constexpr tcp::ConnectorConfig kConnector{};
 
 // Wire sizes for byte accounting, matching tcp::Segment::wire_size() for the
 // typical option layouts (base header 40 = IP + TCP). Handshake bytes are a
@@ -34,7 +40,7 @@ void FluidPopulation::establish(SimTime now, double mass) {
   if (mass <= 0) return;
   report_.established.add(now, mass);
   c_established_.add(report_.total_established, mass);
-  report_.tx_bytes.add(now, mass * (40.0 + cfg_.request_bytes));
+  report_.tx_bytes.add(now, mass * (40.0 + cfg_.model.request_bytes));
   service_ += mass;
 }
 
@@ -44,7 +50,7 @@ void FluidPopulation::deceive(SimTime now, double mass) {
   // client's view), send their request, and the server answers RST.
   report_.established.add(now, mass);
   c_established_.add(report_.total_established, mass);
-  report_.tx_bytes.add(now, mass * (40.0 + cfg_.request_bytes));
+  report_.tx_bytes.add(now, mass * (40.0 + cfg_.model.request_bytes));
   report_.rx_bytes.add(now, mass * kRstWire);
   c_rsts_.add(report_.total_rsts, mass);
   fail(now, mass);
@@ -71,17 +77,19 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
   // 1. Fresh open-loop demand plus the SYN-retry re-offers. The retry timer
   // becomes an exponential drain at the same mean; of the mass whose timer
   // fires, 1/max_syn_retries has exhausted its retries and gives up.
-  const double fresh = cfg_.users * cfg_.request_rate * dts;
+  const double fresh = cfg_.users * cfg_.model.request_rate * dts;
   created_ += fresh;
   report_.attempts.add(now, fresh);
   c_attempts_.add(report_.total_attempts, fresh);
 
   double reoffer = 0;
   if (synretry_ > 0) {
-    const double due = synretry_ * std::min(1.0, dts / cfg_.syn_timeout.to_seconds());
+    const double due =
+        synretry_ * std::min(1.0, dts / kConnector.syn_timeout.to_seconds());
     synretry_ -= due;
-    const double gaveup =
-        cfg_.max_syn_retries > 0 ? due / cfg_.max_syn_retries : due;
+    const double gaveup = kConnector.max_syn_retries > 0
+                              ? due / kConnector.max_syn_retries
+                              : due;
     reoffer = due - gaveup;
     fail(now, gaveup);
   }
@@ -105,7 +113,7 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
       refuse(now, adm.challenged);
     } else {
       const double cap =
-          cfg_.users * static_cast<double>(cfg_.max_pending_solves);
+          cfg_.users * static_cast<double>(cfg_.model.max_pending_solves);
       const double take = std::min(adm.challenged, std::max(0.0, cap - solveq_));
       refuse(now, adm.challenged - take);
       solveq_ += take;
@@ -114,11 +122,11 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
 
   // 4. Solve throughput: N*lanes serial searches at the Fig. 3a price.
   const double ts =
-      static_cast<double>(difficulty_.expected_solve_hashes()) / cfg_.hash_rate;
+      static_cast<double>(difficulty_.expected_solve_hashes()) / cfg_.cpu.hash_rate;
   solve_busy_ = 0;
   if (solveq_ > 0 && ts > 0) {
     const double capacity =
-        cfg_.users * static_cast<double>(cfg_.solver_lanes) * dts / ts;
+        cfg_.users * static_cast<double>(cfg_.cpu.solver_lanes) * dts / ts;
     const double solved = std::min(solveq_, capacity);
     solveq_ -= solved;
     solve_busy_ = capacity > 0 ? solved / capacity : 0;
@@ -135,7 +143,8 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
   // plus the parked mass whose SYN-ACK-retx cadence re-offers it.
   double parked_retry = 0;
   if (parked_ > 0) {
-    parked_retry = parked_ * std::min(1.0, dts / cfg_.syn_timeout.to_seconds());
+    parked_retry =
+        parked_ * std::min(1.0, dts / kConnector.syn_timeout.to_seconds());
     parked_ -= parked_retry;
   }
   const double queue_mass = adm.enqueued + parked_retry;
@@ -163,10 +172,11 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
     completed_ += served;
     report_.completions.add(now, served);
     c_completions_.add(report_.total_completions, served);
-    const double segments = std::ceil(static_cast<double>(cfg_.response_bytes) /
-                                      static_cast<double>(cfg_.mss));
+    const double segments =
+        std::ceil(static_cast<double>(cfg_.model.response_bytes) /
+                  static_cast<double>(kConnector.mss));
     report_.rx_bytes.add(now,
-                         served * (cfg_.response_bytes + segments * 40.0));
+                         served * (cfg_.model.response_bytes + segments * 40.0));
   }
 
   // 7. Parked attempts hit their response deadline.
@@ -185,8 +195,8 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
 void FluidPopulation::sample(SimTime now) {
   // Core utilization: solver-lane busy fraction scaled by lanes/cores (the
   // solver is the only modeled CPU consumer on the client, as in Fig. 9).
-  const double util = solve_busy_ * static_cast<double>(cfg_.solver_lanes) /
-                      std::max(1, cfg_.cores);
+  const double util = solve_busy_ * static_cast<double>(cfg_.cpu.solver_lanes) /
+                      std::max(1, cfg_.cpu.cores);
   report_.cpu.record(now, util);
 }
 

@@ -37,10 +37,12 @@
 #include <cstdint>
 
 #include "puzzle/types.hpp"
+#include "sim/cpu.hpp"
 #include "sim/metrics.hpp"
 #include "tcp/listener.hpp"
 #include "util/time.hpp"
 #include "workload/profiles.hpp"
+#include "workload/spec.hpp"
 
 namespace tcpz::workload {
 
@@ -48,22 +50,20 @@ struct FluidConfig {
   /// Modeled users aggregated into this population (may be fractional when
   /// a total is split across replicas).
   double users = 0;
-  double request_rate = profiles::kRequestRate;  ///< r_c per user (req/s)
-  std::uint32_t request_bytes = profiles::kRequestBytes;
-  std::uint32_t response_bytes = profiles::kResponseBytes;
+  /// Per-user demand: request_rate (r_c), request/response bytes and the
+  /// per-user solve backlog cap (max_pending_solves). The population split
+  /// fields (kind, users, cohort_ratio) are not read here.
+  ModelSpec model;
   /// Patched kernels solve challenges; unpatched mass counts a refusal.
   bool solve_puzzles = true;
-  double hash_rate = profiles::kClientHashRate;  ///< per-core (Fig. 3a)
-  int solver_lanes = 1;   ///< concurrent in-kernel searches per user
-  int cores = 4;          ///< for the utilization gauge denominator
-  int max_pending_solves = profiles::kMaxPendingSolves;  ///< per user
+  /// Per-user host: hash_rate prices a solve (Fig. 3a), solver_lanes bounds
+  /// the concurrent in-kernel searches, cores is the utilization gauge's
+  /// denominator.
+  sim::CpuSpec cpu;
   /// This population's share of the server's service rate mu (req/s). The
   /// engine sets mu * fluid/(fluid + cohort) so fluid and discrete demand
   /// split the drain proportionally.
   double service_rate = profiles::kServiceRateMu;
-  std::uint16_t mss = 1460;  ///< response segmentation for wire-byte parity
-  SimTime syn_timeout = SimTime::seconds(1);  ///< retry cadence
-  int max_syn_retries = 3;
   SimTime response_timeout = SimTime::seconds(10);
 };
 

@@ -3,15 +3,13 @@
 // The §6 experiments are parameterised by two measured curves: Fig. 3a (the
 // client puzzle-solver budget, w_av hashes per 0.4 s adaptation window) and
 // Fig. 3b (the Apache-like server completing µ ≈ 1100 req/s at saturation).
-// Before this header, `bench/fig03_profiles.cpp`, the `ClientAgentConfig`
-// defaults and the scenario specs each restated these numbers; the fluid
-// population model would have been a fourth copy. Every consumer now reads
-// them from here, so re-calibrating the profile is a one-file change.
+// Every consumer (the CpuSpec defaults, the device table, the scenario and
+// strategy specs, the fluid population, the benches) reads these numbers
+// from here, so re-calibrating the profile is a one-file change. The header
+// is constants only, so sim/cpu.hpp can include it.
 #pragma once
 
 #include <cstdint>
-
-#include "sim/cpu.hpp"
 
 namespace tcpz::workload::profiles {
 
@@ -21,8 +19,8 @@ inline constexpr double kClientWav = 140'630.0;
 /// The adaptation-window length the w_av measurement is defined over.
 inline constexpr double kWavWindowSec = 0.4;
 /// The client solver rate in hashes/s implied by Fig. 3a. Kept as a literal
-/// (not kClientWav / kWavWindowSec) so the value is bit-exact with the
-/// pre-existing CpuSpec default that the golden traces were recorded with.
+/// (not kClientWav / kWavWindowSec) so the value stays bit-exact with the
+/// one the golden traces were recorded with.
 inline constexpr double kClientHashRate = 351'575.0;
 
 /// Fig. 3b: server service rate at saturation, requests/s (µ of the M/M/1
@@ -38,15 +36,5 @@ inline constexpr std::uint32_t kResponseBytes = 100'000;
 /// In-kernel solver backpressure: outstanding solves a client queues before
 /// refusing further challenges (mirrors the kernel's small job ring).
 inline constexpr int kMaxPendingSolves = 4;
-
-/// The desktop client of Fig. 3a: 4 cores, serial in-kernel solver lane.
-[[nodiscard]] inline sim::CpuSpec client_cpu() {
-  return sim::CpuSpec{kClientHashRate, 4, 1};
-}
-
-/// The Fig. 3b server: 12 cores, hardware-accelerated hashing.
-[[nodiscard]] inline sim::CpuSpec server_cpu() {
-  return sim::CpuSpec{kServerHashRate, 12, 1};
-}
 
 }  // namespace tcpz::workload::profiles

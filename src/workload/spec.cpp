@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "workload/models.hpp"
-
 namespace tcpz::workload {
 
 ModelSpec ModelSpec::hybrid(std::uint64_t users, double cohort_ratio) {
@@ -20,7 +18,7 @@ ModelSpec ModelSpec::from_legacy(double request_rate,
                                  std::uint32_t response_bytes,
                                  int max_pending_solves) {
   ModelSpec s;
-  s.kind = Kind::kOpenLoopPoisson;
+  s.kind = Kind::kOpenLoop;
   s.request_rate = request_rate;
   s.request_bytes = request_bytes;
   s.response_bytes = response_bytes;
@@ -30,7 +28,7 @@ ModelSpec ModelSpec::from_legacy(double request_rate,
 
 const char* ModelSpec::kind_name() const {
   switch (kind) {
-    case Kind::kOpenLoopPoisson: return "open-loop-poisson";
+    case Kind::kOpenLoop: return "open-loop-poisson";
     case Kind::kHybridFluid: return "hybrid-fluid";
   }
   return "?";
@@ -45,15 +43,6 @@ std::uint64_t ModelSpec::cohort_size() const {
 
 std::uint64_t ModelSpec::fluid_users() const {
   return kind == Kind::kHybridFluid ? users - cohort_size() : 0;
-}
-
-std::unique_ptr<TrafficModel> ModelSpec::build() const {
-  return std::make_unique<OpenLoopPoisson>(request_rate, request_bytes,
-                                           response_bytes, max_pending_solves);
-}
-
-ModelFactory ModelSpec::factory() const {
-  return [spec = *this] { return spec.build(); };
 }
 
 }  // namespace tcpz::workload

@@ -1,29 +1,30 @@
-// Declarative workload description: which TrafficModel to run and, for the
-// hybrid kind, how the modeled population splits into fluid mass and a
-// sampled discrete cohort.
+// Declarative description of the legitimate workload: the paper's §6
+// open-loop demand per user and, for the hybrid kind, how the modeled
+// population splits into fluid mass and a sampled discrete cohort.
 //
-// Mirrors defense::PolicySpec and offense::StrategySpec: a comparable value
-// type with canonical factories, `from_legacy` for the flat WorkloadSpec
-// knobs, and `build()`/`factory()` producing live models.
+// Unlike the defense and offense layers, the workload is not pluggable: it
+// has exactly one behaviour, so there is no live model object. Each
+// sim::ClientAgent and workload::FluidPopulation reads its demand straight
+// from a ModelSpec — one Exp(λ) draw per arrival, fixed request/response
+// sizes, and a bounded in-kernel solve queue (challenges beyond
+// max_pending_solves outstanding solves are refused).
 // scenario::WorkloadSpec embeds an optional ModelSpec; when absent, the flat
 // knobs go through from_legacy.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "workload/model.hpp"
 #include "workload/profiles.hpp"
 
 namespace tcpz::workload {
 
 struct ModelSpec {
   enum class Kind : std::uint8_t {
-    kOpenLoopPoisson,  ///< every user is a discrete agent (the legacy model)
-    kHybridFluid,      ///< fluid aggregate + sampled discrete cohort
+    kOpenLoop,     ///< every user is a discrete agent (the legacy model)
+    kHybridFluid,  ///< fluid aggregate + sampled discrete cohort
   };
 
-  Kind kind = Kind::kOpenLoopPoisson;
+  Kind kind = Kind::kOpenLoop;
 
   // -- per-user demand (both kinds; the fluid aggregate scales these by N) --
   double request_rate = profiles::kRequestRate;  ///< λ per user, req/s
@@ -33,8 +34,9 @@ struct ModelSpec {
 
   // -- hybrid population split (kHybridFluid only) --
   /// Total modeled legitimate users. The sampled cohort runs as discrete
-  /// ClientAgents (exact challenge/solve/latency statistics); the remainder
-  /// is aggregated into one FluidPopulation per server.
+  /// ClientAgents with the same open-loop demand as a full-discrete run
+  /// (exact, directly comparable challenge/solve/latency statistics); the
+  /// remainder is aggregated into one FluidPopulation per server.
   std::uint64_t users = 0;
   /// Fraction of `users` kept discrete (rounded; clamped to [0, users]).
   double cohort_ratio = 0.0;
@@ -58,12 +60,6 @@ struct ModelSpec {
   [[nodiscard]] std::uint64_t cohort_size() const;
   /// Users aggregated as fluid mass (users - cohort_size()).
   [[nodiscard]] std::uint64_t fluid_users() const;
-
-  /// The per-client TrafficModel (the sampled cohort of a hybrid population
-  /// runs the same open-loop model as a full-discrete run — that is what
-  /// makes the cohort's statistics directly comparable).
-  [[nodiscard]] std::unique_ptr<TrafficModel> build() const;
-  [[nodiscard]] ModelFactory factory() const;
 };
 
 }  // namespace tcpz::workload

@@ -102,10 +102,10 @@ TEST(SynCookiePolicy, CookiesUnderPressureOnly) {
 }
 
 TEST(PuzzlePolicy, LatchEngagesAtWatermarkAndHolds) {
-  defense::PuzzlePolicyConfig cfg;
-  cfg.hold = SimTime::seconds(5);
-  cfg.engage_water = 0.5;
-  defense::PuzzlePolicy p(cfg);
+  PolicySpec spec = PolicySpec::puzzles();
+  spec.protection_hold = SimTime::seconds(5);
+  spec.protection_engage_water = 0.5;
+  defense::PuzzlePolicy p(spec);
 
   const SimTime t0 = SimTime::seconds(1);
   p.observe(t0, view(3, 8, 0, 8));
@@ -124,9 +124,9 @@ TEST(PuzzlePolicy, LatchEngagesAtWatermarkAndHolds) {
 }
 
 TEST(PuzzlePolicy, CookieFallbackWithoutEngine) {
-  defense::PuzzlePolicyConfig cfg;
-  cfg.cookie_fallback = true;
-  defense::PuzzlePolicy p(cfg);
+  PolicySpec spec = PolicySpec::puzzles();
+  spec.cookie_fallback = true;
+  defense::PuzzlePolicy p(spec);
   EXPECT_FALSE(p.requires_engine());
   // Engine present: challenge wins when full.
   EXPECT_EQ(p.on_syn(SimTime::zero(), view(4, 4, 0, 4, true)).action,
@@ -141,7 +141,7 @@ TEST(PuzzlePolicy, CookieFallbackWithoutEngine) {
 }
 
 TEST(PuzzlePolicy, WithoutFallbackRequiresEngineAndDropsWhenMissing) {
-  defense::PuzzlePolicy p(defense::PuzzlePolicyConfig{});
+  defense::PuzzlePolicy p(PolicySpec::puzzles());
   EXPECT_TRUE(p.requires_engine());
   // Defensive table: with the engine somehow gone, a full queue drops.
   EXPECT_EQ(p.on_syn(SimTime::zero(), view(4, 4, 0, 4, false)).action,
@@ -149,9 +149,9 @@ TEST(PuzzlePolicy, WithoutFallbackRequiresEngineAndDropsWhenMissing) {
 }
 
 TEST(HybridPolicy, ChallengesOnAcceptPressureCookiesOnListenPressure) {
-  defense::HybridPolicyConfig cfg;
-  cfg.hold = SimTime::seconds(5);
-  defense::HybridPolicy p(cfg);
+  PolicySpec spec = PolicySpec::hybrid();
+  spec.protection_hold = SimTime::seconds(5);
+  defense::HybridPolicy p(spec);
   EXPECT_TRUE(p.requires_engine());
 
   // Listen-queue pressure alone (SYN flood): stateless cookies.
@@ -233,7 +233,7 @@ class PolicyListenerTest : public ::testing::Test {
     cfg.policy = spec.factory();
     secret_ = crypto::SecretKey::from_seed(7);
     engine_ = std::make_shared<puzzle::OraclePuzzleEngine>(
-        secret_, puzzle::EngineConfig{4, 4000, 100});
+        secret_, puzzle::EngineConfig{4, 4000});
     listener_ = std::make_unique<tcp::Listener>(cfg, secret_, 1,
                                                 with_engine ? engine_ : nullptr);
   }

@@ -155,7 +155,7 @@ struct ReplicaPair {
   crypto::SecretKey secret = crypto::SecretKey::from_seed(7);
   std::shared_ptr<puzzle::OraclePuzzleEngine> engine =
       std::make_shared<puzzle::OraclePuzzleEngine>(
-          secret, puzzle::EngineConfig{4, 4000, 100});
+          secret, puzzle::EngineConfig{4, 4000});
   std::unique_ptr<tcp::Listener> a, b;
 
   ReplicaPair() {
@@ -253,7 +253,7 @@ struct RotatingFleet {
       : directory([] {
           SecretDirectoryConfig cfg;
           cfg.seed = 7;
-          cfg.engine = puzzle::EngineConfig{4, 60'000, 100};  // long expiry:
+          cfg.engine = puzzle::EngineConfig{4, 60'000};  // long expiry:
           // the tests below isolate *rotation* rejection from *puzzle* expiry.
           return cfg;
         }()) {

@@ -65,7 +65,7 @@ class ListenerTest : public ::testing::Test {
     if (cfg.accept_backlog == 1024) cfg.accept_backlog = 4;
     secret_ = crypto::SecretKey::from_seed(7);
     engine_ = std::make_shared<puzzle::OraclePuzzleEngine>(
-        secret_, puzzle::EngineConfig{4, 4000, 100});
+        secret_, puzzle::EngineConfig{4, 4000});
     listener_ = std::make_unique<Listener>(cfg, secret_, 1, engine_);
   }
 

@@ -26,7 +26,7 @@ struct Pair {
 };
 
 Pair make_pair(ListenerConfig cfg,
-               puzzle::EngineConfig ecfg = {4, 4000, 100}) {
+               puzzle::EngineConfig ecfg = {4, 4000}) {
   cfg.local_addr = kServerAddr;
   cfg.local_port = kServerPort;
   const auto secret = crypto::SecretKey::from_seed(21);
@@ -120,7 +120,7 @@ TEST(TimestamplessMode, ExpiryStillEnforced) {
   cfg.policy = fixtures::always_puzzles().factory();
   cfg.difficulty = {1, 8};
   cfg.use_timestamps = false;
-  auto p = make_pair(cfg, {4, 1000, 100});  // 1 s expiry
+  auto p = make_pair(cfg, {4, 1000});  // 1 s expiry
 
   ConnectorConfig ccfg;
   ccfg.local_port = 50'002;

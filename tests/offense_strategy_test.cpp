@@ -32,7 +32,8 @@ offense::BotView view_at(SimTime now, Rng* rng = nullptr) {
 TEST(PulsedStrategy, DutyCycleGatesSlots) {
   // period 20 s, duty 0.25: on for 5 s from each period boundary (anchored
   // at attack_start).
-  offense::PulsedStrategy strat({SimTime::seconds(20), 0.25, false, true});
+  offense::PulsedStrategy strat(
+      offense::StrategySpec::pulsed(SimTime::seconds(20), 0.25));
   auto action_at = [&](double t) {
     return strat.on_slot(view_at(SimTime::from_seconds(t))).action;
   };
@@ -46,21 +47,23 @@ TEST(PulsedStrategy, DutyCycleGatesSlots) {
 }
 
 TEST(PulsedStrategy, DegenerateDutyCycles) {
-  offense::PulsedStrategy always({SimTime::seconds(20), 1.0, false, true});
+  offense::PulsedStrategy always(
+      offense::StrategySpec::pulsed(SimTime::seconds(20), 1.0));
   EXPECT_EQ(always.on_slot(view_at(SimTime::seconds(42))).action,
             offense::SlotAction::kConnect);
-  offense::PulsedStrategy never({SimTime::seconds(20), 0.0, false, true});
+  offense::PulsedStrategy never(
+      offense::StrategySpec::pulsed(SimTime::seconds(20), 0.0));
   EXPECT_EQ(never.on_slot(view_at(SimTime::seconds(42))).action,
             offense::SlotAction::kIdle);
-  offense::PulsedStrategy spoofed({SimTime::seconds(20), 0.25, true, true});
+  offense::PulsedStrategy spoofed(offense::StrategySpec::pulsed(
+      SimTime::seconds(20), 0.25, /*spoofed=*/true));
   EXPECT_EQ(spoofed.on_slot(view_at(SimTime::seconds(10))).action,
             offense::SlotAction::kSpoofedSyn);
 }
 
 TEST(GameAdaptiveStrategy, ReplansToBestResponseOnObservedDifficulty) {
-  offense::GameAdaptiveConfig cfg;
-  cfg.valuation = 3e5;
-  cfg.mu = 1100.0;
+  offense::StrategySpec cfg =
+      offense::StrategySpec::game_adaptive(/*valuation=*/3e5, /*mu=*/1100.0);
   cfg.assumed = {1, 8};  // cheap assumed price until a challenge arrives
   cfg.slot_rate = 500.0;
   offense::GameAdaptiveStrategy strat(cfg);
@@ -97,8 +100,7 @@ TEST(GameAdaptiveStrategy, ReplansToBestResponseOnObservedDifficulty) {
 }
 
 TEST(GameAdaptiveStrategy, AbandonsWhenPriceExceedsValuationButKeepsProbing) {
-  offense::GameAdaptiveConfig cfg;
-  cfg.valuation = 5e4;
+  offense::StrategySpec cfg = offense::StrategySpec::game_adaptive(5e4);
   cfg.slot_rate = 500.0;
   offense::GameAdaptiveStrategy strat(cfg);
   puzzle::Challenge hard;
@@ -128,8 +130,7 @@ TEST(GameAdaptiveStrategy, AbandonsWhenPriceExceedsValuationButKeepsProbing) {
 }
 
 TEST(GameAdaptiveStrategy, InfersFreeRideFromUnchallengedEstablishments) {
-  offense::GameAdaptiveConfig cfg;
-  cfg.valuation = 3e5;
+  offense::StrategySpec cfg = offense::StrategySpec::game_adaptive(3e5);
   cfg.slot_rate = 300.0;
   offense::GameAdaptiveStrategy strat(cfg);
   ASSERT_GT(strat.observed_price(), 0.0);
@@ -158,7 +159,7 @@ TEST(GameAdaptiveStrategy, InfersFreeRideFromUnchallengedEstablishments) {
 }
 
 TEST(MultiTargetStrategy, RoundRobinsAcrossTargets) {
-  offense::MultiTargetStrategy strat({true, false});
+  offense::MultiTargetStrategy strat(offense::StrategySpec::multi_target());
   offense::BotView v = view_at(SimTime::seconds(12));
   v.n_targets = 3;
   EXPECT_EQ(strat.on_slot(v).target, 0u);

@@ -314,7 +314,7 @@ TEST_P(ListenerStormTest, InvariantsHoldUnderGarbage) {
     cfg.difficulty = {2, 8};
     const auto secret = crypto::SecretKey::from_seed(5);
     auto engine = std::make_shared<puzzle::OraclePuzzleEngine>(
-        secret, puzzle::EngineConfig{4, 4000, 100});
+        secret, puzzle::EngineConfig{4, 4000});
     tcp::Listener listener(cfg, secret, GetParam(), engine);
 
     SimTime now = SimTime::zero();

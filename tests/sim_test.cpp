@@ -2,14 +2,12 @@
 
 #include <stdexcept>
 
-#include "net/cadence.hpp"
-#include "net/topology.hpp"
-#include "sim/client_agent.hpp"
 #include "sim/cpu.hpp"
 #include "sim/devices.hpp"
 #include "defense/spec.hpp"
 #include "offense/spec.hpp"
 #include "scenario/spec.hpp"
+#include "workload/profiles.hpp"
 
 namespace tcpz::sim {
 namespace {
@@ -89,25 +87,8 @@ TEST(Devices, FleetAverageMatchesPaperWav) {
 
 TEST(Devices, IotDevicesAreWeaker) {
   for (const auto& iot : kIotDevices) {
-    EXPECT_LT(iot.hash_rate, kClientFleetHashRate / 4);
+    EXPECT_LT(iot.hash_rate, workload::profiles::kClientHashRate / 4);
   }
-}
-
-// ---------------------------------------------------------------------------
-// ClientAgent
-// ---------------------------------------------------------------------------
-
-// The workload model is the client's only source of demand; a config
-// without one is rejected, as AttackerAgent rejects a missing strategy.
-TEST(ClientAgent, RequiresWorkloadModel) {
-  net::Simulator sim;
-  net::Topology topo(sim);
-  net::Host* host = topo.add_host("client", tcp::ipv4(10, 2, 0, 1));
-  net::Cadence ticks(sim, SimTime::milliseconds(10), SimTime::seconds(1));
-  net::Cadence samples(sim, SimTime::seconds(1), SimTime::seconds(1));
-  const ClientAgentConfig cfg;
-  EXPECT_THROW({ ClientAgent agent(sim, *host, cfg, 1, ticks, samples); },
-               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ SimTime at_ms(std::int64_t ms) { return SimTime::milliseconds(ms); }
 
 TEST(TimeWrap, SolutionStaysFreshAcrossMillisecondWrap) {
   const auto secret = crypto::SecretKey::from_seed(5);
-  const puzzle::EngineConfig ecfg{4, 4'000, 100};
+  const puzzle::EngineConfig ecfg{4, 4'000};
   puzzle::OraclePuzzleEngine engine(secret, ecfg);
   const puzzle::FlowBinding flow{kClientAddr, kServerAddr, 40'000, kServerPort,
                                  7};
@@ -57,7 +57,7 @@ TEST(TimeWrap, SolutionStaysFreshAcrossMillisecondWrap) {
 
 TEST(TimeWrap, ExpiryAndFutureSlackStillEnforcedNearTheWrap) {
   const auto secret = crypto::SecretKey::from_seed(5);
-  const puzzle::EngineConfig ecfg{4, 4'000, 100};
+  const puzzle::EngineConfig ecfg{4, 4'000};
   puzzle::OraclePuzzleEngine engine(secret, ecfg);
   const puzzle::FlowBinding flow{kClientAddr, kServerAddr, 40'001, kServerPort,
                                  9};
@@ -98,7 +98,7 @@ TEST(TimeWrap, ListenerEstablishesPuzzleHandshakeAcrossWrap) {
   cfg.difficulty = {2, 8};
   const auto secret = crypto::SecretKey::from_seed(21);
   auto engine = std::make_shared<puzzle::OraclePuzzleEngine>(
-      secret, puzzle::EngineConfig{4, 4'000, 100});
+      secret, puzzle::EngineConfig{4, 4'000});
   tcp::Listener listener(cfg, secret, 3, engine);
 
   tcp::ConnectorConfig ccfg;

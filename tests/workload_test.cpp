@@ -1,6 +1,6 @@
-// Tests for the pluggable workload layer (src/workload/): the TrafficModel
-// decision tables, the ModelSpec value-type arithmetic, and the hybrid
-// fluid/discrete population.
+// Tests for the workload layer (src/workload/): the per-arrival draw, the
+// client's demand decisions read from a ModelSpec, the ModelSpec value-type
+// arithmetic, and the hybrid fluid/discrete population.
 //
 // The fluid half is validated at three levels:
 //  1. Conservation: every unit of offered mass is eventually completed,
@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "crypto/secret.hpp"
 #include "defense/spec.hpp"
@@ -30,24 +31,21 @@
 #include "tcp/listener.hpp"
 #include "util/rng.hpp"
 #include "workload/fluid.hpp"
-#include "workload/models.hpp"
 #include "workload/profiles.hpp"
 #include "workload/spec.hpp"
 
 namespace tcpz {
 namespace {
 
-using workload::ClientView;
 using workload::FluidConfig;
 using workload::FluidPopulation;
 using workload::ModelSpec;
-using workload::OpenLoopPoisson;
 
 // ---------------------------------------------------------------------------
 // exp_interarrival: the one shared Exp(rate) draw helper
 // ---------------------------------------------------------------------------
 
-// The client models and the server's M/M/1 service loop all sample open-loop
+// The clients and the server's M/M/1 service loop all sample open-loop
 // waits through util/rng.hpp's exp_interarrival. This pins the draw pipeline
 // byte-identically: the literal golden sequence below was recorded from
 // Rng(42) at the §6 client rate, and the helper must also equal the inline
@@ -68,36 +66,70 @@ TEST(ExpInterarrival, DrawSequencePinnedByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// OpenLoopPoisson decision table
+// ClientAgent demand, read from the ModelSpec
 // ---------------------------------------------------------------------------
 
-TEST(OpenLoopPoissonModel, DecisionTable) {
-  OpenLoopPoisson model(20.0, 200, 100'000, /*max_pending=*/4);
-  EXPECT_STREQ(model.name(), "open-loop-poisson");
+/// A 20 s, no-attack run of 3 open-loop clients at λ = 2/s whose demand
+/// comes from an explicitly set model.
+scenario::Spec model_demand_spec(const ModelSpec& model) {
+  scenario::Spec s;
+  s.seed = 5;
+  s.duration = SimTime::seconds(20);
+  s.attack_start = s.attack_end = s.duration;
+  s.workload.model = model;
+  s.workload.model->request_rate = 2.0;
+  s.workload.n_clients = 3;
+  return s;
+}
 
-  // next_arrival is exactly one exp_interarrival draw per call, in order.
-  Rng rng(7);
-  Rng twin(7);
-  ClientView v;
-  v.rng = &rng;
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(model.next_arrival(v), exp_interarrival(twin, 20.0));
+/// Sums challenges seen and refused over every discrete client.
+std::pair<std::uint64_t, std::uint64_t> challenges_and_refusals(
+    const scenario::Result& r) {
+  std::uint64_t seen = 0, refused = 0;
+  for (const sim::HostReport& c : r.clients) {
+    seen += c.challenges_seen;
+    refused += c.solves_refused;
   }
+  return {seen, refused};
+}
 
-  // Fixed request shape, independent of state.
-  v.inflight = 17;
-  const workload::RequestShape shape = model.request_shape(v);
-  EXPECT_EQ(shape.request_bytes, 200u);
-  EXPECT_EQ(shape.response_bytes, 100'000u);
+// Challenge backpressure: a client refuses a challenge once
+// max_pending_solves solves are queued. With a cap of 0 every challenge is
+// refused; with the default cap, challenges are solved.
+TEST(ClientAgentDemand, SolveBacklogCapGatesChallenges) {
+  ModelSpec capped = ModelSpec::open_loop();
+  capped.max_pending_solves = 0;
+  scenario::Spec s = model_demand_spec(capped);
+  s.servers.policies = {fixtures::always_puzzles()};
+  const auto [seen, refused] = challenges_and_refusals(scenario::run(s));
+  EXPECT_GT(seen, 0u);
+  EXPECT_EQ(refused, seen);
 
-  // Challenge backpressure: accept strictly below max_pending, refuse at it.
-  const puzzle::Challenge c{};
-  v.pending_solves = 0;
-  EXPECT_TRUE(model.accept_challenge(v, c));
-  v.pending_solves = 3;
-  EXPECT_TRUE(model.accept_challenge(v, c));
-  v.pending_solves = 4;
-  EXPECT_FALSE(model.accept_challenge(v, c));
+  s.workload.model->max_pending_solves = ModelSpec{}.max_pending_solves;
+  const auto [seen_default, refused_default] =
+      challenges_and_refusals(scenario::run(s));
+  EXPECT_GT(seen_default, 0u);
+  EXPECT_LT(refused_default, seen_default);
+}
+
+// The server sizes its responses from the workload model, not from the flat
+// WorkloadSpec knob the model overrides: clients waiting for a 200 KB
+// response complete even though the flat response_bytes stays at 100 KB.
+TEST(ClientAgentDemand, ServerSendsTheModelResponseSize) {
+  ModelSpec model = ModelSpec::open_loop();
+  model.response_bytes = 200'000;
+  scenario::Spec s = model_demand_spec(model);
+  s.servers.policies = {defense::PolicySpec::none()};
+  ASSERT_NE(s.workload.response_bytes, model.response_bytes);
+  const scenario::Result r = scenario::run(s);
+  std::uint64_t attempts = 0, completions = 0;
+  for (const sim::HostReport& c : r.clients) {
+    attempts += c.total_attempts;
+    completions += c.total_completions;
+  }
+  ASSERT_GT(attempts, 0u);
+  EXPECT_GE(static_cast<double>(completions),
+            0.95 * static_cast<double>(attempts));
 }
 
 // ---------------------------------------------------------------------------
@@ -115,7 +147,6 @@ TEST(ModelSpecTest, LegacyShimIsOpenLoopWithSameDemand) {
   EXPECT_STREQ(m.kind_name(), "open-loop-poisson");
   EXPECT_EQ(m.cohort_size(), 0u);
   EXPECT_EQ(m.fluid_users(), 0u);
-  EXPECT_STREQ(m.build()->name(), "open-loop-poisson");
 }
 
 TEST(ModelSpecTest, HybridPopulationSplit) {
@@ -156,7 +187,7 @@ struct FluidHarness {
     cfg.difficulty = {2, 17};
     cfg.policy = spec.factory();
     engine = std::make_shared<puzzle::OraclePuzzleEngine>(
-        secret, puzzle::EngineConfig{4, 4000, 100});
+        secret, puzzle::EngineConfig{4, 4000});
     listener = std::make_unique<tcp::Listener>(cfg, secret, 1, engine);
   }
 
@@ -176,7 +207,7 @@ struct FluidHarness {
 FluidConfig benign_config(double users) {
   FluidConfig fc;
   fc.users = users;
-  fc.request_rate = 20.0;
+  fc.model.request_rate = 20.0;
   fc.service_rate = 1100.0;
   return fc;
 }
