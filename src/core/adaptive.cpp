@@ -1,20 +1,16 @@
 #include "core/adaptive.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace tcpz {
 
 AdaptiveDifficultyController::AdaptiveDifficultyController(AdaptiveConfig cfg)
     : cfg_(cfg), current_(cfg.base) {
-  if (cfg_.m_min == 0 || cfg_.m_min > cfg_.m_max) {
-    throw std::invalid_argument("AdaptiveConfig: need 0 < m_min <= m_max");
+  if (cfg_.base.m < 1 || cfg_.base.m > cfg_.m_max) {
+    throw std::invalid_argument("AdaptiveConfig: need 1 <= base.m <= m_max");
   }
-  if (cfg_.base.m < cfg_.m_min || cfg_.base.m > cfg_.m_max) {
-    throw std::invalid_argument("AdaptiveConfig: base.m outside [m_min, m_max]");
-  }
-  if (cfg_.period.nanos() <= 0 || cfg_.patience < 1) {
-    throw std::invalid_argument("AdaptiveConfig: period/patience invalid");
+  if (cfg_.patience < 1) {
+    throw std::invalid_argument("AdaptiveConfig: patience must be >= 1");
   }
   if (cfg_.low_demand < 0 || cfg_.high_demand <= cfg_.low_demand) {
     throw std::invalid_argument("AdaptiveConfig: need high_demand > low_demand >= 0");
@@ -31,7 +27,7 @@ puzzle::Difficulty AdaptiveDifficultyController::update(
     return current_;
   }
   const SimTime elapsed = now - last_update_;
-  if (elapsed < cfg_.period) return current_;
+  if (elapsed < kPeriod) return current_;
 
   const double secs = elapsed.to_seconds();
   const std::uint64_t challenges =
@@ -62,10 +58,8 @@ puzzle::Difficulty AdaptiveDifficultyController::update(
     ++steps_up_;
     high_streak_ = 0;
   } else if (low_streak_ >= cfg_.patience) {
-    // Relax toward (but never below) the planned base, then the floor only
-    // if the base itself is above it.
-    const std::uint8_t floor = std::max(cfg_.m_min, cfg_.base.m);
-    if (current_.m > floor) {
+    // Relax toward (but never below) the planned base.
+    if (current_.m > cfg_.base.m) {
       --current_.m;
       ++steps_down_;
     }

@@ -24,15 +24,14 @@
 namespace tcpz {
 
 struct AdaptiveConfig {
-  puzzle::Difficulty base{2, 17};  ///< the Nash plan; the resting point
-  std::uint8_t m_min = 10;
+  /// The Nash plan: the resting point, and the floor m never steps below.
+  puzzle::Difficulty base{2, 17};
   std::uint8_t m_max = 22;
   /// Challenged-SYN rates (per second) bounding the dead band.
   double high_demand = 2000.0;
   double low_demand = 200.0;
   /// Consecutive periods a signal must persist before a step (debounce).
   int patience = 3;
-  SimTime period = SimTime::seconds(1);
 
   bool operator==(const AdaptiveConfig&) const = default;
 };
@@ -41,8 +40,11 @@ class AdaptiveDifficultyController {
  public:
   explicit AdaptiveDifficultyController(AdaptiveConfig cfg);
 
+  /// The control period: one demand/yield observation per second.
+  static constexpr SimTime kPeriod = SimTime::seconds(1);
+
   /// Feed a counters snapshot; returns the difficulty to use from now on.
-  /// Call on the configured cadence (extra calls within a period are
+  /// Call on a cadence of kPeriod or finer (extra calls within a period are
   /// ignored and return the current setting).
   [[nodiscard]] puzzle::Difficulty update(SimTime now,
                                           const tcp::ListenerCounters& counters);

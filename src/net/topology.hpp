@@ -50,9 +50,6 @@ class Topology {
   /// BFS from every node; installs exact routes for every advertised address.
   void compute_routes();
 
-  [[nodiscard]] const std::vector<std::unique_ptr<Node>>& nodes() const {
-    return nodes_;
-  }
   [[nodiscard]] const std::vector<std::unique_ptr<Link>>& links() const {
     return links_;
   }

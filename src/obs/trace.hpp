@@ -168,7 +168,6 @@ class Recorder {
 
   [[nodiscard]] bool wants(Cat c) const { return (mask_ & cat_bit(c)) != 0; }
   [[nodiscard]] std::uint32_t category_mask() const { return mask_; }
-  void set_category_mask(std::uint32_t m) { mask_ = m; }
 
   // -- hot path --------------------------------------------------------------
   void record(SimTime t, Code code, std::uint16_t track, std::uint64_t a0 = 0,

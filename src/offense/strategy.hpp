@@ -31,10 +31,10 @@
 // construction in offense/spec.hpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "puzzle/types.hpp"
-#include "sim/cpu.hpp"
 #include "tcp/segment.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -46,14 +46,7 @@ namespace tcpz::offense {
 struct BotView {
   SimTime now;
   SimTime attack_start;
-  SimTime attack_end;
-  std::size_t inflight = 0;      ///< attempts currently holding a tool slot
-  int max_inflight = 0;          ///< the tool's concurrency cap
-  int pending_solves = 0;        ///< solver jobs queued or running
-  SimTime attempt_timeout;       ///< when the tool abandons an attempt
-  bool has_engine = false;       ///< a PuzzleEngine is wired (solving possible)
-  std::size_t n_targets = 1;     ///< servers this bot can aim at
-  const sim::CpuModel* cpu = nullptr;  ///< solver-lane occupancy, hash rate
+  std::size_t n_targets = 1;  ///< servers this bot can aim at
   /// The bot's deterministic stream. Strategy draws are part of the trace:
   /// a strategy that consumes no randomness perturbs nothing.
   Rng* rng = nullptr;

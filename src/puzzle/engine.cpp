@@ -32,10 +32,8 @@ std::size_t preimage_message(const FlowBinding& flow, std::uint32_t timestamp_ms
 }
 
 /// One cached-midstate HMAC (~2 compressions), truncated to sol_len bytes.
-Preimage derive_preimage_with(const crypto::HmacKey& key,
-                              const FlowBinding& flow,
-                              std::uint32_t timestamp_ms,
-                              std::uint8_t sol_len) {
+Preimage derive_preimage(const crypto::HmacKey& key, const FlowBinding& flow,
+                         std::uint32_t timestamp_ms, std::uint8_t sol_len) {
   std::uint8_t msg[64];
   const std::size_t n = preimage_message(flow, timestamp_ms, msg);
   const auto digest = key.mac(std::span<const std::uint8_t>(msg, n));
@@ -133,12 +131,12 @@ class SolutionChecker {
 /// Tolerated clock skew of an echoed timestamp into the future.
 constexpr std::uint32_t kFutureSlackMs = 100;
 
-/// Timestamp freshness shared by both engines. The 32-bit millisecond wire
-/// timestamp wraps every ~49.7 simulated days, so the comparison uses
-/// serial-number arithmetic (RFC 1982 style): the signed difference decides
-/// which side of "now" the echo sits on, and is exact as long as the true
-/// skew is under ~24.8 days — astronomically beyond any puzzle expiry. The
-/// naive `echoed + expiry < now` form misfired at the wrap: a fresh solution
+/// Timestamp freshness. The 32-bit millisecond wire timestamp wraps every
+/// ~49.7 simulated days, so the comparison uses serial-number arithmetic
+/// (RFC 1982 style): the signed difference decides which side of "now" the
+/// echo sits on, and is exact as long as the true skew is under ~24.8 days —
+/// astronomically beyond any puzzle expiry. The naive
+/// `echoed + expiry < now` form misfired at the wrap: a fresh solution
 /// echoed just before the wrap looked like it came from the far future.
 VerifyError check_freshness(std::uint32_t echoed_ms, std::uint32_t now_ms,
                             const EngineConfig& cfg) {
@@ -174,6 +172,27 @@ void validate_difficulty(Difficulty diff, const EngineConfig& cfg) {
   }
 }
 
+/// The oracle's s_i: a labelled hash of P and i, truncated to |P|. Derived
+/// from the challenge pre-image alone, NOT the server secret: solving must
+/// not require anything beyond the SYN-ACK bytes (a real client
+/// brute-forces from the challenge), and in a fleet that rotates its secret,
+/// old challenges must stay solvable by clients that know nothing about
+/// epochs. Verification still binds solutions to the secret — and to the
+/// minting epoch — because the verifier re-derives the pre-image from its
+/// own secret and the echoed flow/timestamp.
+SolutionValue oracle_value(std::span<const std::uint8_t> preimage,
+                           std::uint8_t index) {
+  std::uint8_t msg[64];  // label (21) + pre-image (<= 32) + index
+  std::memcpy(msg, kOracleLabel.data(), kOracleLabel.size());
+  std::memcpy(msg + kOracleLabel.size(), preimage.data(), preimage.size());
+  std::size_t n = kOracleLabel.size() + preimage.size();
+  msg[n++] = index;
+  const auto digest =
+      crypto::Sha256::hash(std::span<const std::uint8_t>(msg, n));
+  return SolutionValue(
+      std::span<const std::uint8_t>(digest.data(), preimage.size()));
+}
+
 }  // namespace
 
 std::uint64_t sample_solve_hashes(Difficulty diff, Rng& rng) {
@@ -189,33 +208,61 @@ std::uint64_t sample_solve_hashes(Difficulty diff, Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// Sha256PuzzleEngine
+// PuzzleEngine: the scheme, shared by both engines
 // ---------------------------------------------------------------------------
 
-Sha256PuzzleEngine::Sha256PuzzleEngine(crypto::SecretKey secret,
-                                       EngineConfig cfg)
+PuzzleEngine::PuzzleEngine(crypto::SecretKey secret, EngineConfig cfg)
     : secret_(secret), cfg_(cfg) {
-  if (cfg_.sol_len == 0 || cfg_.sol_len > 32) {
+  if (cfg_.sol_len == 0 || cfg_.sol_len > kMaxSolLen) {
     throw std::invalid_argument("puzzle: sol_len must be in [1, 32]");
   }
 }
 
-Preimage Sha256PuzzleEngine::derive_preimage(const FlowBinding& flow,
-                                             std::uint32_t timestamp_ms) const {
-  return derive_preimage_with(secret_.hmac(), flow, timestamp_ms, cfg_.sol_len);
-}
-
-Challenge Sha256PuzzleEngine::make_challenge(const FlowBinding& flow,
-                                             std::uint32_t timestamp_ms,
-                                             Difficulty diff) const {
+Challenge PuzzleEngine::make_challenge(const FlowBinding& flow,
+                                       std::uint32_t timestamp_ms,
+                                       Difficulty diff) const {
   validate_difficulty(diff, cfg_);
   Challenge c;
   c.diff = diff;
   c.sol_len = cfg_.sol_len;
   c.timestamp = timestamp_ms;
-  c.preimage = derive_preimage(flow, timestamp_ms);
+  c.preimage =
+      derive_preimage(secret_.hmac(), flow, timestamp_ms, cfg_.sol_len);
   return c;
 }
+
+VerifyOutcome PuzzleEngine::verify(const FlowBinding& flow,
+                                   const Solution& solution, Difficulty diff,
+                                   std::uint32_t now_ms) const {
+  VerifyOutcome out;
+  out.error = check_freshness(solution.timestamp, now_ms, cfg_);
+  if (out.error != VerifyError::kNone) return out;
+  if (solution.values.size() != diff.k) {
+    out.error = VerifyError::kWrongCount;
+    return out;
+  }
+  for (const auto& v : solution.values) {
+    if (v.size() != cfg_.sol_len) {
+      out.error = VerifyError::kWrongLength;
+      return out;
+    }
+  }
+
+  // One hash to re-derive the pre-image (statelessness: nothing was
+  // stored), then one per value checked. The paper's d(p) = 1 + k/2 is the
+  // expectation under early exit; success costs the full 1 + k.
+  const Preimage preimage =
+      derive_preimage(secret_.hmac(), flow, solution.timestamp, cfg_.sol_len);
+  const std::size_t bad = first_bad_value(preimage, solution, diff.m);
+  out.hash_ops = 1 + std::min<std::size_t>(bad + 1, diff.k);
+  out.ok = bad == diff.k;
+  if (!out.ok) out.error = VerifyError::kBadSolution;
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Sha256PuzzleEngine
+// ---------------------------------------------------------------------------
 
 bool Sha256PuzzleEngine::candidate_matches(
     const Challenge& challenge, std::uint8_t index,
@@ -260,91 +307,22 @@ Solution Sha256PuzzleEngine::solve(const Challenge& challenge,
   return sol;
 }
 
-VerifyOutcome Sha256PuzzleEngine::verify(const FlowBinding& flow,
-                                         const Solution& solution,
-                                         Difficulty diff,
-                                         std::uint32_t now_ms) const {
-  VerifyOutcome out;
-  if (const VerifyError fresh = check_freshness(solution.timestamp, now_ms, cfg_);
-      fresh != VerifyError::kNone) {
-    out.error = fresh;
-    return out;
+std::size_t Sha256PuzzleEngine::first_bad_value(const Preimage& preimage,
+                                                const Solution& solution,
+                                                unsigned m_bits) const {
+  // The padded block is built once per verify; each value only splices in.
+  SolutionChecker checker(preimage, m_bits);
+  const std::size_t k = solution.values.size();
+  for (std::size_t i = 0; i < k; ++i) {
+    checker.set_index(static_cast<std::uint8_t>(i + 1));
+    if (!checker.matches(solution.values[i])) return i;
   }
-  if (solution.values.size() != diff.k) {
-    out.error = VerifyError::kWrongCount;
-    return out;
-  }
-  for (const auto& v : solution.values) {
-    if (v.size() != cfg_.sol_len) {
-      out.error = VerifyError::kWrongLength;
-      return out;
-    }
-  }
-
-  // One hash to re-derive the pre-image (statelessness: nothing was stored).
-  const Preimage preimage = derive_preimage(flow, solution.timestamp);
-  out.hash_ops = 1;
-
-  SolutionChecker checker(preimage, diff.m);
-  for (unsigned i = 1; i <= diff.k; ++i) {
-    ++out.hash_ops;
-    checker.set_index(static_cast<std::uint8_t>(i));
-    if (!checker.matches(solution.values[i - 1])) {
-      out.error = VerifyError::kBadSolution;
-      return out;
-    }
-  }
-  out.ok = true;
-  return out;
+  return k;
 }
 
 // ---------------------------------------------------------------------------
 // OraclePuzzleEngine
 // ---------------------------------------------------------------------------
-
-OraclePuzzleEngine::OraclePuzzleEngine(crypto::SecretKey secret,
-                                       EngineConfig cfg)
-    : secret_(secret), cfg_(cfg) {
-  if (cfg_.sol_len == 0 || cfg_.sol_len > 32) {
-    throw std::invalid_argument("puzzle: sol_len must be in [1, 32]");
-  }
-}
-
-Preimage OraclePuzzleEngine::derive_preimage(const FlowBinding& flow,
-                                             std::uint32_t timestamp_ms) const {
-  return derive_preimage_with(secret_.hmac(), flow, timestamp_ms, cfg_.sol_len);
-}
-
-SolutionValue OraclePuzzleEngine::oracle_solution(
-    std::span<const std::uint8_t> preimage, std::uint8_t index) const {
-  // Derived from the challenge pre-image alone, NOT the server secret:
-  // solving must not require anything beyond the SYN-ACK bytes (a real
-  // client brute-forces from the challenge), and in a fleet that rotates its
-  // secret, old challenges must stay solvable by clients that know nothing
-  // about epochs. Verification still binds solutions to the secret — and to
-  // the minting epoch — because the verifier re-derives the pre-image from
-  // its own secret and the echoed flow/timestamp.
-  std::uint8_t msg[64];  // label (21) + pre-image (<= 32) + index
-  std::memcpy(msg, kOracleLabel.data(), kOracleLabel.size());
-  std::memcpy(msg + kOracleLabel.size(), preimage.data(), preimage.size());
-  std::size_t n = kOracleLabel.size() + preimage.size();
-  msg[n++] = index;
-  const auto digest =
-      crypto::Sha256::hash(std::span<const std::uint8_t>(msg, n));
-  return SolutionValue(std::span<const std::uint8_t>(digest.data(), cfg_.sol_len));
-}
-
-Challenge OraclePuzzleEngine::make_challenge(const FlowBinding& flow,
-                                             std::uint32_t timestamp_ms,
-                                             Difficulty diff) const {
-  validate_difficulty(diff, cfg_);
-  Challenge c;
-  c.diff = diff;
-  c.sol_len = cfg_.sol_len;
-  c.timestamp = timestamp_ms;
-  c.preimage = derive_preimage(flow, timestamp_ms);
-  return c;
-}
 
 Solution OraclePuzzleEngine::solve(const Challenge& challenge,
                                    const FlowBinding& /*flow*/, Rng& rng,
@@ -354,44 +332,22 @@ Solution OraclePuzzleEngine::solve(const Challenge& challenge,
   sol.values.reserve(challenge.diff.k);
   for (unsigned i = 1; i <= challenge.diff.k; ++i) {
     sol.values.push_back(
-        oracle_solution(challenge.preimage, static_cast<std::uint8_t>(i)));
+        oracle_value(challenge.preimage, static_cast<std::uint8_t>(i)));
   }
   hash_ops_out = sample_solve_hashes(challenge.diff, rng);
   return sol;
 }
 
-VerifyOutcome OraclePuzzleEngine::verify(const FlowBinding& flow,
-                                         const Solution& solution,
-                                         Difficulty diff,
-                                         std::uint32_t now_ms) const {
-  VerifyOutcome out;
-  if (const VerifyError fresh = check_freshness(solution.timestamp, now_ms, cfg_);
-      fresh != VerifyError::kNone) {
-    out.error = fresh;
-    return out;
-  }
-  if (solution.values.size() != diff.k) {
-    out.error = VerifyError::kWrongCount;
-    return out;
-  }
-  const Preimage preimage = derive_preimage(flow, solution.timestamp);
-  // Cost model mirrors the paper's d(p) = 1 + k/2: one pre-image derivation
-  // plus prefix checks. We charge the full-verify cost 1 + k on success and
-  // the early-exit position on failure, same as the real engine.
-  out.hash_ops = 1;
-  for (unsigned i = 1; i <= diff.k; ++i) {
-    ++out.hash_ops;
+std::size_t OraclePuzzleEngine::first_bad_value(const Preimage& preimage,
+                                                const Solution& solution,
+                                                unsigned /*m_bits*/) const {
+  const std::size_t k = solution.values.size();
+  for (std::size_t i = 0; i < k; ++i) {
     const SolutionValue expected =
-        oracle_solution(preimage, static_cast<std::uint8_t>(i));
-    const SolutionValue& got = solution.values[i - 1];
-    if (got.size() != preimage.size() || !ct_equal(got, expected)) {
-      out.error = got.size() == preimage.size() ? VerifyError::kBadSolution
-                                                : VerifyError::kWrongLength;
-      return out;
-    }
+        oracle_value(preimage, static_cast<std::uint8_t>(i + 1));
+    if (!ct_equal(solution.values[i], expected)) return i;
   }
-  out.ok = true;
-  return out;
+  return k;
 }
 
 }  // namespace tcpz::puzzle

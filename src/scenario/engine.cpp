@@ -73,6 +73,14 @@ int n_discrete_clients(const Spec& spec) {
              : spec.workload.n_clients;
 }
 
+/// A solver's CPU with its work rate resolved for the spec's proof of work:
+/// hash_rate prices every solve, so under memory-bound puzzles it is the
+/// host's mem_rate. Clients, bots and fluid populations all take this.
+sim::CpuSpec solver_cpu(const Spec& spec, sim::CpuSpec cpu) {
+  if (spec.pow == PowKind::kMemoryBound) cpu.hash_rate = cpu.mem_rate;
+  return cpu;
+}
+
 void validate(const Spec& spec) {
   if (spec.servers.count < 1) {
     throw std::invalid_argument("scenario: servers.count must be >= 1");
@@ -551,10 +559,7 @@ struct Engine::Impl {
       ccfg.server_port = addrs::kServerPort;
       ccfg.solve_puzzles = spec.workload.solve_puzzles;
       ccfg.engine = engine;
-      ccfg.cpu = spec.workload.cpu;
-      if (spec.pow == PowKind::kMemoryBound) {
-        ccfg.solve_ops_rate = spec.workload.cpu.mem_rate;
-      }
+      ccfg.cpu = solver_cpu(spec, spec.workload.cpu);
       ccfg.response_timeout = spec.workload.response_timeout;
       auto& client = clients[static_cast<std::size_t>(a.index)];
       client = std::make_unique<sim::ClientAgent>(
@@ -586,7 +591,7 @@ struct Engine::Impl {
         fc.users = per_users;
         fc.model = wmodel;
         fc.solve_puzzles = spec.workload.solve_puzzles;
-        fc.cpu = spec.workload.cpu;
+        fc.cpu = solver_cpu(spec, spec.workload.cpu);
         // Proportional share of the replica's drain rate between the fluid
         // mass and the discrete cohort aimed at the same listener.
         fc.service_rate = service_share * per_users /
@@ -650,10 +655,7 @@ struct Engine::Impl {
       acfg.attack_start = g.start.value_or(spec.attack_start);
       acfg.attack_end = g.end.value_or(spec.attack_end);
       acfg.engine = engine;
-      acfg.cpu = g.cpu;
-      if (spec.pow == PowKind::kMemoryBound) {
-        acfg.solve_ops_rate = g.cpu.mem_rate;
-      }
+      acfg.cpu = solver_cpu(spec, g.cpu);
       acfg.max_inflight = g.max_inflight;
       acfg.tick_interval = spec.tick_interval;
       acfg.sample_interval = spec.sample_interval;

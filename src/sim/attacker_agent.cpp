@@ -11,6 +11,10 @@ namespace {
 /// Fig. 9 shows for attackers.
 constexpr double kPerPacketCpuSec = 0.7e-3;
 
+/// The flood tool abandons an attempt that has not completed after this
+/// long (an admitted solve gets three times as long).
+constexpr SimTime kAttemptTimeout = SimTime::seconds(1);
+
 }  // namespace
 
 AttackerAgent::AttackerAgent(net::Simulator& sim, net::Host& host,
@@ -26,14 +30,7 @@ offense::BotView AttackerAgent::view(SimTime now) {
   offense::BotView v;
   v.now = now;
   v.attack_start = cfg_.attack_start;
-  v.attack_end = cfg_.attack_end;
-  v.inflight = attempts_.size();
-  v.max_inflight = cfg_.max_inflight;
-  v.pending_solves = pending_solves_;
-  v.attempt_timeout = cfg_.attempt_timeout;
-  v.has_engine = static_cast<bool>(cfg_.engine);
   v.n_targets = cfg_.targets.size();
-  v.cpu = &cpu_;
   v.rng = &rng_;
   return v;
 }
@@ -146,14 +143,14 @@ void AttackerAgent::apply(SimTime now, std::uint16_t sport,
     ++report_.challenges_seen;
     // The in-kernel solver is serial; the flood tool abandons an attempt
     // (closing its socket and thereby aborting any queued solve) after
-    // attempt_timeout. A solve is therefore only worth starting if the
+    // kAttemptTimeout. A solve is therefore only worth starting if the
     // strategy wants to pay AND a lane frees up before the tool gives up —
     // the latter is what pins the per-bot completion rate to its solver
     // throughput regardless of the flood rate (Figs. 13-14).
     const offense::ChallengeAction ca =
         strategy_->on_challenge(view(now), *out.solve);
     if (ca == offense::ChallengeAction::kAbandon || !cfg_.engine ||
-        cpu_.earliest_lane_free() > now + cfg_.attempt_timeout) {
+        cpu_.earliest_lane_free() > now + kAttemptTimeout) {
       ++report_.solves_refused;
       TCPZ_TRACE(now, obs::Code::kChallengeAbandon, cfg_.trace_track, sport,
                  ca == offense::ChallengeAction::kAbandon ? 0 : 1);
@@ -170,15 +167,11 @@ void AttackerAgent::apply(SimTime now, std::uint16_t sport,
     std::uint64_t hash_ops = 0;
     const puzzle::Solution solution = cfg_.engine->solve(
         *out.solve, attempt.connector.flow_binding(), rng_, hash_ops);
-    const double rate =
-        cfg_.solve_ops_rate > 0 ? cfg_.solve_ops_rate : cfg_.cpu.hash_rate;
-    const SimTime done = cpu_.submit_solve_at_rate(now, hash_ops, rate);
-    ++pending_solves_;
+    const SimTime done = cpu_.submit_solve(now, hash_ops);
     // Cancellable completion: erase_attempt deschedules it, so the event
     // only ever fires for the attempt that scheduled it (a recycled sport
     // always carries a fresh timer).
     attempt.solve_timer = sim_.schedule_at(done, [this, sport, solution] {
-      --pending_solves_;
       const auto it2 = attempts_.find(sport);
       if (it2 == attempts_.end()) return;
       const SimTime t = sim_.now();
@@ -213,7 +206,7 @@ void AttackerAgent::apply(SimTime now, std::uint16_t sport,
 }
 
 void AttackerAgent::erase_attempt(AttemptMap::iterator it) {
-  if (sim_.cancel(it->second.solve_timer)) --pending_solves_;
+  sim_.cancel(it->second.solve_timer);
   attempts_.erase(it);
 }
 
@@ -257,7 +250,7 @@ void AttackerAgent::tick_loop() {
           attempt.connector.state() == tcp::ConnectorState::kSolving &&
           static_cast<bool>(attempt.solve_timer);
       const SimTime limit =
-          solving ? cfg_.attempt_timeout * 3 : cfg_.attempt_timeout;
+          solving ? kAttemptTimeout * 3 : kAttemptTimeout;
       if (t - attempt.started > limit) stale.push_back(sport);
     }
     for (const std::uint16_t sport : stale) {

@@ -46,14 +46,11 @@ struct AttackerAgentConfig {
   SimTime attack_end = SimTime::seconds(480);
   std::shared_ptr<const puzzle::PuzzleEngine> engine;
   /// Commodity zombie: equal-or-better hash rate than clients (§6), fewer
-  /// spare cores.
+  /// spare cores. hash_rate is the resolved solve rate.
   CpuSpec cpu{workload::profiles::kClientHashRate, 2, 1};
-  /// Work-unit rate for solving (0 = cpu.hash_rate); see ClientAgentConfig.
-  double solve_ops_rate = 0.0;
   /// Finite tool concurrency: new attempts are skipped while this many are
   /// in flight (this is what caps the "measured attack rate" of Figs 13–14).
   int max_inflight = 250;
-  SimTime attempt_timeout = SimTime::seconds(1);
   SimTime tick_interval = SimTime::milliseconds(100);
   SimTime sample_interval = SimTime::milliseconds(250);
   /// Flight-recorder track this bot's offense events report under (one
@@ -109,7 +106,6 @@ class AttackerAgent {
 
   AttemptMap attempts_;
   std::uint16_t next_sport_ = 1024;
-  int pending_solves_ = 0;
 };
 
 }  // namespace tcpz::sim

@@ -93,9 +93,7 @@ void ClientAgent::apply(SimTime now, std::uint16_t sport, Attempt& attempt,
     std::uint64_t hash_ops = 0;
     const puzzle::Solution solution = cfg_.engine->solve(
         *out.solve, attempt.connector.flow_binding(), rng_, hash_ops);
-    const double rate =
-        cfg_.solve_ops_rate > 0 ? cfg_.solve_ops_rate : cfg_.cpu.hash_rate;
-    const SimTime done = cpu_.submit_solve_at_rate(now, hash_ops, rate);
+    const SimTime done = cpu_.submit_solve(now, hash_ops);
     ++pending_solves_;
     const std::uint64_t token = next_solve_token_++;
     attempt.solve_token = token;

@@ -38,10 +38,8 @@ struct ClientAgentConfig {
   /// derive from the challenge bytes alone, so one engine instance solves
   /// challenges from any server secret epoch (see DESIGN.md, Substitutions).
   std::shared_ptr<const puzzle::PuzzleEngine> engine;
-  CpuSpec cpu;  ///< the Fig. 3a desktop client
-  /// Work-unit rate for solving (0 = cpu.hash_rate). Memory-bound puzzles
-  /// pass cpu.mem_rate here.
-  double solve_ops_rate = 0.0;
+  /// The Fig. 3a desktop client; hash_rate is the resolved solve rate.
+  CpuSpec cpu;
   /// Demand: arrival rate, request sizing and the solver backlog cap.
   workload::ModelSpec model;
   SimTime response_timeout = SimTime::seconds(10);

@@ -13,18 +13,13 @@ CpuModel::CpuModel(CpuSpec spec) : spec_(spec) {
                     SimTime::zero());
 }
 
-SimTime CpuModel::submit_solve_at_rate(SimTime now, std::uint64_t ops,
-                                       double ops_per_second) {
-  if (ops_per_second <= 0) {
-    throw std::invalid_argument("CpuModel: non-positive work rate");
-  }
+SimTime CpuModel::submit_solve(SimTime now, std::uint64_t hash_ops) {
   std::size_t lane = 0;
   for (std::size_t i = 1; i < lane_free_.size(); ++i) {
     if (lane_free_[i] < lane_free_[lane]) lane = i;
   }
   const SimTime start = std::max(now, lane_free_[lane]);
-  const SimTime end =
-      start + SimTime::from_seconds(static_cast<double>(ops) / ops_per_second);
+  const SimTime end = start + solve_duration(hash_ops);
   lane_free_[lane] = end;
   recent_jobs_.emplace_back(start, end);
   return end;

@@ -17,7 +17,10 @@ namespace tcpz::sim {
 /// Defaults to the desktop client of Fig. 3a: 4 cores, one serial in-kernel
 /// solver lane.
 struct CpuSpec {
-  /// SHA-256 ops/s per core (the paper's w_av / 0.4 s).
+  /// SHA-256 ops/s per core (the paper's w_av / 0.4 s). Once a scenario
+  /// has resolved a solver's spec for its proof-of-work kind, this is the
+  /// solver's work rate: puzzle work units/s, mem_rate under memory-bound
+  /// puzzles.
   double hash_rate = workload::profiles::kClientHashRate;
   int cores = 4;
   int solver_lanes = 1;  ///< concurrent in-kernel puzzle searches
@@ -42,16 +45,10 @@ class CpuModel {
     return SimTime::from_seconds(static_cast<double>(hash_ops) / spec_.hash_rate);
   }
 
-  /// Schedules a solve job on the earliest-free lane; returns its completion
-  /// time (>= now + duration when queued behind earlier jobs).
-  [[nodiscard]] SimTime submit_solve(SimTime now, std::uint64_t hash_ops) {
-    return submit_solve_at_rate(now, hash_ops, spec_.hash_rate);
-  }
-
-  /// Same, with an explicit work-unit rate (memory-bound puzzles charge
-  /// against mem_rate instead of hash_rate).
-  [[nodiscard]] SimTime submit_solve_at_rate(SimTime now, std::uint64_t ops,
-                                             double ops_per_second);
+  /// Schedules a solve job of `hash_ops` work units on the earliest-free
+  /// lane; returns its completion time (>= now + duration when queued
+  /// behind earlier jobs).
+  [[nodiscard]] SimTime submit_solve(SimTime now, std::uint64_t hash_ops);
 
   /// Number of lanes still busy at `now`.
   [[nodiscard]] int busy_lanes(SimTime now) const;
@@ -60,8 +57,8 @@ class CpuModel {
   /// next submitted job would start).
   [[nodiscard]] SimTime earliest_lane_free() const;
 
-  /// Total queued solve work not yet finished at `now`, in jobs — the agents
-  /// cap this to model connect() backpressure.
+  /// Solve jobs submitted and not yet finished at `now` (a gauge; nothing
+  /// caps it).
   [[nodiscard]] int pending_jobs(SimTime now);
 
   /// Instantaneous work (verification, per-packet processing): accumulated

@@ -41,7 +41,7 @@ namespace tcpz::sim {
 
 /// Per-host (client or attacker) measurements.
 struct HostReport {
-#define TCPZ_X(name, help) TimeSeries name{SimTime::seconds(1)};
+#define TCPZ_X(name, help) TimeSeries name;
   TCPZ_HOST_REPORT_SERIES_FIELDS(TCPZ_X)
 #undef TCPZ_X
   SampleSet conn_time_ms;  ///< SYN sent -> established (includes solve time)
@@ -77,7 +77,7 @@ struct HostReport {
 /// Server-side measurements. The established_* split relies on the
 /// simulator knowing which addresses belong to the botnet.
 struct ServerReport {
-#define TCPZ_X(name, help) TimeSeries name{SimTime::seconds(1)};
+#define TCPZ_X(name, help) TimeSeries name;
   TCPZ_SERVER_REPORT_SERIES_FIELDS(TCPZ_X)
 #undef TCPZ_X
 #define TCPZ_X(name, help) GaugeSeries name;

@@ -416,7 +416,6 @@ std::vector<Segment> Listener::handle_syn(SimTime now, const Segment& seg) {
   entry.peer_wscale = seg.options.wscale.value_or(0);
   entry.peer_ts_ok = seg.options.ts.has_value();
   entry.peer_tsval = entry.peer_ts_ok ? seg.options.ts->tsval : 0;
-  entry.created = now;
   entry.next_retx = now + cfg_.synack_timeout;
   listen_.insert(entry);
 

@@ -35,7 +35,6 @@ struct HalfOpenEntry {
   std::uint8_t peer_wscale = 0;
   bool peer_ts_ok = false;
   std::uint32_t peer_tsval = 0;
-  SimTime created;
   SimTime next_retx;
   int retx_count = 0;
   /// The final ACK arrived but the accept queue was full; the entry is kept

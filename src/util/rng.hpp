@@ -55,12 +55,6 @@ class Rng {
   /// rejection method to avoid modulo bias.
   std::uint64_t uniform_u64(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return lo + static_cast<std::int64_t>(
-                    uniform_u64(static_cast<std::uint64_t>(hi - lo) + 1));
-  }
-
   /// Exponential with the given rate (mean 1/rate). rate must be > 0.
   double exponential(double rate) {
     // 1-uniform() is in (0,1], so the log argument is never 0.

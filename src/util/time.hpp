@@ -46,9 +46,6 @@ class SimTime {
   [[nodiscard]] constexpr double to_millis() const {
     return static_cast<double>(nanos_) / 1e6;
   }
-  [[nodiscard]] constexpr double to_micros() const {
-    return static_cast<double>(nanos_) / 1e3;
-  }
 
   constexpr auto operator<=>(const SimTime&) const = default;
 

@@ -1,19 +1,12 @@
 #include "util/timeseries.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace tcpz {
 
-TimeSeries::TimeSeries(SimTime bin_width) : bin_width_(bin_width) {
-  if (bin_width.nanos() <= 0) {
-    throw std::invalid_argument("TimeSeries bin width must be positive");
-  }
-}
-
 void TimeSeries::add(SimTime t, double weight) {
   if (t.nanos() < 0) return;
-  const auto bin = static_cast<std::size_t>(t.nanos() / bin_width_.nanos());
+  const auto bin = static_cast<std::size_t>(t.nanos() / kBinWidth.nanos());
   if (bin >= bins_.size()) bins_.resize(bin + 1, 0.0);
   bins_[bin] += weight;
 }
@@ -23,11 +16,7 @@ double TimeSeries::total(std::size_t bin) const {
 }
 
 double TimeSeries::rate_at(std::size_t bin) const {
-  return total(bin) / (static_cast<double>(bin_width_.nanos()) / 1e9);
-}
-
-double TimeSeries::bin_start_seconds(std::size_t bin) const {
-  return static_cast<double>(bin) * static_cast<double>(bin_width_.nanos()) / 1e9;
+  return total(bin) / kBinWidth.to_seconds();
 }
 
 double TimeSeries::mean_rate(std::size_t from, std::size_t to) const {

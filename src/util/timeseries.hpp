@@ -11,13 +11,14 @@
 
 namespace tcpz {
 
-/// Accumulates weighted events into fixed-width time bins starting at t=0.
+/// Accumulates weighted events into one-second time bins starting at t=0.
 /// `rate_at(i)` converts a bin's total into a per-second rate, which is how
 /// throughput (bits per bin -> bps) and packet rates (packets per bin -> pps)
 /// are reported.
 class TimeSeries {
  public:
-  explicit TimeSeries(SimTime bin_width = SimTime::seconds(1));
+  /// Every report bins by the second, the x-axis unit of the paper's plots.
+  static constexpr SimTime kBinWidth = SimTime::seconds(1);
 
   void add(SimTime t, double weight = 1.0);
 
@@ -25,17 +26,12 @@ class TimeSeries {
   [[nodiscard]] double total(std::size_t bin) const;
   /// Bin total divided by bin width in seconds (e.g. bytes -> bytes/s).
   [[nodiscard]] double rate_at(std::size_t bin) const;
-  [[nodiscard]] double bin_start_seconds(std::size_t bin) const;
-  [[nodiscard]] SimTime bin_width() const { return bin_width_; }
 
   /// Mean of rate_at over bins [from, to). Out-of-range bins count as zero,
   /// so averaging over a window longer than the data is well-defined.
   [[nodiscard]] double mean_rate(std::size_t from, std::size_t to) const;
 
-  [[nodiscard]] const std::vector<double>& raw_bins() const { return bins_; }
-
  private:
-  SimTime bin_width_;
   std::vector<double> bins_;
 };
 

@@ -38,14 +38,7 @@ offense::BotView StormClient::view(SimTime now) {
   offense::BotView v;
   v.now = now;
   v.attack_start = SimTime::zero();
-  v.attack_end = cfg_.duration;
-  v.inflight = attempts_.size();
-  v.max_inflight = static_cast<int>(cfg_.max_inflight);
-  v.pending_solves = 0;  // solves run inline on this thread
-  v.attempt_timeout = cfg_.attempt_timeout;
-  v.has_engine = cfg_.engine != nullptr;
   v.n_targets = 1;
-  v.cpu = nullptr;  // no CPU model on the wire: solve cost is real time
   v.rng = &rng_;
   return v;
 }

@@ -24,10 +24,6 @@ TEST(AdaptiveController, StartsAtBase) {
 
 TEST(AdaptiveController, RejectsBadConfig) {
   AdaptiveConfig cfg;
-  cfg.base = {2, 17};
-  cfg.m_min = 18;  // base below floor
-  EXPECT_THROW(AdaptiveDifficultyController{cfg}, std::invalid_argument);
-  cfg = {};
   cfg.patience = 0;
   EXPECT_THROW(AdaptiveDifficultyController{cfg}, std::invalid_argument);
   cfg = {};

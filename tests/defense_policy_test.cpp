@@ -298,7 +298,6 @@ TEST_F(PolicyListenerTest, HybridAnswersAcceptPressureWithChallenges) {
 TEST_F(PolicyListenerTest, AdaptivePolicyRetunesDifficultyThroughOnTick) {
   AdaptiveConfig actl;
   actl.base = {1, 8};
-  actl.m_min = 1;
   actl.m_max = 10;
   actl.high_demand = 1.0;
   actl.low_demand = 0.1;

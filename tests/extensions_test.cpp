@@ -10,6 +10,7 @@
 #include "defense/spec.hpp"
 #include "scenario/spec.hpp"
 #include "sim/report_io.hpp"
+#include "trace_digest.hpp"
 
 namespace tcpz {
 namespace {
@@ -140,15 +141,40 @@ TEST(Heterogeneous, EmptyGameIsNeutral) {
 // Memory-bound PoW plumbing end to end
 // ---------------------------------------------------------------------------
 
-TEST(MemoryBoundPow, SolveTimeUsesMemRate) {
-  sim::CpuModel cpu({100'000.0, 4, 1, 50e6});
-  // 1e6 work units: 10 s at the hash rate, 20 ms at the mem rate.
-  const SimTime hash_done = cpu.submit_solve(SimTime::zero(), 1'000'000);
-  EXPECT_NEAR(hash_done.to_seconds(), 10.0, 1e-9);
-  sim::CpuModel cpu2({100'000.0, 4, 1, 50e6});
-  const SimTime mem_done =
-      cpu2.submit_solve_at_rate(SimTime::zero(), 1'000'000, 50e6);
-  EXPECT_NEAR(mem_done.to_seconds(), 0.02, 1e-9);
+// The scenario resolves every solver's work rate once: under memory-bound
+// puzzles, discrete clients AND the fluid mass solve at mem_rate, exactly
+// as a cpu-bound run whose hash_rate is that mem_rate.
+TEST(MemoryBoundPow, FluidAndCohortSolveAtMemRate) {
+  scenario::Spec mem_spec;
+  mem_spec.duration = SimTime::seconds(20);
+  mem_spec.attack_start = mem_spec.duration;
+  mem_spec.attack_end = mem_spec.duration;
+  workload::ModelSpec model = workload::ModelSpec::hybrid(2'000, 0.01);
+  model.request_rate = 0.5;
+  mem_spec.workload.model = model;
+  mem_spec.workload.cpu = {50'000.0, 1, 1, 40e6};  // IoT-class client
+  defense::PolicySpec policy = defense::PolicySpec::puzzles();
+  policy.always_challenge = true;
+  mem_spec.servers.policies = {policy};
+  mem_spec.servers.difficulty = {2, 20};
+  mem_spec.pow = scenario::PowKind::kMemoryBound;
+
+  scenario::Spec cpu_spec = mem_spec;
+  cpu_spec.pow = scenario::PowKind::kCpuBound;
+  cpu_spec.workload.cpu.hash_rate = mem_spec.workload.cpu.mem_rate;
+
+  const scenario::Result mem = scenario::run(mem_spec);
+  const scenario::Result cpu = scenario::run(cpu_spec);
+  EXPECT_EQ(tracedigest::full_digest(mem), tracedigest::full_digest(cpu));
+  ASSERT_EQ(mem.fluid.size(), 1u);
+  ASSERT_EQ(cpu.fluid.size(), 1u);
+  EXPECT_GT(mem.fluid[0].total_attempts, 0u);
+  EXPECT_EQ(mem.fluid[0].total_attempts, cpu.fluid[0].total_attempts);
+  EXPECT_EQ(mem.fluid[0].total_completions, cpu.fluid[0].total_completions);
+  EXPECT_EQ(mem.fluid[0].total_failures, cpu.fluid[0].total_failures);
+  EXPECT_EQ(mem.fluid[0].solves_refused, cpu.fluid[0].solves_refused);
+  EXPECT_EQ(tracedigest::digest(mem.fluid[0]),
+            tracedigest::digest(cpu.fluid[0]));
 }
 
 TEST(MemoryBoundPow, ScenarioNarrowsDeviceGap) {

@@ -24,7 +24,6 @@ offense::BotView view_at(SimTime now, Rng* rng = nullptr) {
   offense::BotView v;
   v.now = now;
   v.attack_start = SimTime::seconds(10);
-  v.attack_end = SimTime::seconds(70);
   v.rng = rng;
   return v;
 }

@@ -203,6 +203,57 @@ INSTANTIATE_TEST_SUITE_P(BothEngines, EngineTest,
                                                                     : "Oracle";
                          });
 
+// Malformed input fails identically in both engines: the scheme's checks
+// (count, then every value's length, before any hashing) are shared code,
+// and only the check of a well-formed value differs.
+TEST(BothEngines, MalformedSolutionsFailIdentically) {
+  EngineConfig cfg;
+  cfg.sol_len = 8;
+  const auto secret = crypto::SecretKey::from_seed(99);
+  const Sha256PuzzleEngine sha(secret, cfg);
+  const OraclePuzzleEngine oracle(secret, cfg);
+  const Difficulty diff{2, 6};
+  const auto flow = test_flow();
+
+  struct Shape {
+    const char* name;
+    void (*mangle)(Solution&);
+    VerifyError error;
+  };
+  const Shape shapes[] = {
+      {"wrong count", [](Solution& s) { s.values.pop_back(); },
+       VerifyError::kWrongCount},
+      {"short value after a bad one",
+       [](Solution& s) {
+         s.values[0][0] ^= 0x80;
+         s.values[1].resize(7);
+       },
+       VerifyError::kWrongLength},
+      {"short first value", [](Solution& s) { s.values[0].resize(7); },
+       VerifyError::kWrongLength},
+  };
+  for (const Shape& shape : shapes) {
+    VerifyOutcome outs[2];
+    const PuzzleEngine* engines[2] = {&sha, &oracle};
+    for (int e = 0; e < 2; ++e) {
+      Rng rng(7);
+      std::uint64_t ops = 0;
+      const Challenge ch = engines[e]->make_challenge(flow, 1000, diff);
+      Solution sol = engines[e]->solve(ch, flow, rng, ops);
+      shape.mangle(sol);
+      outs[e] = engines[e]->verify(flow, sol, diff, 1500);
+    }
+    SCOPED_TRACE(shape.name);
+    EXPECT_FALSE(outs[0].ok);
+    EXPECT_FALSE(outs[1].ok);
+    EXPECT_EQ(outs[0].error, shape.error);
+    EXPECT_EQ(outs[1].error, shape.error);
+    // Rejected before the pre-image is re-derived: no hash spent.
+    EXPECT_EQ(outs[0].hash_ops, 0u);
+    EXPECT_EQ(outs[1].hash_ops, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Real-engine specifics
 // ---------------------------------------------------------------------------

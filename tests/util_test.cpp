@@ -207,7 +207,7 @@ TEST(Histogram, RejectsDegenerateConfig) {
 // ---------------------------------------------------------------------------
 
 TEST(TimeSeries, BinsByTime) {
-  TimeSeries ts(SimTime::seconds(1));
+  TimeSeries ts;
   ts.add(SimTime::milliseconds(100), 10.0);
   ts.add(SimTime::milliseconds(900), 5.0);
   ts.add(SimTime::milliseconds(1000), 1.0);
@@ -216,20 +216,14 @@ TEST(TimeSeries, BinsByTime) {
   EXPECT_EQ(ts.rate_at(0), 15.0);
 }
 
-TEST(TimeSeries, SubSecondBinsScaleRates) {
-  TimeSeries ts(SimTime::milliseconds(250));
-  ts.add(SimTime::milliseconds(100), 2.0);
-  EXPECT_DOUBLE_EQ(ts.rate_at(0), 8.0);  // 2 per quarter second = 8/s
-}
-
 TEST(TimeSeries, MeanRateCountsMissingBinsAsZero) {
-  TimeSeries ts(SimTime::seconds(1));
+  TimeSeries ts;
   ts.add(SimTime::seconds(0), 10.0);
   EXPECT_DOUBLE_EQ(ts.mean_rate(0, 10), 1.0);
 }
 
 TEST(TimeSeries, NegativeTimeIgnored) {
-  TimeSeries ts(SimTime::seconds(1));
+  TimeSeries ts;
   ts.add(SimTime::nanoseconds(-5), 1.0);
   EXPECT_EQ(ts.bins(), 0u);
 }
