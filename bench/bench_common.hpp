@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "crypto/sha256.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "par/engine.hpp"
@@ -220,14 +221,16 @@ inline void write_json_report() {
                  json_escape(g_metrics[i].first).c_str(), g_metrics[i].second);
   }
   // Every report identifies its engine configuration and hardware: the
-  // shard count, hardware threads and CPU model always lead the labels, so
-  // sharded and single-thread runs of the same bench, and runs from
-  // different machines, are distinguishable.
+  // shard count, hardware threads, CPU model and SHA-256 path always lead
+  // the labels, so sharded and single-thread runs of the same bench, and
+  // runs from different machines, are distinguishable.
   std::fprintf(f, "\n  },\n  \"labels\": {\n    \"shards\": \"%d\"", g_shards);
   std::fprintf(f, ",\n    \"hw_threads\": \"%u\"",
                std::thread::hardware_concurrency());
   std::fprintf(f, ",\n    \"cpu_model\": \"%s\"",
                json_escape(cpu_model()).c_str());
+  std::fprintf(f, ",\n    \"sha256_impl\": \"%s\"",
+               tcpz::crypto::sha256_impl());
   for (std::size_t i = 0; i < g_labels.size(); ++i) {
     std::fprintf(f, ",\n    \"%s\": \"%s\"",
                  json_escape(g_labels[i].first).c_str(),

@@ -11,7 +11,9 @@
 //  * bit-identical outputs: cached-midstate HMAC == one-shot HMAC, and the
 //    new verify accepts exactly the solutions the reference verify accepts;
 //  * zero heap allocations per Segment copy (the inline option buffers):
-//    counted with a real operator-new hook around a copy loop.
+//    counted with a real operator-new hook around a copy loop;
+//  * where the CPU has SHA-NI, the hardware compression is >= 2x the scalar
+//    one over chained blocks (skipped, and said so, where it has not).
 //
 // Self-contained (no Google Benchmark) so it always builds, and cheap enough
 // in --smoke mode for the CI bench-smoke step.
@@ -25,6 +27,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/secret.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_impl.hpp"
 #include "puzzle/engine.hpp"
 #include "tcp/options.hpp"
 #include "tcp/segment.hpp"
@@ -513,6 +516,25 @@ int main(int argc, char** argv) {
                 .preimage[0]);
       });
 
+  // --- one compression per path, chained: each block waits on the last -----
+  std::uint8_t chain_block[64] = {};
+  crypto::Sha256::State scalar_state = crypto::Sha256::initial_state();
+  crypto::Sha256::State hw_state = scalar_state;
+  const auto scalar_block = [&](std::uint64_t i) {
+    chain_block[0] = static_cast<std::uint8_t>(i);
+    crypto::compress_scalar(scalar_state, chain_block);
+    return static_cast<std::uint64_t>(scalar_state[0]);
+  };
+  const auto hw_block = [&](std::uint64_t i) {
+    chain_block[0] = static_cast<std::uint8_t>(i);
+    crypto::compress_shani(hw_state, chain_block);
+    return static_cast<std::uint64_t>(hw_state[0]);
+  };
+  const bool hw = crypto::sha256_hw_available();
+  const auto [block_scalar, block_hw] =
+      hw ? timed_pair(n, scalar_block, hw_block)
+         : std::pair<Rate, Rate>{timed(n, scalar_block), {}};
+
   // --- segment copy: the link-delivery closure path, allocation-counted ----
   const tcp::Segment chal_seg = make_challenge_segment();
   const tcp::Segment sol_seg = make_solution_segment();
@@ -548,6 +570,8 @@ int main(int argc, char** argv) {
   benchutil::metric("challenge_ops_per_sec", challenge_new.ops_per_sec);
   benchutil::metric("challenge_speedup",
                     challenge_new.ops_per_sec / challenge_ref.ops_per_sec);
+  benchutil::metric("sha256_block_ns_scalar", 1e9 / block_scalar.ops_per_sec);
+  if (hw) benchutil::metric("sha256_block_ns_hw", 1e9 / block_hw.ops_per_sec);
   benchutil::metric("segment_copy_pairs_per_sec", seg_copy.ops_per_sec);
   benchutil::metric("segment_copy_heap_allocs",
                     static_cast<double>(copy_allocs));
@@ -570,12 +594,19 @@ int main(int argc, char** argv) {
       "challenge generation >= 1.5x the seed implementation",
       challenge_new.ops_per_sec >= 1.5 * challenge_ref.ops_per_sec);
   benchutil::check("zero heap allocations per segment copy", copy_allocs == 0);
+  if (hw) {
+    benchutil::check("SHA-NI compression >= 2x scalar (chained blocks)",
+                     block_hw.ops_per_sec >= 2 * block_scalar.ops_per_sec);
+  } else {
+    std::printf("[SKIP] SHA-NI compression >= 2x scalar: CPU lacks SHA-NI\n");
+  }
 
   // Keep the sinks alive.
   if ((hmac_ref.sink ^ hmac_new.sink ^ verify_valid_ref.sink ^
        verify_valid_new.sink ^ verify_bogus_ref.sink ^ verify_bogus_new.sink ^
        cookie_ref.sink ^ cookie_new.sink ^ challenge_ref.sink ^
-       challenge_new.sink ^ seg_copy.sink) == 0xdeadbeef) {
+       challenge_new.sink ^ block_scalar.sink ^ block_hw.sink ^
+       seg_copy.sink) == 0xdeadbeef) {
     std::printf("(sink)\n");
   }
   return benchutil::finish();

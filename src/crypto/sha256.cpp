@@ -3,6 +3,12 @@
 #include <bit>
 #include <cstring>
 
+#include "crypto/sha256_impl.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace tcpz::crypto {
 namespace {
 
@@ -48,7 +54,7 @@ void Sha256::reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::compress(State& state, const std::uint8_t* block) {
+void compress_scalar(Sha256::State& state, const std::uint8_t* block) {
   // The message schedule is kept as a loop (the compiler vectorizes it);
   // the 64 rounds are fully unrolled with the register rotation expressed as
   // argument permutation, so the round state lives in registers end to end —
@@ -90,6 +96,90 @@ void Sha256::compress(State& state, const std::uint8_t* block) {
   state[5] += f;
   state[6] += g;
   state[7] += h;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+// The SHA extensions keep the eight working words as two vectors, ABEF and
+// CDGH (lane comments read high lane to low); each _mm_sha256rnds2_epu32
+// runs two rounds and msg1/msg2 extend the message schedule four words at a
+// time. Only this function is compiled for the extension, so no SHA/SSE4.1
+// instruction leaks into code that runs before the CPU check.
+__attribute__((target("sha,ssse3,sse4.1"))) void compress_shani(
+    Sha256::State& state, const std::uint8_t* block) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xb1);                // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1b);              // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);      // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xf0);           // CDGH
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // w[g & 3] holds schedule words 4g..4g+3 while group g runs.
+  __m128i w[4];
+  for (int i = 0; i < 4; ++i) {
+    w[i] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + i * 16)),
+        byte_swap);
+  }
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    if (g >= 4) {
+      const __m128i w_7 = _mm_alignr_epi8(w[(g + 3) & 3], w[(g + 2) & 3], 4);
+      w[g & 3] = _mm_sha256msg2_epu32(
+          _mm_add_epi32(_mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]), w_7),
+          w[(g + 3) & 3]);
+    }
+    __m128i wk = _mm_add_epi32(
+        w[g & 3],
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[g * 4])));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    wk = _mm_shuffle_epi32(wk, 0x0e);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  tmp = _mm_shuffle_epi32(abef, 0x1b);               // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xb1);              // DCHG
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(tmp, cdgh, 0xf0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(cdgh, tmp, 8));     // HGFE
+}
+
+bool sha256_hw_available() {
+  // __builtin_cpu_init() must run first: otherwise the feature bits are
+  // filled in by a library constructor that may not have run yet when the
+  // first hash is taken (e.g. from a static initializer), and read false.
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  }();
+  return available;
+}
+
+#else
+
+void compress_shani(Sha256::State& state, const std::uint8_t* block) {
+  compress_scalar(state, block);  // unreachable: no SHA-NI off x86
+}
+
+bool sha256_hw_available() { return false; }
+
+#endif
+
+void Sha256::compress(State& state, const std::uint8_t* block) {
+  static const auto impl =
+      sha256_hw_available() ? &compress_shani : &compress_scalar;
+  impl(state, block);
+}
+
+const char* sha256_impl() {
+  return sha256_hw_available() ? "sha-ni" : "scalar";
 }
 
 Sha256::State Sha256::initial_state() {
@@ -142,15 +232,7 @@ Sha256Digest Sha256::finalize() {
   }
   update(std::span<const std::uint8_t>(pad, pad_len));
   update(std::span<const std::uint8_t>(len_be, 8));
-
-  Sha256Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
-  return out;
+  return state_to_digest(state_);
 }
 
 Sha256Digest Sha256::hash(std::span<const std::uint8_t> data) {
@@ -163,16 +245,6 @@ Sha256Digest Sha256::hash(std::string_view s) {
   Sha256 h;
   h.update(s);
   return h.finalize();
-}
-
-Bytes prefix_bits(const Sha256Digest& digest, unsigned bits) {
-  const unsigned nbytes = (bits + 7) / 8;
-  Bytes out(digest.begin(), digest.begin() + nbytes);
-  const unsigned extra = nbytes * 8 - bits;
-  if (extra > 0 && !out.empty()) {
-    out.back() &= static_cast<std::uint8_t>(0xff << extra);
-  }
-  return out;
 }
 
 bool prefix_bits_equal(const Sha256Digest& a, const Sha256Digest& b,

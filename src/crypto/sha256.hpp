@@ -2,6 +2,12 @@
 // external crypto dependency. The paper's puzzle scheme (after Juels &
 // Brainard) relies only on pre-image resistance of the hash; the Linux patch
 // used the kernel's SHA-256, we use this one.
+//
+// Like the kernel's, it runs on the CPU's SHA extensions where it has them:
+// compress() picks the x86 SHA-NI path or the portable scalar one from the
+// CPU alone, once per process, with no option to override it. Both give
+// identical digests; the scalar path is the only one off x86 and the
+// reference the tests hold the hardware path to.
 #pragma once
 
 #include <array>
@@ -9,8 +15,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-
-#include "util/bytes.hpp"
 
 namespace tcpz::crypto {
 
@@ -43,7 +47,9 @@ class Sha256 {
   /// The raw compression function: folds one 64-byte block into `state`.
   /// The keyed hot paths (HMAC midstates, the puzzle solution check) build
   /// fully-padded single blocks on the stack and call this directly,
-  /// skipping the incremental buffering/finalization machinery.
+  /// skipping the incremental buffering/finalization machinery. Every hash
+  /// in the library goes through here, so this is where the SHA-NI/scalar
+  /// choice is made.
   static void compress(State& state, const std::uint8_t* block);
 
   /// Fresh initial state (FIPS 180-4 H(0)), for direct compress() use.
@@ -63,11 +69,12 @@ class Sha256 {
   std::size_t buffer_len_ = 0;
 };
 
-/// Returns the first `bits` bits of `digest` packed into bytes, remaining
-/// bits of the last byte zeroed. The puzzle scheme compares m-bit prefixes.
-[[nodiscard]] Bytes prefix_bits(const Sha256Digest& digest, unsigned bits);
+/// Which compression path this process runs: "sha-ni" or "scalar". Bench
+/// reports carry it, so a crypto timing always names its path.
+[[nodiscard]] const char* sha256_impl();
 
-/// True iff the first `bits` bits of a and b agree.
+/// True iff the first `bits` bits of a and b agree. The puzzle scheme
+/// compares m-bit prefixes.
 [[nodiscard]] bool prefix_bits_equal(const Sha256Digest& a,
                                      const Sha256Digest& b, unsigned bits);
 

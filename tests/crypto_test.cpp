@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 
 #include "crypto/hmac.hpp"
 #include "crypto/secret.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_impl.hpp"
 #include "fleet/secret_directory.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -82,18 +84,89 @@ TEST(Sha256, ResetReusesObject) {
 }
 
 // ---------------------------------------------------------------------------
-// prefix bits
+// The two compression paths: scalar against the FIPS vectors on its own, and
+// SHA-NI bit-equal to scalar wherever the CPU has it.
 // ---------------------------------------------------------------------------
 
-TEST(PrefixBits, ExtractsAndMasks) {
-  Sha256Digest d{};
-  d[0] = 0b10110101;
-  d[1] = 0b11110000;
-  EXPECT_EQ(prefix_bits(d, 8), (Bytes{0b10110101}));
-  EXPECT_EQ(prefix_bits(d, 4), (Bytes{0b10110000}));
-  EXPECT_EQ(prefix_bits(d, 12), (Bytes{0b10110101, 0b11110000}));
-  EXPECT_EQ(prefix_bits(d, 9), (Bytes{0b10110101, 0b10000000}));
+/// Pads and hashes `msg` through compress_scalar alone, bypassing the
+/// dispatch in Sha256::compress.
+std::string scalar_hash_hex(std::string_view msg) {
+  Bytes data(msg.begin(), msg.end());
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  data.push_back(0x80);
+  while (data.size() % 64 != 56) data.push_back(0);
+  for (int i = 0; i < 8; ++i) {
+    data.push_back(static_cast<std::uint8_t>(bits >> (56 - 8 * i)));
+  }
+  Sha256::State state = Sha256::initial_state();
+  for (std::size_t off = 0; off < data.size(); off += 64) {
+    compress_scalar(state, data.data() + off);
+  }
+  return digest_hex(Sha256::state_to_digest(state));
 }
+
+TEST(Sha256Paths, ScalarMatchesFipsVectors) {
+  EXPECT_EQ(scalar_hash_hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      scalar_hash_hex(
+          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(scalar_hash_hex(std::string(1'000'000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256Paths, ImplNamesTheDispatchedPath) {
+  EXPECT_STREQ(sha256_impl(), sha256_hw_available() ? "sha-ni" : "scalar");
+}
+
+TEST(Sha256Paths, HardwareBitEqualToScalarOnChainedBlocks) {
+  if (!sha256_hw_available()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  // Each block is random and each state is the previous output, so every
+  // round sees fresh state and message words.
+  Rng rng(20261017);
+  Sha256::State hw = Sha256::initial_state();
+  Sha256::State sw = hw;
+  std::uint8_t block[64];
+  for (int i = 0; i < 100'000; ++i) {
+    for (int j = 0; j < 64; j += 8) {
+      const std::uint64_t r = rng.next();
+      std::memcpy(block + j, &r, 8);
+    }
+    compress_shani(hw, block);
+    compress_scalar(sw, block);
+    ASSERT_EQ(hw, sw) << "block " << i;
+  }
+}
+
+TEST(Sha256Paths, HardwareBitEqualToScalarOnHmacMidstates) {
+  if (!sha256_hw_available()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  // The ipad/opad blocks HmacKey compresses once per key, from random keys
+  // of every length up to one block.
+  Rng rng(4231);
+  for (int iter = 0; iter < 1'000; ++iter) {
+    std::uint8_t key[64] = {};
+    const std::size_t key_len = rng.uniform_u64(65);
+    for (std::size_t j = 0; j < key_len; ++j) {
+      key[j] = static_cast<std::uint8_t>(rng.next());
+    }
+    for (const std::uint8_t pad : {0x36, 0x5c}) {
+      std::uint8_t block[64];
+      for (int j = 0; j < 64; ++j) {
+        block[j] = static_cast<std::uint8_t>(key[j] ^ pad);
+      }
+      Sha256::State hw = Sha256::initial_state();
+      Sha256::State sw = hw;
+      compress_shani(hw, block);
+      compress_scalar(sw, block);
+      ASSERT_EQ(hw, sw) << "key_len=" << key_len << " pad=" << int{pad};
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// prefix bits
+// ---------------------------------------------------------------------------
 
 TEST(PrefixBits, EqualityRespectsBitCount) {
   Sha256Digest a{}, b{};
