@@ -162,7 +162,7 @@ inline tcpz::scenario::Result run_scenario(tcpz::scenario::Spec spec,
     std::error_code ec;
     std::filesystem::create_directories("results", ec);
     std::string stem = "results/TRACE_" + sanitize(g_artifact);
-    if (!run.empty()) stem += "_" + sanitize(run);
+    if (!run.empty()) stem.append("_").append(sanitize(run));
     spec.obs.chrome_trace_path = stem + ".json";
     spec.obs.flows_path = stem + ".flows.txt";
   }

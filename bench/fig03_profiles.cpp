@@ -58,8 +58,9 @@ double measure_service_rate(const benchutil::Args& args, int concurrency) {
   s.servers.policies = {defense::PolicySpec::none()};
   s.servers.listen_backlog = 16384;
   s.servers.accept_backlog = 16384;
-  const scenario::Result res =
-      benchutil::run_scenario(s, args, "c" + std::to_string(concurrency));
+  std::string run = "c";
+  run.append(std::to_string(concurrency));
+  const scenario::Result res = benchutil::run_scenario(s, args, run);
   const std::size_t end = s.duration_bins();
   return res.server().responses.mean_rate(end / 4, end - 1);
 }

@@ -34,8 +34,9 @@ scenario::Result run_config(const benchutil::Args& args, std::uint8_t k,
   policy.always_challenge = true;  // Experiment 1 forces the puzzle path
   s.servers.policies = {policy};
   s.servers.difficulty = {k, m};
-  return benchutil::run_scenario(
-      s, args, "k" + std::to_string(k) + "m" + std::to_string(m));
+  std::string run = "k";
+  run.append(std::to_string(k)).append("m").append(std::to_string(m));
+  return benchutil::run_scenario(s, args, run);
 }
 
 }  // namespace

@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
       scenario::Spec spec = base;
       spec.seed = args.seed + 1000u * k + m;
       spec.servers.difficulty = {k, m};
-      const scenario::Result res = benchutil::run_scenario(
-          spec, args, "k" + std::to_string(k) + "m" + std::to_string(m));
+      std::string run = "k";
+      run.append(std::to_string(k)).append("m").append(std::to_string(m));
+      const scenario::Result res = benchutil::run_scenario(spec, args, run);
       const auto box = throughput_box(res, spec);
       mean_of[k][m] = box.mean;
       median_of[k][m] = box.median;

@@ -14,6 +14,11 @@ constexpr double kPerPacketCpuSec = 0.7e-3;
 /// The flood tool abandons an attempt that has not completed after this
 /// long (an admitted solve gets three times as long).
 constexpr SimTime kAttemptTimeout = SimTime::seconds(1);
+constexpr std::uint32_t kAttemptTimeoutMs = kAttemptTimeout.nanos() / 1'000'000;
+
+std::uint32_t to_ms(SimTime t) {
+  return static_cast<std::uint32_t>(t.nanos() / 1'000'000);
+}
 
 }  // namespace
 
@@ -126,6 +131,7 @@ void AttackerAgent::launch_attempt(SimTime now, bool patched,
 
   auto [it, inserted] = attempts_.emplace(
       sport, Attempt{tcp::Connector(ccfg, rng_.next()), now, {}});
+  launches_.push_back({to_ms(now), sport});
   report_.attempts.add(now, 1.0);
   ++report_.total_attempts;
   apply(now, sport, it->second.connector.start(now));
@@ -236,31 +242,45 @@ void AttackerAgent::on_segment(SimTime now, const tcp::Segment& seg) {
   apply(now, seg.dport, it->second.connector.on_segment(now, seg));
 }
 
+bool AttackerAgent::settle(SimTime now, std::uint16_t sport) {
+  const auto it = attempts_.find(sport);
+  if (it == attempts_.end()) return true;
+  // Attempts with an admitted solve in progress get a grace period (the
+  // kernel finishes a running search even when the tool has lost interest).
+  const Attempt& attempt = it->second;
+  const bool solving =
+      attempt.connector.state() == tcp::ConnectorState::kSolving &&
+      static_cast<bool>(attempt.solve_timer);
+  const SimTime limit = solving ? kAttemptTimeout * 3 : kAttemptTimeout;
+  if (now - attempt.started <= limit) return false;
+  report_.failures.add(now, 1.0);
+  ++report_.total_failures;
+  // Descheduling the admitted solve models the tool closing its socket: the
+  // queued search is abandoned rather than firing as a tombstone.
+  erase_attempt(it);
+  TCPZ_TRACE(now, obs::Code::kOutcomeTimeout, cfg_.trace_track, sport);
+  strategy_->on_outcome(view(now), offense::Outcome::kTimeout);
+  return true;
+}
+
 void AttackerAgent::tick_loop() {
   const SimTime now = sim_.now();
   if (now >= until_) return;
   sim_.schedule_in(cfg_.tick_interval, [this] {
     const SimTime t = sim_.now();
-    // Recycle in-flight slots whose attempt went nowhere. Attempts with an
-    // admitted solve in progress get a grace period (the kernel finishes a
-    // running search even when the tool has lost interest).
-    std::vector<std::uint16_t> stale;
-    for (const auto& [sport, attempt] : attempts_) {
-      const bool solving =
-          attempt.connector.state() == tcp::ConnectorState::kSolving &&
-          static_cast<bool>(attempt.solve_timer);
-      const SimTime limit =
-          solving ? kAttemptTimeout * 3 : kAttemptTimeout;
-      if (t - attempt.started > limit) stale.push_back(sport);
-    }
-    for (const std::uint16_t sport : stale) {
-      report_.failures.add(t, 1.0);
-      ++report_.total_failures;
-      // Descheduling the admitted solve models the tool closing its socket:
-      // the queued search is abandoned rather than firing as a tombstone.
-      erase_attempt(attempts_.find(sport));
-      TCPZ_TRACE(t, obs::Code::kOutcomeTimeout, cfg_.trace_track, sport);
-      strategy_->on_outcome(view(t), offense::Outcome::kTimeout);
+    // Recycle in-flight slots whose attempt went nowhere. No attempt is
+    // stale before kAttemptTimeout, so only the grace list and the launches
+    // come due are checked, not the whole table. A stamp rounds down, so a
+    // launch is due no later than its attempt; settle() applies the exact
+    // limit, to whichever attempt now holds the port.
+    std::erase_if(grace_,
+                  [&](std::uint16_t sport) { return settle(t, sport); });
+    const std::uint32_t t_ms = to_ms(t);
+    while (!launches_.empty() &&
+           t_ms - launches_.front().at_ms >= kAttemptTimeoutMs) {
+      const std::uint16_t sport = launches_.front().sport;
+      launches_.pop_front();
+      if (!settle(t, sport)) grace_.push_back(sport);
     }
     if (t < cfg_.attack_end) tick_loop();
   });

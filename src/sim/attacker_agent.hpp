@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
@@ -83,6 +84,13 @@ class AttackerAgent {
 
   using AttemptMap = std::unordered_map<std::uint16_t, Attempt>;
 
+  /// One launch, stamped with its start time in whole milliseconds (the
+  /// 32-bit wrapping clock; compared by unsigned difference).
+  struct Launch {
+    std::uint32_t at_ms;
+    std::uint16_t sport;
+  };
+
   [[nodiscard]] offense::BotView view(SimTime now);
   void on_segment(SimTime now, const tcp::Segment& seg);
   void flood_loop();
@@ -94,6 +102,9 @@ class AttackerAgent {
   void send_all(const std::vector<tcp::Segment>& segs);
   /// Erases an attempt, descheduling any in-flight solve completion.
   void erase_attempt(AttemptMap::iterator it);
+  /// Times out the attempt on `sport` if the tool has given up on it. True
+  /// when the port needs no more watching: timed out, or no attempt there.
+  bool settle(SimTime now, std::uint16_t sport);
 
   net::Simulator& sim_;
   net::Host& host_;
@@ -105,6 +116,12 @@ class AttackerAgent {
   std::unique_ptr<offense::AttackStrategy> strategy_;
 
   AttemptMap attempts_;
+  /// Launches not yet kAttemptTimeout old, oldest first (attempts are started
+  /// in time order). A due record whose port is free by then is dropped.
+  std::deque<Launch> launches_;
+  /// Ports whose launch came due but whose attempt was not: it was solving,
+  /// or the whole-ms stamp rounded down. Re-checked every tick.
+  std::vector<std::uint16_t> grace_;
   std::uint16_t next_sport_ = 1024;
 };
 

@@ -94,12 +94,13 @@ void ServerAgent::drain_accept_queue(SimTime now) {
   while (static_cast<int>(workers_.size()) < cfg_.n_workers) {
     auto conn = listener_.accept(now);
     if (!conn) break;
-    WorkerState state{*conn, now, false};
-    if (early_requests_.contains(conn->flow)) {
-      state.has_request = true;
+    const bool has_request = early_requests_.contains(conn->flow);
+    if (has_request) {
       ready_.push_back(conn->flow);
+    } else {
+      idle_.push_back({conn->flow, now});
     }
-    workers_.emplace(conn->flow, state);
+    workers_.emplace(conn->flow, WorkerState{now, has_request});
   }
 }
 
@@ -131,16 +132,20 @@ void ServerAgent::tick_loop() {
     send_all(listener_.on_tick(now));
     cpu_.charge_hash_ops(listener_.take_hash_ops());
 
-    // Reap workers pinned by request-less connections (flood bots).
-    for (auto it = workers_.begin(); it != workers_.end();) {
-      if (!it->second.has_request &&
-          now - it->second.accepted_at > cfg_.app_idle_timeout) {
-        listener_.close(it->first);
-        early_requests_.erase(it->first);
-        it = workers_.erase(it);
-      } else {
-        ++it;
+    // Reap workers pinned by request-less connections (flood bots). Only
+    // workers accepted over app_idle_timeout ago can be due; they head idle_.
+    while (!idle_.empty() &&
+           now - idle_.front().accepted_at > cfg_.app_idle_timeout) {
+      const IdleWorker due = idle_.front();
+      idle_.pop_front();
+      const auto it = workers_.find(due.flow);
+      if (it == workers_.end() || it->second.has_request ||
+          it->second.accepted_at != due.accepted_at) {
+        continue;
       }
+      listener_.close(due.flow);
+      early_requests_.erase(due.flow);
+      workers_.erase(it);
     }
     // Early requests whose connection evaporated (closed before accept).
     for (auto it = early_requests_.begin(); it != early_requests_.end();) {

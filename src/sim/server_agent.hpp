@@ -59,9 +59,14 @@ class ServerAgent {
 
  private:
   struct WorkerState {
-    tcp::AcceptedConnection conn;
     SimTime accepted_at;
     bool has_request = false;
+  };
+
+  /// A worker that was accepted without a request, in accept order.
+  struct IdleWorker {
+    tcp::FlowKey flow;
+    SimTime accepted_at;
   };
 
   void on_segment(SimTime now, const tcp::Segment& seg);
@@ -86,6 +91,10 @@ class ServerAgent {
   std::unordered_map<tcp::FlowKey, WorkerState, tcp::FlowKeyHash> workers_;
   /// Workers whose request has arrived, FIFO for the service loop.
   std::deque<tcp::FlowKey> ready_;
+  /// Workers accepted without a request, oldest first: the reaper's only
+  /// candidates. A record whose worker has since been served (or whose flow
+  /// was re-accepted later) is skipped when it comes due.
+  std::deque<IdleWorker> idle_;
   /// Requests that arrived before accept() got to the connection.
   std::unordered_map<tcp::FlowKey, std::uint32_t, tcp::FlowKeyHash> early_requests_;
 };

@@ -671,7 +671,10 @@ std::vector<Segment> Listener::on_tick(SimTime now) {
     set_difficulty(*decision.difficulty);
   }
 
+  // Nothing is due before the queue's earliest deadline; the sweep runs
+  // only on ticks that reach it, unchanged, so retransmits keep their order.
   std::vector<Segment> out;
+  if (now < listen_.next_deadline()) return out;
   const std::uint32_t now_ms = to_ms(now);
 
   listen_.retain([&](HalfOpenEntry& entry) {

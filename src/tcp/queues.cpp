@@ -3,8 +3,9 @@
 namespace tcpz::tcp {
 
 bool ListenQueue::insert(const HalfOpenEntry& entry) {
-  if (full()) return false;
-  return entries_.emplace(entry.flow, entry).second;
+  if (full() || !entries_.emplace(entry.flow, entry).second) return false;
+  next_deadline_ = std::min(next_deadline_, entry.next_retx);
+  return true;
 }
 
 HalfOpenEntry* ListenQueue::find(const FlowKey& flow) {

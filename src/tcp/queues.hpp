@@ -5,6 +5,7 @@
 // cookies and puzzles is what happens when they are full.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -53,7 +54,9 @@ struct AcceptedConnection {
   SimTime established_at;
 };
 
-/// Bounded map of half-open connections, FIFO-iterable for expiry scans.
+/// Bounded hash map of half-open connections. Iteration follows the hash
+/// table, not arrival order; the expiry tick is kept cheap instead by a
+/// conservative bound on the earliest retransmit deadline.
 class ListenQueue {
  public:
   explicit ListenQueue(std::size_t capacity) : capacity_(capacity) {}
@@ -67,22 +70,31 @@ class ListenQueue {
   [[nodiscard]] HalfOpenEntry* find(const FlowKey& flow);
   void erase(const FlowKey& flow);
 
+  /// No entry's next_retx is earlier than this. insert() lowers it and
+  /// retain() recomputes it from the survivors; erase() leaves it alone, so
+  /// a stale bound costs at most one sweep that finds nothing due.
+  [[nodiscard]] SimTime next_deadline() const { return next_deadline_; }
+
   /// Applies `fn` to every entry; if it returns false the entry is removed.
-  /// Used by the expiry/retransmit tick.
+  /// `fn` may move an entry's next_retx. Used by the expiry/retransmit tick.
   template <typename Fn>
   void retain(Fn&& fn) {
+    SimTime earliest = SimTime::max();
     for (auto it = entries_.begin(); it != entries_.end();) {
       if (fn(it->second)) {
+        earliest = std::min(earliest, it->second.next_retx);
         ++it;
       } else {
         it = entries_.erase(it);
       }
     }
+    next_deadline_ = earliest;
   }
 
  private:
   std::size_t capacity_;
   std::unordered_map<FlowKey, HalfOpenEntry, FlowKeyHash> entries_;
+  SimTime next_deadline_ = SimTime::max();
 };
 
 /// Bounded FIFO of established connections awaiting accept(), with an O(1)

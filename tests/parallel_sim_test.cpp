@@ -76,18 +76,21 @@ TEST(ParallelSim, SingleShardReproducesGoldenTrace) {
 
 class ParallelSimShards : public ::testing::TestWithParam<int> {};
 
-/// Golden (full_digest, merged-trace digest) of par_fixture() at a shard
-/// count. Repeat-determinism alone cannot see a change in agent placement
-/// or cross-shard injection order; these pins can.
+/// Golden (full_digest, merged-trace digest, order-insensitive merged-trace
+/// digest) of par_fixture() at a shard count. Repeat-determinism alone
+/// cannot see a change in agent placement or cross-shard injection order;
+/// these pins can. When `trace` moves and `unordered_trace` does not, the
+/// change only reordered events recorded at the same instant.
 struct ShardGolden {
   int shards;
   std::uint64_t result;
   std::uint64_t trace;
+  std::uint64_t unordered_trace;
 };
 constexpr ShardGolden kShardGoldens[] = {
-    {2, 0x35c63da11271cbaaull, 0xce69b560afc0e20bull},
-    {4, 0x4118d9689cc0b84aull, 0xb9d238bfb021bdbbull},
-    {8, 0x73d2c72cf52b1126ull, 0xe51183d27b541f83ull},
+    {2, 0x35c63da11271cbaaull, 0xa9935a13f1c5efffull, 0xc67ef0848c36e71dull},
+    {4, 0x4118d9689cc0b84aull, 0xb9d238bfb021bdbbull, 0x27bf1582eb81d5cfull},
+    {8, 0x73d2c72cf52b1126ull, 0xe51183d27b541f83ull, 0x1a5ba76af6c872abull},
 };
 
 /// full_digest of the 4-shard sharded-fleet fixture below.
@@ -116,6 +119,10 @@ TEST_P(ParallelSimShards, FixedSeedAndShardsIsDeterministic) {
   EXPECT_EQ(a.trace->digest(), golden->trace)
       << "merged trace drifted from the golden at " << n
       << " shards; computed 0x" << std::hex << a.trace->digest();
+  EXPECT_EQ(tracedigest::unordered_digest(*a.trace), golden->unordered_trace)
+      << "merged trace content drifted from the golden at " << n
+      << " shards; computed 0x" << std::hex
+      << tracedigest::unordered_digest(*a.trace);
 }
 
 INSTANTIATE_TEST_SUITE_P(N, ParallelSimShards, ::testing::Values(2, 4, 8));

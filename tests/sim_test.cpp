@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
+#include "net/link.hpp"
+#include "net/node.hpp"
+#include "net/simulator.hpp"
+#include "puzzle/engine.hpp"
+#include "sim/attacker_agent.hpp"
 #include "sim/cpu.hpp"
 #include "sim/devices.hpp"
+#include "sim/server_agent.hpp"
 #include "defense/spec.hpp"
 #include "offense/spec.hpp"
 #include "scenario/spec.hpp"
@@ -309,6 +316,222 @@ TEST(Scenario, IdleClientsCostNoEvents) {
   EXPECT_EQ(many.clients.back().cpu.points().size(),
             few.clients.front().cpu.points().size());
   EXPECT_EQ(few.clients.front().cpu.points().size(), 80u);
+}
+
+// ---------------------------------------------------------------------------
+// Agent timers: bot attempt timeouts and the idle-worker reaper. Both ticks
+// run every 100 ms from t = 0; the events under test sit off that grid.
+// ---------------------------------------------------------------------------
+
+SimTime at_s(double s) { return SimTime::from_seconds(s); }
+
+/// Every solve costs the same number of hash ops, so a solve takes exactly
+/// cost / hash_rate seconds.
+class FixedCostEngine final : public puzzle::PuzzleEngine {
+ public:
+  explicit FixedCostEngine(std::uint64_t cost)
+      : PuzzleEngine(crypto::SecretKey::from_seed(1), {}), cost_(cost) {}
+  [[nodiscard]] puzzle::Solution solve(const puzzle::Challenge& ch,
+                                       const puzzle::FlowBinding& /*flow*/,
+                                       Rng& /*rng*/,
+                                       std::uint64_t& hash_ops) const override {
+    hash_ops = cost_;
+    puzzle::Solution sol;
+    sol.timestamp = ch.timestamp;
+    return sol;
+  }
+
+ private:
+  [[nodiscard]] std::size_t first_bad_value(
+      const puzzle::Preimage& /*preimage*/, const puzzle::Solution& sol,
+      unsigned /*m_bits*/) const override {
+    return sol.values.size();
+  }
+  std::uint64_t cost_;
+};
+
+/// One patched conn-flood bot against a scripted server that challenges
+/// every SYN and counts the solution ACKs. A slot every 350 ms launches the
+/// first attempt at 0.35 s; each solve takes `solve_s` on one lane.
+struct BotRig {
+  net::Simulator sim;
+  net::Host bot{sim, "bot", tcp::ipv4(10, 9, 0, 1)};
+  net::Host server{sim, "server", tcp::ipv4(10, 1, 0, 1)};
+  net::Link up{sim, server, 1e9, SimTime::zero(), 1 << 20, "up"};
+  net::Link down{sim, bot, 1e9, SimTime::zero(), 1 << 20, "down"};
+  std::unique_ptr<AttackerAgent> agent;
+  int solution_acks = 0;
+
+  BotRig(double solve_s, int max_inflight) {
+    bot.set_default_route(&up);
+    server.set_default_route(&down);
+    server.set_handler([this](SimTime, const tcp::Segment& in) {
+      if (!in.is_syn()) {
+        if (in.options.solution) ++solution_acks;
+        return;
+      }
+      tcp::Segment out;
+      out.saddr = in.daddr;
+      out.daddr = in.saddr;
+      out.sport = in.dport;
+      out.dport = in.sport;
+      out.seq = 1;
+      out.ack = in.seq + 1;
+      out.flags = tcp::kSyn | tcp::kAck;
+      tcp::ChallengeOption ch;
+      ch.k = 1;
+      ch.m = 4;
+      ch.sol_len = 8;
+      ch.embedded_ts = 0;
+      ch.preimage = std::vector<std::uint8_t>(8, 0);
+      out.options.challenge = ch;
+      server.send(out);
+    });
+    AttackerAgentConfig cfg;
+    cfg.targets = {{server.addr(), 80}};
+    cfg.strategy = offense::StrategySpec::conn_flood(/*patched=*/true);
+    cfg.rate = 1.0 / 0.35;
+    cfg.attack_start = SimTime::zero();
+    cfg.attack_end = SimTime::seconds(60);
+    cfg.engine = std::make_shared<FixedCostEngine>(1000);
+    cfg.cpu = CpuSpec{1000.0 / solve_s, 1, 1};
+    cfg.max_inflight = max_inflight;
+    agent = std::make_unique<AttackerAgent>(sim, bot, cfg, 1);
+    agent->start(SimTime::seconds(60));
+  }
+  const HostReport& report() const { return agent->report(); }
+};
+
+// The 1 s attempt timeout does not apply while an admitted solve runs: the
+// attempt launched at 0.35 s is still solving at 1.35 s and is kept until
+// the first tick past 3.35 s. Timing it out abandons the solve.
+TEST(AgentTimers, SolvingAttemptIsKeptUntilThreeSeconds) {
+  BotRig rig(/*solve_s=*/5.0, /*max_inflight=*/1);
+  rig.sim.run_until(at_s(3.39));
+  EXPECT_EQ(rig.report().total_attempts, 1u);
+  EXPECT_EQ(rig.report().total_failures, 0u);
+  rig.sim.run_until(at_s(3.41));
+  EXPECT_EQ(rig.report().total_failures, 1u);
+  rig.sim.run_until(at_s(6.0));
+  EXPECT_EQ(rig.solution_acks, 0) << "a timed-out attempt's solve fired";
+}
+
+// An attempt whose solve would only end past the tool's 1 s patience is
+// refused a lane. Still "solving" but with no solve running, it times out
+// at the first tick past its 1 s mark (1.8 s), not at 3 s.
+TEST(AgentTimers, RefusedSolveTimesOutAtFirstTickPastOneSecond) {
+  BotRig rig(/*solve_s=*/5.0, /*max_inflight=*/2);
+  rig.sim.run_until(at_s(1.79));
+  EXPECT_EQ(rig.report().total_attempts, 2u);
+  EXPECT_EQ(rig.report().solves_refused, 1u);
+  EXPECT_EQ(rig.report().total_failures, 0u);
+  rig.sim.run_until(at_s(1.81));
+  EXPECT_EQ(rig.report().total_failures, 1u);
+}
+
+// A solve that ends after the 1 s mark, inside the grace period,
+// establishes the attempt; the grace re-check never counts it as failed.
+TEST(AgentTimers, SolveEndingInGraceEstablishes) {
+  BotRig rig(/*solve_s=*/1.5, /*max_inflight=*/1);
+  rig.sim.run_until(at_s(3.5));
+  EXPECT_EQ(rig.report().total_established, 1u);
+  EXPECT_EQ(rig.solution_acks, 1);
+  EXPECT_EQ(rig.report().total_failures, 0u);
+}
+
+// Attempts that complete well inside 1 s leave launch records behind; those
+// records coming due later never turn into failures.
+TEST(AgentTimers, EarlyCompletionIsNeverCountedAsFailure) {
+  BotRig rig(/*solve_s=*/0.2, /*max_inflight=*/1);
+  rig.sim.run_until(at_s(10.0));
+  EXPECT_GE(rig.report().total_attempts, 10u);
+  EXPECT_GE(rig.report().total_established + 1, rig.report().total_attempts);
+  EXPECT_EQ(rig.report().total_failures, 0u);
+}
+
+/// A stock server agent (5 s idle timeout) and a client host whose
+/// connections the test opens, feeds requests into and watches.
+struct ServerRig {
+  net::Simulator sim;
+  net::Host server{sim, "server", tcp::ipv4(10, 1, 0, 1)};
+  net::Host client{sim, "client", tcp::ipv4(10, 2, 0, 1)};
+  net::Link up{sim, server, 1e9, SimTime::zero(), 1 << 20, "up"};
+  net::Link down{sim, client, 1e9, SimTime::zero(), 1 << 20, "down"};
+  std::unique_ptr<ServerAgent> agent;
+
+  explicit ServerRig(double service_rate) {
+    client.set_default_route(&up);
+    server.set_default_route(&down);
+    client.set_handler([this](SimTime, const tcp::Segment& in) {
+      if (!in.is_syn_ack()) return;
+      send(in.dport, tcp::kAck, in.ack, in.seq + 1, 0);
+    });
+    ServerAgentConfig cfg;
+    cfg.listener.local_addr = server.addr();
+    cfg.listener.local_port = 80;
+    cfg.service_rate = service_rate;
+    agent = std::make_unique<ServerAgent>(sim, server, cfg,
+                                          crypto::SecretKey::from_seed(3), 3,
+                                          nullptr);
+    agent->start(SimTime::seconds(60));
+  }
+
+  void send(std::uint16_t port, std::uint8_t flags, std::uint32_t seq,
+            std::uint32_t ack, std::uint32_t payload) {
+    tcp::Segment s;
+    s.saddr = client.addr();
+    s.sport = port;
+    s.daddr = server.addr();
+    s.dport = 80;
+    s.flags = flags;
+    s.seq = seq;
+    s.ack = ack;
+    s.payload_bytes = payload;
+    client.send(s);
+  }
+  /// Handshake on `port` at `t` (the client's ISN is `port`).
+  void connect_at(double t, std::uint16_t port) {
+    sim.schedule_at(at_s(t),
+                    [this, port] { send(port, tcp::kSyn, port, 0, 0); });
+  }
+  /// A request on an established `port`, at `t`.
+  void request_at(double t, std::uint16_t port) {
+    sim.schedule_at(at_s(t), [this, port] {
+      send(port, tcp::kAck | tcp::kPsh, port + 1u, 0, 100);
+    });
+  }
+  int busy_at(double t) {
+    sim.run_until(at_s(t));
+    return agent->busy_workers();
+  }
+};
+
+// Both connections are accepted by the 1.1 s tick. The one whose request
+// arrives at 6.0 s (4.9 s after accept) is never reaped; the request-less
+// one is, at the first tick past 6.1 s.
+TEST(AgentTimers, LateRequestWorkerIsNeverReaped) {
+  ServerRig rig(/*service_rate=*/1e-9);  // requests are never served
+  rig.connect_at(1.03, 4000);
+  rig.connect_at(1.03, 4001);
+  EXPECT_EQ(rig.busy_at(1.15), 2);
+  rig.request_at(6.0, 4000);
+  EXPECT_EQ(rig.busy_at(6.15), 2);
+  EXPECT_EQ(rig.busy_at(6.25), 1);
+  EXPECT_EQ(rig.busy_at(30.0), 1);
+}
+
+// A flow served and then accepted again is reaped 5 s after its second
+// accept, not when its first accept comes due.
+TEST(AgentTimers, ReacceptedFlowIsReapedOnItsOwnClock) {
+  ServerRig rig(/*service_rate=*/200.0);
+  rig.connect_at(1.03, 4000);
+  rig.request_at(1.5, 4000);
+  EXPECT_EQ(rig.busy_at(1.45), 1);
+  EXPECT_EQ(rig.busy_at(2.5), 0);  // served and closed
+  rig.connect_at(3.03, 4000);
+  EXPECT_EQ(rig.busy_at(3.2), 1);
+  EXPECT_EQ(rig.busy_at(7.9), 1);  // the first accept's record came due
+  EXPECT_EQ(rig.busy_at(8.4), 0);
 }
 
 }  // namespace

@@ -11,10 +11,14 @@
 // a counter that never affects a digest is a counter nobody is testing).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <tuple>
+#include <vector>
 
 #include "defense/spec.hpp"
+#include "obs/trace.hpp"
 #include "offense/spec.hpp"
 #include "scenario/spec.hpp"
 #include "sim/metrics.hpp"
@@ -98,6 +102,27 @@ inline std::uint64_t sim_digest(const scenario::Result& r) {
     for (const auto& b : g.bots) h = fnv(h, digest(b));
   }
   return h;
+}
+
+/// Order-insensitive companion of obs::Recorder::digest(): the digest of
+/// the retained events sorted by (t, track) and then by content, folded with
+/// the count the ring overwrote. A
+/// change that only reorders events recorded at the same instant leaves it
+/// unchanged, so a moved ordered digest with an unmoved unordered one is a
+/// reordering, not a change in what the run did.
+inline std::uint64_t unordered_digest(const obs::Recorder& rec) {
+  std::vector<obs::TraceEvent> events = rec.snapshot();
+  const auto key = [](const obs::TraceEvent& e) {
+    return std::tie(e.t, e.track, e.cat, e.code, e.saddr, e.daddr, e.sport,
+                    e.dport, e.a0, e.a1);
+  };
+  std::sort(events.begin(), events.end(),
+            [&](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+              return key(a) < key(b);
+            });
+  obs::Recorder sorted(events.size());
+  for (const obs::TraceEvent& e : events) sorted.append(e);
+  return fnv(sorted.digest(), rec.overwritten());
 }
 
 /// The fixed-seed scaled §6 scenario (seed 42, 120 s, attack 30–80 s):
