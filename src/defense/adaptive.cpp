@@ -1,4 +1,4 @@
-#include "core/adaptive.hpp"
+#include "defense/adaptive.hpp"
 
 #include <stdexcept>
 

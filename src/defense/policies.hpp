@@ -6,7 +6,7 @@
 #include <memory>
 #include <string>
 
-#include "core/adaptive.hpp"
+#include "defense/adaptive.hpp"
 #include "defense/policy.hpp"
 #include "defense/spec.hpp"
 

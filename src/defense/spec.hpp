@@ -8,7 +8,7 @@
 #include <memory>
 #include <optional>
 
-#include "core/adaptive.hpp"
+#include "defense/adaptive.hpp"
 #include "defense/policy.hpp"
 
 namespace tcpz::defense {

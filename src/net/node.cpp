@@ -13,9 +13,8 @@ void Node::add_route(std::uint32_t dst_addr, Link* link) {
 }
 
 Link* Node::route_for(std::uint32_t dst_addr) const {
-  const auto it = routes_.find(dst_addr);
-  if (it != routes_.end()) return it->second;
-  return default_route_;
+  Link* const* link = routes_.find(dst_addr);
+  return link != nullptr ? *link : default_route_;
 }
 
 void Node::forward(const tcp::Segment& seg) {

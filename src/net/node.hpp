@@ -7,9 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 
 #include "tcp/segment.hpp"
+#include "util/flat_table.hpp"
 #include "util/time.hpp"
 
 namespace tcpz::net {
@@ -44,7 +44,7 @@ class Node {
  private:
   Simulator& sim_;
   std::string name_;
-  std::unordered_map<std::uint32_t, Link*> routes_;
+  FlatMap<std::uint32_t, Link*, IntHash> routes_;
   Link* default_route_ = nullptr;
   std::uint64_t unroutable_ = 0;
 };

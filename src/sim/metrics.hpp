@@ -3,11 +3,10 @@
 //
 // Field lists are single-sourced as X-macro tables (like
 // TCPZ_LISTENER_COUNTER_FIELDS in tcp/counters.hpp): the golden-trace digest
-// (tests/trace_digest.hpp), CSV serialization (sim/report_io.cpp) and the
-// metrics registry (obs/registry.cpp) all expand the same tables, so a new
-// series or total can never silently go un-digested or un-serialized. Table
-// order is load-bearing — the digests fold in table order; append, don't
-// reorder.
+// (tests/trace_digest.hpp) and the metrics registry (obs/registry.cpp) both
+// expand the same tables, so a new series or total can never silently go
+// un-digested or un-serialized. Table order is load-bearing — the digests
+// fold in table order; append, don't reorder.
 #pragma once
 
 #include <cstdint>

@@ -62,9 +62,9 @@ void ServerAgent::on_segment(SimTime now, const tcp::Segment& seg) {
 
 void ServerAgent::on_request(SimTime now, const tcp::FlowKey& flow,
                              const tcp::Segment& seg) {
-  if (const auto it = workers_.find(flow); it != workers_.end()) {
-    if (!it->second.has_request) {
-      it->second.has_request = true;
+  if (WorkerState* worker = workers_.find(flow)) {
+    if (!worker->has_request) {
+      worker->has_request = true;
       ready_.push_back(flow);
     }
     return;
@@ -100,7 +100,7 @@ void ServerAgent::drain_accept_queue(SimTime now) {
     } else {
       idle_.push_back({conn->flow, now});
     }
-    workers_.emplace(conn->flow, WorkerState{now, has_request});
+    workers_.try_emplace(conn->flow, WorkerState{now, has_request});
   }
 }
 
@@ -113,8 +113,8 @@ void ServerAgent::service_loop() {
     while (!ready_.empty()) {
       const tcp::FlowKey flow = ready_.front();
       ready_.pop_front();
-      const auto it = workers_.find(flow);
-      if (it == workers_.end() || !it->second.has_request) continue;  // stale
+      const WorkerState* worker = workers_.find(flow);
+      if (worker == nullptr || !worker->has_request) continue;  // stale
       respond_and_close(now, flow);
       break;
     }
@@ -138,23 +138,19 @@ void ServerAgent::tick_loop() {
            now - idle_.front().accepted_at > cfg_.app_idle_timeout) {
       const IdleWorker due = idle_.front();
       idle_.pop_front();
-      const auto it = workers_.find(due.flow);
-      if (it == workers_.end() || it->second.has_request ||
-          it->second.accepted_at != due.accepted_at) {
+      const WorkerState* worker = workers_.find(due.flow);
+      if (worker == nullptr || worker->has_request ||
+          worker->accepted_at != due.accepted_at) {
         continue;
       }
       listener_.close(due.flow);
       early_requests_.erase(due.flow);
-      workers_.erase(it);
+      workers_.erase(due.flow);
     }
     // Early requests whose connection evaporated (closed before accept).
-    for (auto it = early_requests_.begin(); it != early_requests_.end();) {
-      if (!listener_.is_established(it->first)) {
-        it = early_requests_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    early_requests_.erase_if([this](const tcp::FlowKey& flow, std::uint32_t) {
+      return !listener_.is_established(flow);
+    });
     drain_accept_queue(now);
     tick_loop();
   });

@@ -13,13 +13,13 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
 #include "net/node.hpp"
 #include "net/simulator.hpp"
 #include "sim/cpu.hpp"
 #include "sim/metrics.hpp"
 #include "tcp/listener.hpp"
+#include "util/flat_table.hpp"
 #include "util/rng.hpp"
 #include "workload/profiles.hpp"
 
@@ -88,7 +88,7 @@ class ServerAgent {
   SimTime until_;
 
   /// Connections holding a worker (accepted, not yet responded/reaped).
-  std::unordered_map<tcp::FlowKey, WorkerState, tcp::FlowKeyHash> workers_;
+  FlatMap<tcp::FlowKey, WorkerState, tcp::FlowKeyHash> workers_;
   /// Workers whose request has arrived, FIFO for the service loop.
   std::deque<tcp::FlowKey> ready_;
   /// Workers accepted without a request, oldest first: the reaper's only
@@ -96,7 +96,7 @@ class ServerAgent {
   /// was re-accepted later) is skipped when it comes due.
   std::deque<IdleWorker> idle_;
   /// Requests that arrived before accept() got to the connection.
-  std::unordered_map<tcp::FlowKey, std::uint32_t, tcp::FlowKeyHash> early_requests_;
+  FlatMap<tcp::FlowKey, std::uint32_t, tcp::FlowKeyHash> early_requests_;
 };
 
 }  // namespace tcpz::sim

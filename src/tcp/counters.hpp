@@ -1,7 +1,6 @@
 // Listener-side evaluation counters, split out of listener.hpp so the
-// defense-policy layer (src/defense/) and the adaptive controller
-// (core/adaptive.hpp) can consume counter snapshots without pulling in the
-// full TCP state machine.
+// defense-policy layer (src/defense/), adaptive controller included, can
+// consume counter snapshots without pulling in the full TCP state machine.
 #pragma once
 
 #include <cstdint>
@@ -10,9 +9,9 @@ namespace tcpz::tcp {
 
 /// The single source of truth for the counter field list. Everything that
 /// iterates over "every counter" — operator+= aggregation, the golden-trace
-/// digest (tests/trace_digest.hpp), CSV/registry serialization
-/// (sim/report_io.cpp, obs/registry.cpp) — expands this table, so a newly
-/// added field can never silently go un-aggregated or un-serialized again.
+/// digest (tests/trace_digest.hpp), the metrics registry (obs/registry.cpp)
+/// — expands this table, so a newly added field can never silently go
+/// un-aggregated or un-serialized again.
 ///
 /// X(name, help). Order is load-bearing: the golden-trace digests fold
 /// fields in table order, so reordering or inserting mid-table changes

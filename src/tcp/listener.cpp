@@ -250,7 +250,7 @@ std::vector<Segment> Listener::on_segment(SimTime now, const Segment& seg) {
   if (seg.is_rst()) {
     const FlowKey flow = FlowKey::from_incoming(seg);
     listen_.erase(flow);
-    established_.erase(flow);
+    release(flow);
     return {};
   }
   if (seg.is_syn()) return handle_syn(now, seg);
@@ -367,7 +367,7 @@ std::vector<Segment> Listener::handle_syn(SimTime now, const Segment& seg) {
   }
   // SYN for an already-established flow: ignore (simplified; stock stacks
   // send a challenge-ACK here).
-  if (established_.contains(flow)) return {};
+  if (is_established(flow)) return {};
 
   const defense::SynDecision verdict = policy_->on_syn(now, queue_view());
   switch (verdict.action) {
@@ -471,7 +471,7 @@ std::vector<Segment> Listener::handle_ack(SimTime now, const Segment& seg) {
   }
 
   // 3. Data segment on an established flow.
-  if (established_.contains(flow)) {
+  if (is_established(flow)) {
     if (seg.payload_bytes > 0) {
       ++counters_.data_segments;
       if (data_handler_) data_handler_(now, flow, seg);
@@ -561,7 +561,7 @@ std::vector<Segment> Listener::handle_solution_ack(SimTime now,
   }
 
   // Replay of a flow that is already admitted occupies no additional slot.
-  if (established_.contains(flow) || accept_.contains(flow)) {
+  if (admitted_.contains(flow)) {
     ++counters_.solutions_duplicate;
     TCPZ_TRACE(now, obs::Code::kSolutionDuplicate, cfg_.trace_track, flow);
     return {};
@@ -643,8 +643,12 @@ std::vector<Segment> Listener::handle_solution_ack(SimTime now,
 }
 
 void Listener::establish(SimTime now, const AcceptedConnection& conn) {
-  established_.insert(conn.flow);
-  accept_.push(conn);
+  AdmittedFlow& admitted = admitted_[conn.flow];
+  if (!admitted.established) {
+    admitted.established = true;
+    ++established_count_;
+  }
+  if (accept_.push(conn)) ++admitted.queued;
   ++counters_.established_total;
   switch (conn.path) {
     case EstablishPath::kQueue: ++counters_.established_queue; break;
@@ -705,9 +709,24 @@ std::vector<Segment> Listener::on_tick(SimTime now) {
 
 std::optional<AcceptedConnection> Listener::accept(SimTime now) {
   (void)now;
-  return accept_.pop();
+  std::optional<AcceptedConnection> conn = accept_.pop();
+  if (conn) {
+    AdmittedFlow* admitted = admitted_.find(conn->flow);
+    if (--admitted->queued == 0 && !admitted->established) {
+      admitted_.erase(conn->flow);
+    }
+  }
+  return conn;
 }
 
-void Listener::close(const FlowKey& flow) { established_.erase(flow); }
+void Listener::close(const FlowKey& flow) { release(flow); }
+
+void Listener::release(const FlowKey& flow) {
+  AdmittedFlow* admitted = admitted_.find(flow);
+  if (admitted == nullptr || !admitted->established) return;
+  admitted->established = false;
+  --established_count_;
+  if (admitted->queued == 0) admitted_.erase(flow);
+}
 
 }  // namespace tcpz::tcp

@@ -30,7 +30,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "crypto/secret.hpp"
@@ -182,10 +181,11 @@ class Listener {
   [[nodiscard]] std::size_t listen_depth() const { return listen_.size(); }
   [[nodiscard]] std::size_t accept_depth() const { return accept_.size(); }
   [[nodiscard]] std::size_t established_count() const {
-    return established_.size();
+    return established_count_;
   }
   [[nodiscard]] bool is_established(const FlowKey& flow) const {
-    return established_.contains(flow);
+    const AdmittedFlow* a = admitted_.find(flow);
+    return a != nullptr && a->established;
   }
   [[nodiscard]] const ListenerCounters& counters() const { return counters_; }
   [[nodiscard]] const ListenerConfig& config() const { return cfg_; }
@@ -219,6 +219,9 @@ class Listener {
   [[nodiscard]] static std::uint32_t stateless_iss_with(
       const crypto::SecretKey& secret, const FlowKey& flow, std::uint32_t ts);
   void establish(SimTime now, const AcceptedConnection& conn);
+  /// Clears the flow's established flag (close or RST); the record goes once
+  /// no connection of the flow waits in the accept queue either.
+  void release(const FlowKey& flow);
 
   /// policy_->observe() plus, when a recorder is listening on the defense
   /// category, latch-transition detection around it (kLatchEngage /
@@ -278,7 +281,8 @@ class Listener {
 
   ListenQueue listen_;
   AcceptQueue accept_;
-  std::unordered_set<FlowKey, FlowKeyHash> established_;
+  AdmittedFlows admitted_;
+  std::size_t established_count_ = 0;
 
   DataHandler data_handler_;
   EstablishHandler establish_handler_;

@@ -9,11 +9,10 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "tcp/segment.hpp"
+#include "util/flat_table.hpp"
 #include "util/time.hpp"
 
 namespace tcpz::tcp {
@@ -54,9 +53,13 @@ struct AcceptedConnection {
   SimTime established_at;
 };
 
-/// Bounded hash map of half-open connections. Iteration follows the hash
-/// table, not arrival order; the expiry tick is kept cheap instead by a
-/// conservative bound on the earliest retransmit deadline.
+/// Bounded set of half-open connections. The entries live in a dense
+/// array, and erase swaps the last entry into the hole. A flat index of
+/// 8-byte {hash, position} slots finds them, so a lookup miss (the common
+/// case for a SYN) touches only the index. Iteration follows the dense
+/// array: arrival order until an erase moves the last entry forward. The
+/// expiry tick is kept cheap by a conservative bound on the earliest
+/// retransmit deadline.
 class ListenQueue {
  public:
   explicit ListenQueue(std::size_t capacity) : capacity_(capacity) {}
@@ -75,31 +78,51 @@ class ListenQueue {
   /// a stale bound costs at most one sweep that finds nothing due.
   [[nodiscard]] SimTime next_deadline() const { return next_deadline_; }
 
-  /// Applies `fn` to every entry; if it returns false the entry is removed.
-  /// `fn` may move an entry's next_retx. Used by the expiry/retransmit tick.
+  /// Applies `fn` to every entry in dense-array order; if it returns false
+  /// the entry is removed and the last entry, moved into its place, is
+  /// visited next. `fn` may move an entry's next_retx. Used by the
+  /// expiry/retransmit tick.
   template <typename Fn>
   void retain(Fn&& fn) {
     SimTime earliest = SimTime::max();
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (fn(it->second)) {
-        earliest = std::min(earliest, it->second.next_retx);
-        ++it;
+    for (std::size_t i = 0; i < entries_.size();) {
+      if (fn(entries_[i])) {
+        earliest = std::min(earliest, entries_[i].next_retx);
+        ++i;
       } else {
-        it = entries_.erase(it);
+        remove(index_.find(tag(entries_[i].flow), at(i)));
       }
     }
     next_deadline_ = earliest;
   }
 
  private:
+  struct IndexSlot {
+    std::uint32_t hash = 0;
+    std::uint32_t pos = 0;  ///< index into entries_
+  };
+
+  [[nodiscard]] static std::uint32_t tag(const FlowKey& flow) {
+    return slot_hash(FlowKeyHash{}(flow));
+  }
+  [[nodiscard]] auto holds(const FlowKey& flow) const {
+    return [this, &flow](const IndexSlot& s) {
+      return entries_[s.pos].flow == flow;
+    };
+  }
+  [[nodiscard]] static auto at(std::size_t pos) {
+    return [pos](const IndexSlot& s) { return s.pos == pos; };
+  }
+  /// Drops the slot's entry: swap-remove in entries_, index repointed.
+  void remove(IndexSlot* slot);
+
   std::size_t capacity_;
-  std::unordered_map<FlowKey, HalfOpenEntry, FlowKeyHash> entries_;
+  std::vector<HalfOpenEntry> entries_;
+  FlatTable<IndexSlot> index_;
   SimTime next_deadline_ = SimTime::max();
 };
 
-/// Bounded FIFO of established connections awaiting accept(), with an O(1)
-/// membership index (the replay defence checks membership per solution-ACK,
-/// which arrive thousands of times per second under attack).
+/// Bounded FIFO of established connections awaiting accept().
 class AcceptQueue {
  public:
   explicit AcceptQueue(std::size_t capacity) : capacity_(capacity) {}
@@ -111,15 +134,21 @@ class AcceptQueue {
   /// False if full.
   bool push(const AcceptedConnection& conn);
   [[nodiscard]] std::optional<AcceptedConnection> pop();
-  /// True if a connection for this flow is still waiting in the queue.
-  [[nodiscard]] bool contains(const FlowKey& flow) const {
-    return members_.contains(flow);
-  }
 
  private:
   std::size_t capacity_;
   std::deque<AcceptedConnection> queue_;
-  std::unordered_set<FlowKey, FlowKeyHash> members_;
 };
+
+/// What the listener remembers about an admitted flow: established (until
+/// closed or reset) and how many of its connections wait in the accept
+/// queue. A flow with neither has no record, so one probe answers "is this
+/// flow already admitted?" for the replay defence, which asks it per
+/// solution-ACK (thousands per second under attack).
+struct AdmittedFlow {
+  bool established = false;
+  std::uint32_t queued = 0;
+};
+using AdmittedFlows = FlatMap<FlowKey, AdmittedFlow, FlowKeyHash>;
 
 }  // namespace tcpz::tcp

@@ -49,7 +49,7 @@ struct Segment {
 };
 
 /// Connection identity from the *server's* point of view: remote (client)
-/// endpoint first. Equality/hash for use as an unordered_map key.
+/// endpoint first. Equality/hash for use as a hash-table key.
 struct FlowKey {
   std::uint32_t raddr = 0;
   std::uint16_t rport = 0;

@@ -2,7 +2,7 @@
 // (driving counters by hand) and end to end in the simulator.
 #include <gtest/gtest.h>
 
-#include "core/adaptive.hpp"
+#include "defense/adaptive.hpp"
 #include "defense/spec.hpp"
 #include "scenario/spec.hpp"
 

@@ -20,6 +20,7 @@
 #include "obs/trace.hpp"
 #include "puzzle/types.hpp"
 #include "tcp/options.hpp"
+#include "tcp/queues.hpp"
 #include "tcp/segment.hpp"
 #include "tcp/wire_format.hpp"
 
@@ -180,6 +181,44 @@ TEST(AllocGuard, LinkDeliveryIsZeroAllocWithTracingEnabled) {
 // ---------------------------------------------------------------------------
 // Capacity is enforced where the value is built, not when it hits the wire.
 // ---------------------------------------------------------------------------
+
+// The listener's flow tables grow as they are used and never shrink; once
+// they have held a working set, cycling flows through them (SYNs in, ACKs
+// admitting, the expiry sweep dropping the rest) reuses the same storage.
+TEST(AllocGuard, FlowTablesAreZeroAllocOnceGrown) {
+  constexpr std::uint32_t kFlows = 512;
+  const auto flow = [](std::uint32_t i) {
+    return tcp::FlowKey{tcp::ipv4(10, 2, 0, 1) + (i >> 12),
+                        static_cast<std::uint16_t>(1024 + (i & 0xfff)),
+                        tcp::ipv4(10, 1, 0, 1), 80};
+  };
+  tcp::ListenQueue listen(kFlows);
+  tcp::AdmittedFlows admitted;
+  const auto cycle = [&](std::uint32_t base) {
+    for (std::uint32_t i = 0; i < kFlows; ++i) {
+      tcp::HalfOpenEntry e;
+      e.flow = flow(base + i);
+      e.next_retx = SimTime::milliseconds(base + i);
+      listen.insert(e);
+    }
+    for (std::uint32_t i = 0; i < kFlows; i += 2) {  // half complete
+      if (listen.find(flow(base + i)) == nullptr) continue;
+      listen.erase(flow(base + i));
+      tcp::AdmittedFlow& a = admitted[flow(base + i)];
+      a.established = true;
+      ++a.queued;
+    }
+    listen.retain([](tcp::HalfOpenEntry&) { return false; });  // rest expire
+    for (std::uint32_t i = 0; i < kFlows; i += 2) admitted.erase(flow(base + i));
+  };
+  cycle(0);  // grow to the working set
+  const std::uint64_t before = tcpz_alloc_count();
+  for (std::uint32_t round = 1; round <= 20; ++round) cycle(round * kFlows);
+  const std::uint64_t after = tcpz_alloc_count();
+  EXPECT_EQ(after, before) << "flow-table cycle allocated";
+  EXPECT_EQ(listen.size(), 0u);
+  EXPECT_TRUE(admitted.empty());
+}
 
 TEST(AllocGuard, InlineBuffersRejectOversizeAtConstruction) {
   // A pre-image beyond the engine bound (32 bytes) cannot be represented.

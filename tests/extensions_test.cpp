@@ -1,90 +1,14 @@
-// Tests for the extension modules: CSV report export, per-user pricing
-// analysis, and the memory-bound PoW plumbing.
+// Tests for the extension modules: per-user pricing analysis and the
+// memory-bound PoW plumbing.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "game/heterogeneous.hpp"
 #include "defense/spec.hpp"
 #include "scenario/spec.hpp"
-#include "sim/report_io.hpp"
 #include "trace_digest.hpp"
 
 namespace tcpz {
 namespace {
-
-// ---------------------------------------------------------------------------
-// CSV export
-// ---------------------------------------------------------------------------
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-std::size_t count_lines(const std::string& s) {
-  std::size_t n = 0;
-  for (char c : s) n += (c == '\n');
-  return n;
-}
-
-TEST(ReportIo, WritesAllCsvFamilies) {
-  scenario::Spec s;
-  s.seed = 3;
-  s.duration = SimTime::seconds(12);
-  s.attack_start = SimTime::seconds(4);
-  s.attack_end = SimTime::seconds(9);
-  s.workload.n_clients = 2;
-  s.workload.request_rate = 5.0;
-  s.workload.response_bytes = 5'000;
-  s.servers.listen_backlog = 64;
-  s.servers.accept_backlog = 64;
-  s.servers.service_rate = 100.0;
-  s.servers.difficulty = {2, 14};
-  s.servers.policies = {defense::PolicySpec::puzzles()};
-  scenario::AttackSpec a;
-  a.count = 2;
-  a.rate = 200.0;
-  s.attacks = {a};  // patched conn flood
-  const scenario::Result res = scenario::run(s);
-
-  const std::string prefix = ::testing::TempDir() + "tcpz_report";
-  EXPECT_EQ(sim::write_csv(res, s, prefix), 5u);
-
-  const std::string throughput = slurp(prefix + "_throughput.csv");
-  EXPECT_NE(throughput.find("t_s,server_tx_mbps,client0_rx_mbps,client1_rx_mbps"),
-            std::string::npos);
-  EXPECT_EQ(count_lines(throughput), 1 + s.duration_bins());
-
-  const std::string queues = slurp(prefix + "_queues.csv");
-  EXPECT_NE(queues.find("listen,accept"), std::string::npos);
-  EXPECT_EQ(count_lines(queues), 1 + s.duration_bins());
-
-  const std::string summary = slurp(prefix + "_summary.csv");
-  EXPECT_NE(summary.find("established_total,"), std::string::npos);
-  EXPECT_NE(summary.find("challenges_sent,"), std::string::npos);
-
-  // Connection-time file has one value per completed handshake.
-  const std::string times = slurp(prefix + "_conn_times.csv");
-  std::size_t samples = 0;
-  for (const auto& c : res.clients) samples += c.conn_time_ms.count();
-  EXPECT_EQ(count_lines(times), 1 + samples);
-}
-
-TEST(ReportIo, ThrowsOnUnwritablePath) {
-  scenario::Spec s;
-  s.duration = SimTime::seconds(1);
-  s.attack_start = s.duration;
-  s.attack_end = s.duration;
-  s.workload.n_clients = 1;
-  const scenario::Result res = scenario::run(s);
-  EXPECT_THROW((void)sim::write_csv(res, s, "/nonexistent-dir/x"),
-               std::runtime_error);
-}
 
 // ---------------------------------------------------------------------------
 // Per-user pricing (price of statelessness)

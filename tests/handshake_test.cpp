@@ -480,6 +480,41 @@ TEST_F(PuzzleAckTest, ReplayOccupiesOnlyOneSlot) {
   EXPECT_EQ(listener_->accept_depth(), 1u);
 }
 
+TEST_F(PuzzleAckTest, ReplayIsDuplicateWhileQueuedEvenAfterReset) {
+  // A reset clears the established flag, but the connection still waits in
+  // the accept queue, so a replay is still a duplicate. Once accept() takes
+  // the connection the flow is forgotten and the replay is admitted again.
+  const SimTime t = SimTime::seconds(2);
+  const Segment ack = valid_solution_ack(43002, t);
+  const FlowKey flow = FlowKey::from_incoming(ack);
+  (void)listener_->on_segment(t, ack);
+  Segment rst;
+  rst.saddr = ack.saddr;
+  rst.daddr = ack.daddr;
+  rst.sport = ack.sport;
+  rst.dport = ack.dport;
+  rst.flags = kRst;
+  (void)listener_->on_segment(t, rst);
+  EXPECT_FALSE(listener_->is_established(flow));
+  EXPECT_EQ(listener_->established_count(), 0u);
+
+  (void)listener_->on_segment(t, ack);
+  EXPECT_EQ(listener_->counters().solutions_duplicate, 1u);
+  EXPECT_EQ(listener_->accept_depth(), 1u);
+
+  ASSERT_TRUE(listener_->accept(t).has_value());
+  (void)listener_->on_segment(t, ack);
+  EXPECT_EQ(listener_->counters().solutions_valid, 2u);
+  EXPECT_TRUE(listener_->is_established(flow));
+  EXPECT_EQ(listener_->established_count(), 1u);
+  EXPECT_EQ(listener_->accept_depth(), 1u);
+
+  listener_->close(flow);  // still queued: only the flag goes
+  EXPECT_EQ(listener_->established_count(), 0u);
+  (void)listener_->on_segment(t, ack);
+  EXPECT_EQ(listener_->counters().solutions_duplicate, 2u);
+}
+
 TEST_F(PuzzleAckTest, ExpiredSolutionRejected) {
   const SimTime t = SimTime::seconds(2);
   const Segment ack = valid_solution_ack(43002, t);

@@ -125,6 +125,50 @@ inline std::uint64_t unordered_digest(const obs::Recorder& rec) {
   return fnv(sorted.digest(), rec.overwritten());
 }
 
+/// Digest of the listeners' own state transitions, blind to the order and
+/// link timing of their output: every kSynEnqueue, kEstablished,
+/// kHalfOpenExpired and kSynackRetx record, reduced to (tick, track, flow,
+/// code, arg) with `tick` the record's time in `tick`-long steps and `arg`
+/// the retransmit count or establish path (queue depths, which depend on
+/// arrival order, are left out), sorted and folded with the overwritten
+/// count. A change that only reorders what a listener emits in one tick,
+/// and so shifts when those segments leave the link, leaves it unchanged;
+/// one that moves which flows are enqueued, retransmitted, expired or
+/// admitted in which tick does not.
+inline std::uint64_t listener_digest(
+    const obs::Recorder& rec, SimTime tick = SimTime::milliseconds(100)) {
+  std::vector<std::tuple<std::int64_t, std::uint16_t, std::uint32_t,
+                         std::uint16_t, std::uint32_t, std::uint16_t,
+                         std::uint8_t, std::uint64_t>>
+      rows;
+  for (const obs::TraceEvent& e : rec.snapshot()) {
+    std::uint64_t arg = 0;
+    switch (static_cast<obs::Code>(e.code)) {
+      case obs::Code::kSynEnqueue:
+        break;
+      case obs::Code::kEstablished:
+      case obs::Code::kHalfOpenExpired:
+      case obs::Code::kSynackRetx:
+        arg = e.a0;
+        break;
+      default:
+        continue;
+    }
+    rows.emplace_back(e.t / tick.nanos(), e.track, e.saddr, e.sport, e.daddr,
+                      e.dport, e.code, arg);
+  }
+  std::sort(rows.begin(), rows.end());
+  std::uint64_t h = kFnvBasis;
+  for (const auto& [t, track, saddr, sport, daddr, dport, code, arg] : rows) {
+    h = fnv(h, static_cast<std::uint64_t>(t));
+    h = fnv(h, (static_cast<std::uint64_t>(track) << 8) | code);
+    h = fnv(h, (static_cast<std::uint64_t>(saddr) << 32) | daddr);
+    h = fnv(h, (static_cast<std::uint64_t>(sport) << 16) | dport);
+    h = fnv(h, arg);
+  }
+  return fnv(h, rec.overwritten());
+}
+
 /// The fixed-seed scaled §6 scenario (seed 42, 120 s, attack 30–80 s):
 /// one server, 10 bots at 500 slots/s.
 inline scenario::Spec scaled_fixture(const defense::PolicySpec& policy,
