@@ -259,10 +259,10 @@ double run_retx_workload(std::uint64_t seed, std::uint64_t n_events,
 /// that is cancelled before it could fire — the retransmit/expiry pattern.
 /// The seed queue cannot express this; it fires tombstones instead.
 /// `wheel_fraction_out` reports how many cancels actually took the O(1)
-/// wheel-unlink path this bench claims to measure: a fully-drained run()
-/// used to park the cursor in the far future, silently degrading every
-/// later batch to the lazy heap-skeleton cancel. The simulator now
-/// re-anchors the cursor after a draining run, and this fraction pins it.
+/// wheel-unlink path this bench claims to measure: a cursor left behind the
+/// clock would silently degrade later batches to the lazy overflow-heap
+/// cancel. The simulator moves the cursor to the clock after every run, and
+/// this fraction pins it.
 double run_cancel_workload(std::uint64_t n_events, double& wheel_fraction_out) {
   tcpz::net::Simulator sim;
   Rng rng(7);
@@ -280,7 +280,7 @@ double run_cancel_workload(std::uint64_t n_events, double& wheel_fraction_out) {
           [&fired] { ++fired; }));
     }
     for (auto& h : handles) (void)sim.cancel(h);
-    sim.run();  // nothing left to fire; re-anchors the wheel cursor
+    sim.run();  // nothing left to fire; moves the cursor to the clock
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -15,6 +15,9 @@ namespace {
 
 constexpr std::size_t kChunkRecords = 1024;
 
+/// kSched/kCancel a1: where the record was filed (a lazy cancel: kTierBatch).
+enum Tier : std::uint64_t { kTierBatch = 0, kTierWheel = 1, kTierOverflow = 2 };
+
 /// Min-heap order over staging entries: earliest (at, seq) at the front.
 struct LaterEntry {
   bool operator()(const HeapEntry& a, const HeapEntry& b) const {
@@ -33,20 +36,6 @@ EventCore::~EventCore() {
   }
 }
 
-int EventCore::SlotBitmap::next_set_from(unsigned from) const {
-  if (from >= kWheelSlots) return -1;
-  unsigned word = from >> 6;
-  std::uint64_t bits = w[word] & (~0ull << (from & 63));
-  for (;;) {
-    if (bits != 0) {
-      return static_cast<int>((word << 6) +
-                              static_cast<unsigned>(std::countr_zero(bits)));
-    }
-    if (++word >= kWheelSlots / 64) return -1;
-    bits = w[word];
-  }
-}
-
 EventRec* EventCore::alloc() {
   if (free_list_ == nullptr) {
     chunks_.push_back(std::make_unique<EventRec[]>(kChunkRecords));
@@ -58,8 +47,6 @@ EventRec* EventCore::alloc() {
   }
   EventRec* rec = free_list_;
   free_list_ = rec->next;
-  rec->prev = nullptr;
-  rec->next = nullptr;
   return rec;
 }
 
@@ -71,82 +58,69 @@ void EventCore::recycle(EventRec* rec) {
 }
 
 void EventCore::link(EventRec* rec) {
-  // Tier tracepoints (sim-time = the event's due time; a0 = seq) fire on
-  // every filing, including cascade re-files from expire_slot — a traced run
-  // shows the wheel mechanics, not just the original schedule calls.
   const std::uint64_t at_tick = tick_of(rec->at);
+  const HeapEntry entry{rec->at, rec->seq, rec};
+  rec->loc = EventLoc::kOrdered;
+  std::uint64_t tier = kTierBatch;
   if (at_tick <= cur_tick_) {
-    // The cursor already swept this tick: the record competes directly in
-    // the ordered near heap.
-    rec->loc = EventLoc::kOrdered;
-    near_.push_back(HeapEntry{rec->at, rec->seq, rec});
-    std::push_heap(near_.begin(), near_.end(), LaterEntry{});
-    TCPZ_TRACE(rec->at, obs::Code::kSchedNear, /*track=*/0, rec->seq);
-    return;
-  }
-  const std::uint64_t delta = at_tick - cur_tick_;
-  if (delta >= (1ull << (kSlotBits * kWheelLevels))) {
-    rec->loc = EventLoc::kOrdered;
-    far_.push_back(HeapEntry{rec->at, rec->seq, rec});
-    std::push_heap(far_.begin(), far_.end(), LaterEntry{});
-    TCPZ_TRACE(rec->at, obs::Code::kSchedFar, /*track=*/0, rec->seq);
-    return;
-  }
-  // Level l covers deltas in [2^(8l), 2^(8(l+1))); the slot index is the
-  // target tick's digit at that level, so a record cascades at most once per
-  // level on its way down.
-  const unsigned level =
-      (static_cast<unsigned>(std::bit_width(delta)) - 1) / kSlotBits;
-  const unsigned slot =
-      static_cast<unsigned>(at_tick >> (kSlotBits * level)) & (kWheelSlots - 1);
-  rec->loc = EventLoc::kWheel;
-  rec->level = static_cast<std::uint8_t>(level);
-  rec->slot = static_cast<std::uint8_t>(slot);
-  rec->prev = nullptr;
-  rec->next = wheel_[level][slot];
-  if (rec->next != nullptr) rec->next->prev = rec;
-  wheel_[level][slot] = rec;
-  occupied_[level].set(slot);
-  TCPZ_TRACE(rec->at, obs::Code::kSchedWheel, /*track=*/0, rec->seq, level);
-}
-
-void EventCore::unlink_from_wheel(EventRec* rec) {
-  if (rec->prev != nullptr) {
-    rec->prev->next = rec->next;
+    // The cursor already drained this tick: insert into the batch after
+    // every entry due no later (those all carry a smaller seq). Scanning
+    // from the back makes the common case, a schedule for the latest time
+    // so far, an append.
+    if (batch_idx_ == batch_.size()) compact_batch();
+    std::size_t pos = batch_.size();
+    while (pos > batch_idx_ && batch_[pos - 1].at > rec->at) --pos;
+    batch_.insert(batch_.begin() + static_cast<std::ptrdiff_t>(pos), entry);
+  } else if (at_tick - cur_tick_ >= kWheelSlots) {
+    overflow_.push_back(entry);
+    std::push_heap(overflow_.begin(), overflow_.end(), LaterEntry{});
+    tier = kTierOverflow;
   } else {
-    wheel_[rec->level][rec->slot] = rec->next;
+    const unsigned slot = slot_of(at_tick);
+    rec->loc = EventLoc::kWheel;
+    rec->prev = nullptr;
+    rec->next = wheel_[slot];
+    if (rec->next != nullptr) rec->next->prev = rec;
+    wheel_[slot] = rec;
+    occupied_[slot >> 6] |= 1ull << (slot & 63);
+    tier = kTierWheel;
   }
-  if (rec->next != nullptr) rec->next->prev = rec->prev;
-  if (wheel_[rec->level][rec->slot] == nullptr) {
-    occupied_[rec->level].clear(rec->slot);
-  }
-  rec->prev = nullptr;
-  rec->next = nullptr;
+  // Sim-time = the event's due time; a0 = seq.
+  TCPZ_TRACE(rec->at, obs::Code::kSched, /*track=*/0, rec->seq, tier);
 }
 
 bool EventCore::cancel(TimerHandle h) {
   EventRec* rec = h.rec_;
   if (rec == nullptr || rec->gen != h.gen_ || rec->cancelled) return false;
   switch (rec->loc) {
-    case EventLoc::kWheel:
+    case EventLoc::kWheel: {
       // O(1) splice — the dominant case: retransmit/expiry timers park in
       // the wheel until descheduled, and the record recycles immediately.
-      unlink_from_wheel(rec);
-      TCPZ_TRACE(rec->at, obs::Code::kCancelWheel, /*track=*/0, rec->seq);
+      const unsigned slot = slot_of(tick_of(rec->at));
+      if (rec->prev != nullptr) {
+        rec->prev->next = rec->next;
+      } else {
+        wheel_[slot] = rec->next;
+        if (rec->next == nullptr) {
+          occupied_[slot >> 6] &= ~(1ull << (slot & 63));
+        }
+      }
+      if (rec->next != nullptr) rec->next->prev = rec->prev;
+      TCPZ_TRACE(rec->at, obs::Code::kCancel, 0, rec->seq, kTierWheel);
       rec->action.reset();
       recycle(rec);
       ++cancelled_wheel_total_;
       break;
+    }
     case EventLoc::kOrdered:
-      // The ordered stages hold entries we cannot cheaply extract; drop the
-      // closure now and let the pop path discard the skeleton.
+      // The batch and the overflow heap hold entries we cannot cheaply
+      // extract; drop the closure now and let pop_next discard the skeleton.
       rec->cancelled = true;
-      TCPZ_TRACE(rec->at, obs::Code::kCancelStage, /*track=*/0, rec->seq);
+      TCPZ_TRACE(rec->at, obs::Code::kCancel, 0, rec->seq, kTierBatch);
       rec->action.reset();
       ++stage_cancelled_;
       break;
     case EventLoc::kFree:
-    case EventLoc::kExecuting:
       return false;
   }
   --live_;
@@ -155,112 +129,39 @@ bool EventCore::cancel(TimerHandle h) {
 }
 
 std::uint64_t EventCore::next_occupied_tick() const {
-  // Searches levels bottom-up. An in-window candidate at level l starts
-  // before the level-l window ends, while every candidate at levels > l (and
-  // every wrap candidate) starts at or after that boundary — so the first
-  // in-window hit ends the search, and the common case costs one bitmap
-  // scan. Wrap candidates (slots at or before the cursor's own index belong
-  // to the next revolution: insertion never targets a swept slot) from the
-  // levels below a hit still compete via `best`.
-  std::uint64_t best = UINT64_MAX;
-  for (unsigned level = 0; level < kWheelLevels; ++level) {
-    const unsigned shift = kSlotBits * level;
-    const unsigned idx =
-        static_cast<unsigned>(cur_tick_ >> shift) & (kWheelSlots - 1);
-    const std::uint64_t window = 1ull << (shift + kSlotBits);
-    const std::uint64_t window_start = cur_tick_ & ~(window - 1);
-    int j = occupied_[level].next_set_from(idx + 1);
-    if (j >= 0) {
-      return std::min(best,
-                      window_start + (static_cast<std::uint64_t>(j) << shift));
-    }
-    j = occupied_[level].next_set_from(0);
-    if (j >= 0 && static_cast<unsigned>(j) <= idx) {
-      best = std::min(
-          best, window_start + window + (static_cast<std::uint64_t>(j) << shift));
+  // Scan the bitmap from the cursor's successor, wrapping once around (the
+  // last step revisits the first word's bits below the start).
+  constexpr unsigned kWords = kWheelSlots / 64;
+  const unsigned from = slot_of(cur_tick_ + 1);
+  const std::uint64_t head = ~0ull << (from & 63);
+  for (unsigned i = 0; i <= kWords; ++i) {
+    const unsigned w = ((from >> 6) + i) % kWords;
+    const std::uint64_t bits =
+        occupied_[w] & (i == 0 ? head : i == kWords ? ~head : ~0ull);
+    if (bits != 0) {
+      return cur_tick_ + 1 + slot_of((w << 6) + std::countr_zero(bits) - from);
     }
   }
-  return best;
+  return UINT64_MAX;
 }
 
-void EventCore::expire_slot(unsigned level, unsigned slot) {
-  EventRec* rec = wheel_[level][slot];
-  wheel_[level][slot] = nullptr;
-  occupied_[level].clear(slot);
-  if (level == 0) {
-    // A level-0 slot is one tick wide and fires as a unit: drain it into
-    // the sorted fire batch in one pass — one sort per slot, not one heap
-    // sift per event. Walking the list here also warms each record for the
-    // fire that follows within the same tick. Spent prefix space is
-    // reclaimed first.
-    if (batch_idx_ > 0) {
-      batch_.erase(batch_.begin(),
-                   batch_.begin() + static_cast<std::ptrdiff_t>(batch_idx_));
-      batch_idx_ = 0;
-    }
-    const std::size_t first_new = batch_.size();
-    while (rec != nullptr) {
-      EventRec* next = rec->next;
-      rec->prev = nullptr;
-      rec->next = nullptr;
-      rec->loc = EventLoc::kOrdered;
-      batch_.push_back(HeapEntry{rec->at, rec->seq, rec});
-      rec = next;
-    }
-    // Leftovers (from an earlier run_until bound) are already sorted and
-    // strictly precede the new tick; sorting only the tail keeps the whole
-    // vector ascending.
-    std::sort(batch_.begin() + static_cast<std::ptrdiff_t>(first_new),
-              batch_.end(), [](const HeapEntry& a, const HeapEntry& b) {
-                return LaterEntry{}(b, a);
-              });
-    return;
-  }
-  // Upper-level slots re-file one level (or more) down; records landing on
-  // the current tick go to the near heap.
+void EventCore::drain_slot(std::uint64_t tick) {
+  // Only called once the batch is spent, so the slot's records (all due in
+  // `tick`) become the whole batch. Walking the list here also warms each
+  // record for the fire that follows within the same tick.
+  cur_tick_ = tick;
+  const unsigned slot = slot_of(tick);
+  EventRec* rec = std::exchange(wheel_[slot], nullptr);
+  occupied_[slot >> 6] &= ~(1ull << (slot & 63));
+  compact_batch();
   while (rec != nullptr) {
     EventRec* next = rec->next;
-    rec->prev = nullptr;
-    rec->next = nullptr;
-    link(rec);
+    rec->loc = EventLoc::kOrdered;
+    batch_.push_back(HeapEntry{rec->at, rec->seq, rec});
     rec = next;
   }
-}
-
-bool EventCore::advance_cursor(std::uint64_t bound) {
-  while (cur_tick_ < bound) {
-    const std::uint64_t next = next_occupied_tick();
-    if (next > bound) {
-      cur_tick_ = bound;
-      return false;
-    }
-    cur_tick_ = next;
-    // Expire every level whose slot starts exactly here, upper levels first
-    // so cascaded entries land in already-swept lower slots or the stage —
-    // then stop: cascading only the nearest occupied slot keeps the rest of
-    // the wheel staged instead of collapsing it into the near heap.
-    bool expired_any = false;
-    for (unsigned l = kWheelLevels; l-- > 0;) {
-      if (l > 0 && (cur_tick_ & ((1ull << (kSlotBits * l)) - 1)) != 0) continue;
-      const unsigned idx =
-          static_cast<unsigned>(cur_tick_ >> (kSlotBits * l)) & (kWheelSlots - 1);
-      if (occupied_[l].test(idx)) {
-        expire_slot(l, idx);
-        expired_any = true;
-      }
-    }
-    if (expired_any) return true;
-  }
-  return false;
-}
-
-void EventCore::prune(std::vector<HeapEntry>& heap) {
-  while (!heap.empty() && heap.front().rec->cancelled) {
-    std::pop_heap(heap.begin(), heap.end(), LaterEntry{});
-    recycle(heap.back().rec);
-    heap.pop_back();
-    --stage_cancelled_;
-  }
+  std::sort(batch_.begin(), batch_.end(),
+            [](const auto& a, const auto& b) { return LaterEntry{}(b, a); });
 }
 
 EventRec* EventCore::pop_next(SimTime end) {
@@ -268,62 +169,59 @@ EventRec* EventCore::pop_next(SimTime end) {
     // Skip cancelled skeletons — free when nothing is cancelled.
     if (stage_cancelled_ != 0) {
       while (batch_idx_ < batch_.size() && batch_[batch_idx_].rec->cancelled) {
-        recycle(batch_[batch_idx_].rec);
-        ++batch_idx_;
+        recycle(batch_[batch_idx_++].rec);
         --stage_cancelled_;
       }
-      prune(near_);
-      prune(far_);
+      while (!overflow_.empty() && overflow_.front().rec->cancelled) {
+        std::pop_heap(overflow_.begin(), overflow_.end(), LaterEntry{});
+        recycle(overflow_.back().rec);
+        overflow_.pop_back();
+        --stage_cancelled_;
+      }
     }
     const HeapEntry* b =
         batch_idx_ < batch_.size() ? &batch_[batch_idx_] : nullptr;
-    const HeapEntry* n = near_.empty() ? nullptr : &near_.front();
-    const HeapEntry* f = far_.empty() ? nullptr : &far_.front();
-    const HeapEntry* best = b;
-    if (best == nullptr || (n != nullptr && LaterEntry{}(*best, *n))) best = n;
-    if (best == nullptr || (f != nullptr && LaterEntry{}(*best, *f))) best = f;
-    const auto take = [&](const HeapEntry* chosen) {
-      EventRec* rec = chosen->rec;
-      if (chosen == b) {
-        ++batch_idx_;
-      } else {
-        auto& heap = chosen == n ? near_ : far_;
-        std::pop_heap(heap.begin(), heap.end(), LaterEntry{});
-        heap.pop_back();
+    const HeapEntry* o = overflow_.empty() ? nullptr : &overflow_.front();
+    const bool from_overflow =
+        o != nullptr && (b == nullptr || LaterEntry{}(*b, *o));
+    const HeapEntry* best = from_overflow ? o : b;
+    // The wheel only holds ticks beyond the cursor, so an entry due at or
+    // before it cannot be preceded by anything parked. Otherwise the batch
+    // is spent, and the first occupied slot up to the bound drains into it.
+    if (best == nullptr || tick_of(best->at) > cur_tick_) {
+      std::uint64_t bound = tick_of(end);
+      if (best != nullptr) bound = std::min(bound, tick_of(best->at));
+      const std::uint64_t next = next_occupied_tick();
+      if (next <= bound) {
+        drain_slot(next);
+        continue;
       }
-      return rec;
-    };
-    // Fast path: the wheel only holds ticks beyond the cursor, so a staged
-    // entry at or before the cursor cannot be preceded by anything parked.
-    if (best != nullptr && tick_of(best->at) <= cur_tick_) {
-      if (best->at > end) return nullptr;
-      return take(best);
     }
-    std::uint64_t bound = tick_of(end);
-    if (best != nullptr) bound = std::min(bound, tick_of(best->at));
-    if (!advance_cursor(bound)) {
-      // No wheel content up to the bound: the staged top (in range) wins.
-      if (best == nullptr || best->at > end) return nullptr;
-      return take(best);
+    if (best == nullptr || best->at > end) return nullptr;
+    EventRec* rec = best->rec;
+    if (from_overflow) {
+      std::pop_heap(overflow_.begin(), overflow_.end(), LaterEntry{});
+      overflow_.pop_back();
+    } else {
+      ++batch_idx_;
     }
-    // Slots cascaded into the ordered stage; re-evaluate.
+    return rec;
   }
 }
 
-void EventCore::reanchor(SimTime now) {
-  if (live_ != 0 || stage_cancelled_ != 0) return;
-  // Idle means every record is back in the pool: the wheel and both heaps
-  // are empty, and anything left in the batch vector is a spent-prefix husk
-  // pointing at recycled records. Drop the husks and pull the cursor back to
-  // the present so the next schedule files into the wheel again.
-  batch_.clear();
-  batch_idx_ = 0;
-  cur_tick_ = tick_of(now);
+void EventCore::advance_cursor(SimTime t) {
+  std::uint64_t to = tick_of(t);
+  std::uint64_t next = next_occupied_tick();
+  if (!overflow_.empty()) next = std::min(next, tick_of(overflow_.front().at));
+  // Every pending tick is > 0 here: wheel ticks exceed the cursor and an
+  // overflow entry was filed at least kWheelSlots ticks ahead of it.
+  if (next <= to) to = next - 1;
+  cur_tick_ = std::max(cur_tick_, to);
 }
 
 void EventCore::execute_and_recycle(EventRec* rec) {
   TCPZ_TRACE(rec->at, obs::Code::kFire, /*track=*/0, rec->seq);
-  rec->loc = EventLoc::kExecuting;
+  rec->loc = EventLoc::kFree;  // running: no longer cancellable
   // One fused indirect call runs the action (which may schedule or cancel
   // other events re-entrantly) and destroys the closure.
   rec->action.call_and_reset();

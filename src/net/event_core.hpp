@@ -1,46 +1,28 @@
-// Event core of the discrete-event simulator: a hierarchical timer wheel
-// feeding an ordered near-future stage, over a pool of recycled event
-// records.
+// Event core of the discrete-event simulator: one hashed timer wheel, an
+// overflow heap beyond its window and a sorted fire batch, over a pool of
+// recycled event records (DESIGN.md, "Event core").
 //
-// The seed implementation was one std::priority_queue<std::function<void()>>:
-// every scheduled packet paid a heap allocation for the closure and a second
-// one when the std::function was copied out of the (const) queue top, and
-// every sift moved 48-byte elements. That caps scenario size far below the
-// fleet-scale botnet sweeps the roadmap asks for. This core removes the
-// allocations and keeps the hot path cache-local:
-//
-//  * Event records come from a chunked pool and are recycled through a free
-//    list; the callable is constructed in-place into a fixed inline buffer
-//    (kInlineActionBytes, sized so the link-layer segment-delivery closure —
-//    the hottest event in any scenario — fits; oversized closures fall back
-//    to the heap but nothing on the packet path does).
-//  * Records parked in wheel slots form intrusive doubly-linked lists
-//    (O(1) insert and O(1) cancel); the near/far heaps and the fire batch
-//    hold 24-byte (timestamp, seq, record*) entries with the ordering key
-//    inline, so sift compares never dereference a record.
-//
-// Ordering is exactly the seed queue's: events fire by (timestamp, schedule
-// sequence number). The wheel only *stages* far-out events; before anything
-// fires, every entry whose slot the cursor has reached cascades down and the
-// expiring level-0 slot is sorted into the fire batch, which restores the
-// total (at, seq) order. A given scenario seed therefore produces the
-// identical packet trace the seed priority queue produced.
-//
-// Layout: the wheel has kWheelLevels levels of kWheelSlots slots over
-// kTickNanosBits-nanosecond ticks (65.536 us). Level 0 spans ~16.8 ms,
-// level 1 ~4.3 s, level 2 ~18 min, level 3 ~3.26 days. Events beyond the
-// wheel horizon overflow into a far-future heap and are compared against the
-// staged entries by (at, seq) at pop time, so overflow costs ordering
-// nothing.
-//
-// Cancellation: schedule() returns a TimerHandle (record pointer + record
-// generation). cancel() on a wheel-resident record unlinks and recycles it
-// immediately — O(1), and the dominant case: retransmit/expiry timers park
-// in the wheel until descheduled. Records already in an ordered stage have
-// their closure destroyed in place and the skeleton entry is dropped lazily
-// at pop time. Either way the action never runs — cancelled timers do not
-// fire as tombstones — and the generation check makes stale handles
-// (including handles to since-recycled records) a safe no-op.
+//  * Records come from a chunked pool and recycle through a free list; the
+//    callable is constructed in place into a fixed inline buffer sized for
+//    the link layer's segment-delivery closure, so the packet path never
+//    allocates.
+//  * A record is filed by its tick's distance from the cursor: at or behind
+//    it, a sorted insert into the fire batch; inside the window of
+//    kWheelSlots ticks (65.536 us each, ~1.07 s), the intrusive list of that
+//    tick's slot; beyond it, the overflow min-heap. The batch and the heap
+//    hold 24-byte (at, seq, record*) entries, so compares never dereference
+//    a record.
+//  * Ordering is exactly the seed priority queue's, (timestamp, schedule
+//    sequence): the wheel holds only ticks beyond the cursor and the batch
+//    only ticks at or before it; the cursor moves to an occupied slot's tick
+//    only once nothing earlier is pending, and sorts that slot into the
+//    batch before anything in it fires. The overflow top competes with the
+//    batch head by (at, seq), so overflow costs ordering nothing.
+//  * cancel() unlinks a wheel-resident record in O(1) — the dominant case:
+//    retransmit/expiry timers park in the wheel until descheduled. A record
+//    in the batch or the heap has its closure destroyed now and its entry
+//    dropped at pop time. A cancelled action never runs, and record
+//    generations make stale handles (even to recycled records) no-ops.
 #pragma once
 
 #include <cstddef>
@@ -53,9 +35,6 @@
 #include "util/time.hpp"
 
 namespace tcpz::net {
-
-class EventCore;
-
 namespace detail {
 
 /// Inline storage for an event's callable. 176 bytes fits the link layer's
@@ -74,61 +53,46 @@ class EventAction {
   template <typename F>
   void emplace(F&& fn) {
     using Fn = std::decay_t<F>;
+    // One indirect call on either path: `run` picks fire-and-destroy
+    // (the fire path) or destroy-only (cancel/teardown).
     if constexpr (sizeof(Fn) <= kInlineActionBytes &&
                   alignof(Fn) <= alignof(std::max_align_t)) {
       target_ = ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
-      // One indirect call on the fire path: invoke and destroy fused.
-      invoke_destroy_ = [](void* p) {
+      op_ = [](void* p, bool run) {
         Fn* f = static_cast<Fn*>(p);
-        (*f)();
+        if (run) (*f)();
         f->~Fn();
       };
-      destroy_ = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
     } else {
       target_ = new Fn(std::forward<F>(fn));
-      invoke_destroy_ = [](void* p) {
+      op_ = [](void* p, bool run) {
         Fn* f = static_cast<Fn*>(p);
-        (*f)();
+        if (run) (*f)();
         delete f;
       };
-      destroy_ = [](void* p) { delete static_cast<Fn*>(p); };
     }
   }
 
   /// Runs the callable and destroys it (the fire path). The callable may
   /// re-enter the core (schedule/cancel) freely.
-  void call_and_reset() {
-    auto* fn = invoke_destroy_;
-    void* target = target_;
-    invoke_destroy_ = nullptr;
-    destroy_ = nullptr;
-    target_ = nullptr;
-    fn(target);
-  }
+  void call_and_reset() { std::exchange(op_, nullptr)(target_, true); }
 
   /// Destroys the callable without running it (cancel/teardown path).
   void reset() {
-    if (destroy_ != nullptr) {
-      destroy_(target_);
-      destroy_ = nullptr;
-      invoke_destroy_ = nullptr;
-      target_ = nullptr;
-    }
+    if (op_ != nullptr) std::exchange(op_, nullptr)(target_, false);
   }
 
  private:
-  void (*invoke_destroy_)(void*) = nullptr;
-  void (*destroy_)(void*) = nullptr;
+  void (*op_)(void*, bool run) = nullptr;
   void* target_ = nullptr;
   alignas(std::max_align_t) unsigned char buf_[kInlineActionBytes];
 };
 
 /// Where a live record currently lives (drives cancel/recycle paths).
 enum class EventLoc : std::uint8_t {
-  kFree,       ///< on the pool free list
-  kOrdered,    ///< near heap, far heap, or the sorted fire batch
-  kWheel,      ///< parked in a wheel slot's intrusive list
-  kExecuting,  ///< action currently running (cannot be cancelled)
+  kFree,     ///< on the pool free list, or its action is running
+  kOrdered,  ///< overflow heap or the sorted fire batch
+  kWheel,    ///< parked in a wheel slot's intrusive list
 };
 
 struct EventRec {
@@ -139,13 +103,11 @@ struct EventRec {
   EventRec* next = nullptr;
   EventLoc loc = EventLoc::kFree;
   bool cancelled = false;
-  std::uint8_t level = 0;  ///< wheel position, valid when loc == kWheel
-  std::uint8_t slot = 0;
   EventAction action;
 };
 
-/// Staging entry: the ordering key inline so wheel slots, heaps and the fire
-/// batch never dereference the record to compare or cascade.
+/// Staging entry: the ordering key inline so the overflow heap and the fire
+/// batch never dereference the record to compare.
 struct HeapEntry {
   SimTime at;
   std::uint64_t seq;
@@ -180,12 +142,9 @@ class TimerHandle {
 
 class EventCore {
  public:
-  /// One level-0 tick is 2^16 ns = 65.536 us; the 4x256-slot hierarchy then
-  /// spans 2^48 ns (~3.26 simulated days) before overflowing to the far heap.
+  /// One tick is 2^16 ns = 65.536 us; 2^14 slots span 2^30 ns (~1.07 s).
   static constexpr unsigned kTickNanosBits = 16;
-  static constexpr unsigned kSlotBits = 8;
-  static constexpr unsigned kWheelSlots = 1u << kSlotBits;
-  static constexpr unsigned kWheelLevels = 4;
+  static constexpr unsigned kWheelSlots = 1u << 14;
 
   EventCore() = default;
   ~EventCore();
@@ -216,15 +175,11 @@ class EventCore {
   /// then returns the record to the pool.
   void execute_and_recycle(detail::EventRec* rec);
 
-  /// Re-anchors the wheel cursor to `now` when the core is completely idle
-  /// (no live events, no staged skeletons); a no-op otherwise. Draining the
-  /// queue walks the cursor to the pop bound — after a full run() that is
-  /// the far future, so without re-anchoring every later schedule_*() would
-  /// compare <= cur_tick_ and silently degrade to the ordered near heap
-  /// (correct, but O(log n) and without O(1) wheel cancellation). The
-  /// simulator calls this whenever a run leaves the core empty, so a reused
-  /// Simulator keeps the wheel's perf properties.
-  void reanchor(SimTime now);
+  /// Moves the cursor forward to min(tick(t), next pending tick - 1); never
+  /// backwards. pop_next() moves the cursor only to the slots it drains, so
+  /// after a run the simulator calls this with its clock: later schedules
+  /// near the clock then land in the window instead of the overflow heap.
+  void advance_cursor(SimTime t);
 
   [[nodiscard]] std::size_t live() const { return live_; }
   [[nodiscard]] std::uint64_t cancelled_total() const { return cancelled_total_; }
@@ -235,52 +190,41 @@ class EventCore {
   }
 
  private:
-  struct SlotBitmap {
-    std::uint64_t w[kWheelSlots / 64] = {};
-    void set(unsigned i) { w[i >> 6] |= 1ull << (i & 63); }
-    void clear(unsigned i) { w[i >> 6] &= ~(1ull << (i & 63)); }
-    [[nodiscard]] bool test(unsigned i) const {
-      return (w[i >> 6] >> (i & 63)) & 1u;
-    }
-    /// First set slot index >= from, or -1.
-    [[nodiscard]] int next_set_from(unsigned from) const;
-  };
-
   static std::uint64_t tick_of(SimTime t) {
     return static_cast<std::uint64_t>(t.nanos()) >> kTickNanosBits;
+  }
+  static unsigned slot_of(std::uint64_t tick) {
+    return static_cast<unsigned>(tick) & (kWheelSlots - 1);
   }
 
   detail::EventRec* alloc();
   void recycle(detail::EventRec* rec);
-  /// Files a record under the cursor: current-tick records go to the near
-  /// heap, in-horizon records to a wheel slot, the rest to the far heap.
+  /// Files a record into the batch, a wheel slot or the overflow heap.
   void link(detail::EventRec* rec);
-  void unlink_from_wheel(detail::EventRec* rec);
-  /// Earliest occupied slot start across all levels as an absolute tick
-  /// (UINT64_MAX if the wheel is empty), looking one revolution ahead.
+  /// First occupied slot's tick (UINT64_MAX if the wheel is empty). Slot i
+  /// holds the one tick in (cursor, cursor + kWheelSlots) congruent to i.
   [[nodiscard]] std::uint64_t next_occupied_tick() const;
-  /// Moves the cursor to `bound`, cascading the first occupied slot start it
-  /// reaches (level 0 into the sorted fire batch, upper levels one or more
-  /// levels down). Returns true if any slot was expired.
-  bool advance_cursor(std::uint64_t bound);
-  void expire_slot(unsigned level, unsigned slot);
-  /// Drops cancelled skeletons from the top of a heap.
-  void prune(std::vector<detail::HeapEntry>& heap);
+  /// Moves the cursor to `tick` and sorts that slot into the spent batch.
+  void drain_slot(std::uint64_t tick);
+  void compact_batch() {
+    batch_.clear();
+    batch_idx_ = 0;
+  }
 
-  /// Expired level-0 slot contents, sorted by (at, seq) and consumed by
-  /// index: the bulk fire path pays one sort per slot instead of a heap
-  /// sift per event. Entries before batch_idx_ are spent.
+  /// Records due at or before the cursor's tick, sorted by (at, seq) and
+  /// consumed by index: the bulk fire path pays one sort per slot instead of
+  /// a heap sift per event. Entries before batch_idx_ are spent.
   std::vector<detail::HeapEntry> batch_;
   std::size_t batch_idx_ = 0;
-  std::vector<detail::HeapEntry> near_;  ///< min-heap by (at, seq)
-  std::vector<detail::HeapEntry> far_;   ///< min-heap by (at, seq)
+  std::vector<detail::HeapEntry> overflow_;  ///< min-heap by (at, seq)
   /// Cancelled records still represented by a staged skeleton entry. Zero on
   /// the hot path -> no cancelled checks at all.
   std::uint64_t stage_cancelled_ = 0;
 
-  detail::EventRec* wheel_[kWheelLevels][kWheelSlots] = {};
-  SlotBitmap occupied_[kWheelLevels];
-  std::uint64_t cur_tick_ = 0;  ///< all ticks <= cur_tick_ are cascaded out
+  std::unique_ptr<detail::EventRec*[]> wheel_ =
+      std::make_unique<detail::EventRec*[]>(kWheelSlots);
+  std::uint64_t occupied_[kWheelSlots / 64] = {};  ///< one bit per slot
+  std::uint64_t cur_tick_ = 0;  ///< every slot up to this tick is drained
 
   std::vector<std::unique_ptr<detail::EventRec[]>> chunks_;
   detail::EventRec* free_list_ = nullptr;

@@ -2,7 +2,7 @@
 // fire in scheduling order (a monotone sequence number breaks ties), so a
 // given scenario seed always produces the identical packet trace.
 //
-// Scheduling is backed by the hierarchical timer wheel in net/event_core.hpp:
+// Scheduling is backed by the one-level timer wheel in net/event_core.hpp:
 // pooled, intrusively-linked event records with inline closure storage (no
 // per-event allocation on the hot path) and cancellable TimerHandles, while
 // preserving the exact (timestamp, sequence) firing order of the original
@@ -33,7 +33,7 @@ class Simulator {
     return core_.cancelled_total();
   }
   /// Of those, the ones descheduled via the O(1) wheel unlink (the rest
-  /// were lazily dropped from an ordered stage).
+  /// were lazily dropped from the fire batch or the overflow heap).
   [[nodiscard]] std::uint64_t events_cancelled_wheel() const {
     return core_.cancelled_from_wheel();
   }
@@ -65,20 +65,19 @@ class Simulator {
       core_.execute_and_recycle(rec);
     }
     if (now_ < end) now_ = end;
-    core_.reanchor(now_);  // no-op unless the drain left the core idle
+    core_.advance_cursor(now_);
   }
 
   /// Runs until the event queue is empty; the clock stops at the last event.
-  /// The wheel cursor is re-anchored to the final clock, so a reused
-  /// simulator schedules through the O(1) wheel again instead of silently
-  /// degrading to the overflow/near heaps.
+  /// The wheel cursor follows the clock, so a reused simulator keeps
+  /// scheduling into the wheel's window.
   void run() {
     while (detail::EventRec* rec = core_.pop_next(SimTime::max())) {
       now_ = rec->at;
       ++processed_;
       core_.execute_and_recycle(rec);
     }
-    core_.reanchor(now_);
+    core_.advance_cursor(now_);
   }
 
  private:

@@ -12,7 +12,6 @@ Host* Topology::add_host(const std::string& name, std::uint32_t addr,
   Host* ptr = host.get();
   nodes_.push_back(std::move(host));
   index_[ptr] = nodes_.size() - 1;
-  hosts_.push_back(ptr);
   if (advertise) advertised_.push_back({nodes_.size() - 1, addr});
   return ptr;
 }

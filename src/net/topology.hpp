@@ -70,7 +70,6 @@ class Topology {
   std::unordered_map<const Node*, std::size_t> index_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<Edge> edges_;
-  std::vector<Host*> hosts_;
   /// (node index, terminated address) pairs route targets for compute_routes.
   std::vector<std::pair<std::size_t, std::uint32_t>> advertised_;
 };

@@ -32,6 +32,12 @@ struct HistStats {
   double max = 0;
   double sum = 0;
 
+  void add(double v) {
+    if (count == 0 || v < min) min = v;
+    if (count == 0 || v > max) max = v;
+    sum += v;
+    ++count;
+  }
   [[nodiscard]] double mean() const {
     return count ? sum / static_cast<double>(count) : 0.0;
   }

@@ -105,11 +105,8 @@ const char* to_string(Code c) {
     case Code::kOutcomeReset: return "outcome_reset";
     case Code::kOutcomeTimeout: return "outcome_timeout";
     case Code::kOutcomeSolveRefused: return "outcome_solve_refused";
-    case Code::kSchedNear: return "sched_near";
-    case Code::kSchedWheel: return "sched_wheel";
-    case Code::kSchedFar: return "sched_far";
-    case Code::kCancelWheel: return "cancel_wheel";
-    case Code::kCancelStage: return "cancel_stage";
+    case Code::kSched: return "sched";
+    case Code::kCancel: return "cancel";
     case Code::kFire: return "fire";
     case Code::kLinkTx: return "link_tx";
     case Code::kLinkDrop: return "link_drop";

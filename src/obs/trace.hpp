@@ -101,14 +101,11 @@ enum class Code : std::uint8_t {
   kOutcomeTimeout,
   kOutcomeSolveRefused,
   // -- kEvent ---------------------------------------------------------------
-  kSchedNear,            ///< scheduled into the ordered near heap (a0 = seq)
-  kSchedWheel,           ///< parked in a wheel slot (a0 = seq, a1 = level)
-  kSchedFar,             ///< beyond the wheel horizon (a0 = seq)
-  kCancelWheel,          ///< O(1) wheel unlink (a0 = seq)
-  kCancelStage,          ///< lazy staged-skeleton cancel (a0 = seq)
+  kSched,                ///< scheduled (a0 = seq, a1 = 0 batch, 1 wheel, 2 overflow)
+  kCancel,               ///< descheduled (a0 = seq, a1 = 1 wheel unlink, 0 lazy)
   kFire,                 ///< event fired (a0 = seq)
-  // -- kLink ----------------------------------------------------------------
-  kLinkTx,               ///< serialized onto the wire (a0 = bytes, a1 = arrival ns)
+  // -- kLink (pinned: codes outside kEvent keep their numbers) --------------
+  kLinkTx = 41,          ///< serialized onto the wire (a0 = bytes, a1 = arrival ns)
   kLinkDrop,             ///< link queue overflow (a0 = bytes)
   // -- kSecret --------------------------------------------------------------
   kSecretRotate,         ///< listener installed a new secret epoch (a0 = epoch)

@@ -14,11 +14,7 @@ constexpr double kPerPacketCpuSec = 0.7e-3;
 /// The flood tool abandons an attempt that has not completed after this
 /// long (an admitted solve gets three times as long).
 constexpr SimTime kAttemptTimeout = SimTime::seconds(1);
-constexpr std::uint32_t kAttemptTimeoutMs = kAttemptTimeout.nanos() / 1'000'000;
-
-std::uint32_t to_ms(SimTime t) {
-  return static_cast<std::uint32_t>(t.nanos() / 1'000'000);
-}
+constexpr std::uint32_t kAttemptTimeoutMs = wire_ms(kAttemptTimeout);
 
 }  // namespace
 
@@ -131,7 +127,7 @@ void AttackerAgent::launch_attempt(SimTime now, bool patched,
 
   auto [it, inserted] = attempts_.emplace(
       sport, Attempt{tcp::Connector(ccfg, rng_.next()), now, {}});
-  launches_.push_back({to_ms(now), sport});
+  launches_.push_back({wire_ms(now), sport});
   report_.attempts.add(now, 1.0);
   ++report_.total_attempts;
   apply(now, sport, it->second.connector.start(now));
@@ -275,7 +271,7 @@ void AttackerAgent::tick_loop() {
     // limit, to whichever attempt now holds the port.
     std::erase_if(grace_,
                   [&](std::uint16_t sport) { return settle(t, sport); });
-    const std::uint32_t t_ms = to_ms(t);
+    const std::uint32_t t_ms = wire_ms(t);
     while (!launches_.empty() &&
            t_ms - launches_.front().at_ms >= kAttemptTimeoutMs) {
       const std::uint16_t sport = launches_.front().sport;

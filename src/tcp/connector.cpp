@@ -45,7 +45,7 @@ Segment Connector::make_syn(SimTime now) const {
   s.options.mss = cfg_.mss;
   s.options.wscale = cfg_.wscale;
   s.options.sack_permitted = true;
-  if (cfg_.use_timestamps) s.options.ts = TimestampsOption{to_ms(now), 0};
+  if (cfg_.use_timestamps) s.options.ts = TimestampsOption{wire_ms(now), 0};
   return s;
 }
 
@@ -59,7 +59,7 @@ Segment Connector::make_plain_ack(SimTime now) const {
   s.ack = peer_seq_ + 1;
   s.flags = kAck;
   if (cfg_.use_timestamps && peer_ts_ok_) {
-    s.options.ts = TimestampsOption{to_ms(now), peer_tsval_};
+    s.options.ts = TimestampsOption{wire_ms(now), peer_tsval_};
   }
   return s;
 }

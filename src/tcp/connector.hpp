@@ -99,10 +99,6 @@ class Connector {
   [[nodiscard]] Segment make_syn(SimTime now) const;
   [[nodiscard]] Segment make_plain_ack(SimTime now) const;
 
-  [[nodiscard]] static std::uint32_t to_ms(SimTime t) {
-    return static_cast<std::uint32_t>(t.nanos() / 1'000'000);
-  }
-
   ConnectorConfig cfg_;
   Rng rng_;
   ConnectorState state_ = ConnectorState::kClosed;

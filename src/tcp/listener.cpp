@@ -1,7 +1,6 @@
 #include "tcp/listener.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -78,13 +77,6 @@ defense::QueueView Listener::queue_view() const {
   return q;
 }
 
-void Listener::add_mass(std::uint64_t& counter, double& frac, double mass) {
-  frac += mass;
-  const double whole = std::floor(frac);
-  counter += static_cast<std::uint64_t>(whole);
-  frac -= whole;
-}
-
 void Listener::set_fluid_occupancy(double listen, double accept) {
   fluid_listen_ = std::max(0.0, listen);
   fluid_accept_ = std::max(0.0, accept);
@@ -96,7 +88,7 @@ Listener::FluidAdmission Listener::admit_fluid_syns(SimTime now,
   out.difficulty = cfg_.difficulty;
   if (offered <= 0.0) return out;
   observe_policy(now);
-  add_mass(counters_.fluid_syns_offered, frac_offered_, offered);
+  carry_offered_.add(counters_.fluid_syns_offered, offered);
 
   // One policy verdict covers the whole tick's mass: the same on_syn call a
   // discrete SYN gets, over the combined queue view.
@@ -109,12 +101,12 @@ Listener::FluidAdmission Listener::admit_fluid_syns(SimTime now,
       }
       out.challenged = offered;
       // g(p) = 1 hash per minted challenge, charged like the discrete path.
-      add_mass(counters_.crypto_hash_ops, frac_crypto_ops_, offered);
+      carry_crypto_ops_.add(counters_.crypto_hash_ops, offered);
       hash_ops_pending_ += static_cast<std::uint64_t>(offered);
       break;
     case defense::SynAction::kCookie:
       out.cookied = offered;
-      add_mass(counters_.crypto_hash_ops, frac_crypto_ops_, offered);
+      carry_crypto_ops_.add(counters_.crypto_hash_ops, offered);
       hash_ops_pending_ += static_cast<std::uint64_t>(offered);
       break;
     case defense::SynAction::kDrop:
@@ -132,10 +124,10 @@ Listener::FluidAdmission Listener::admit_fluid_syns(SimTime now,
     }
   }
 
-  add_mass(counters_.fluid_enqueued, frac_enqueued_, out.enqueued);
-  add_mass(counters_.fluid_challenged, frac_challenged_, out.challenged);
-  add_mass(counters_.fluid_cookied, frac_cookied_, out.cookied);
-  add_mass(counters_.fluid_dropped, frac_dropped_, out.dropped);
+  carry_enqueued_.add(counters_.fluid_enqueued, out.enqueued);
+  carry_challenged_.add(counters_.fluid_challenged, out.challenged);
+  carry_cookied_.add(counters_.fluid_cookied, out.cookied);
+  carry_dropped_.add(counters_.fluid_dropped, out.dropped);
   TCPZ_TRACE(now, obs::Code::kFluidOffer, cfg_.trace_track,
              static_cast<std::uint64_t>(offered * 1000.0),
              static_cast<std::uint64_t>(out.dropped * 1000.0));
@@ -153,11 +145,11 @@ double Listener::admit_fluid_handshakes(SimTime now, double offered,
   if (offered <= 0.0) return 0.0;
   observe_policy(now);
   if (puzzle_path) {
-    add_mass(counters_.fluid_solution_acks, frac_solutions_, offered);
+    carry_solutions_.add(counters_.fluid_solution_acks, offered);
     // d(p) hashes per verification, charged like the discrete path.
     const double verify_ops =
         offered * cfg_.difficulty.expected_verify_hashes();
-    add_mass(counters_.crypto_hash_ops, frac_crypto_ops_, verify_ops);
+    carry_crypto_ops_.add(counters_.crypto_hash_ops, verify_ops);
     hash_ops_pending_ += static_cast<std::uint64_t>(verify_ops);
   }
   // §5 semantics, aggregated: a saturated accept queue ignores the whole
@@ -171,8 +163,8 @@ double Listener::admit_fluid_handshakes(SimTime now, double offered,
     admitted = std::min(offered, room);
   }
   const double deceived = offered - admitted;
-  add_mass(counters_.fluid_established, frac_established_, admitted);
-  add_mass(counters_.fluid_deceived, frac_deceived_, deceived);
+  carry_established_.add(counters_.fluid_established, admitted);
+  carry_deceived_.add(counters_.fluid_deceived, deceived);
   if (admitted > 0.0) {
     TCPZ_TRACE(now, obs::Code::kFluidEstablish, cfg_.trace_track,
                static_cast<std::uint64_t>(admitted * 1000.0),
@@ -317,7 +309,7 @@ Segment Listener::make_cookie_synack(const Segment& seg, const FlowKey& flow,
                                      SimTime now) {
   const std::uint16_t peer_mss = seg.options.mss.value_or(536);
   const std::uint32_t cookie =
-      cookies_.encode(flow, seg.seq, peer_mss, to_sec(now));
+      cookies_.encode(flow, seg.seq, peer_mss, wire_sec(now));
   counters_.crypto_hash_ops += 1;
   ++hash_ops_pending_;
 
@@ -333,7 +325,7 @@ Segment Listener::make_cookie_synack(const Segment& seg, const FlowKey& flow,
   // the performance loss §5 calls out.
   s.options.mss = SynCookieCodec::kMssTable[SynCookieCodec::mss_to_index(peer_mss)];
   if (cfg_.use_timestamps && seg.options.ts.has_value()) {
-    s.options.ts = TimestampsOption{to_ms(now), seg.options.ts->tsval};
+    s.options.ts = TimestampsOption{wire_ms(now), seg.options.ts->tsval};
   }
   ++counters_.cookies_sent;
   ++counters_.synacks_sent;
@@ -355,7 +347,7 @@ Segment Listener::make_rst(const Segment& in) const {
 std::vector<Segment> Listener::handle_syn(SimTime now, const Segment& seg) {
   ++counters_.syns_received;
   const FlowKey flow = FlowKey::from_incoming(seg);
-  const std::uint32_t now_ms = to_ms(now);
+  const std::uint32_t now_ms = wire_ms(now);
 
   // Retransmitted SYN for an existing half-open connection: resend SYN-ACK.
   if (HalfOpenEntry* entry = listen_.find(flow)) {
@@ -486,7 +478,7 @@ std::vector<Segment> Listener::handle_ack(SimTime now, const Segment& seg) {
     const std::uint32_t client_isn = seg.seq - 1;
     counters_.crypto_hash_ops += 1;
     ++hash_ops_pending_;
-    if (const auto mss = cookies_.decode(flow, client_isn, cookie, to_sec(now))) {
+    if (const auto mss = cookies_.decode(flow, client_isn, cookie, wire_sec(now))) {
       ++counters_.cookies_valid;
       TCPZ_TRACE(now, obs::Code::kCookieValid, cfg_.trace_track, flow);
       if (accept_saturated()) {
@@ -527,7 +519,7 @@ std::vector<Segment> Listener::handle_solution_ack(SimTime now,
                                                    const Segment& seg) {
   ++counters_.solution_acks;
   const FlowKey flow = FlowKey::from_incoming(seg);
-  const std::uint32_t now_ms = to_ms(now);
+  const std::uint32_t now_ms = wire_ms(now);
   const SolutionOption& sopt = *seg.options.solution;
 
   // Recover the challenge timestamp: TSecr when timestamps are in use,
@@ -679,7 +671,7 @@ std::vector<Segment> Listener::on_tick(SimTime now) {
   // only on ticks that reach it, unchanged, so retransmits keep their order.
   std::vector<Segment> out;
   if (now < listen_.next_deadline()) return out;
-  const std::uint32_t now_ms = to_ms(now);
+  const std::uint32_t now_ms = wire_ms(now);
 
   listen_.retain([&](HalfOpenEntry& entry) {
     // Parked (acked) entries are NOT promoted here: Linux completes them

@@ -40,6 +40,7 @@
 #include "tcp/segment.hpp"
 #include "tcp/syncookie.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/time.hpp"
 
 namespace tcpz::tcp {
@@ -247,23 +248,6 @@ class Listener {
                accept_.capacity();
   }
 
-  /// Accumulates fractional fluid mass into an integer counter, carrying the
-  /// sub-unit remainder in `frac` so long runs count every whole user.
-  static void add_mass(std::uint64_t& counter, double& frac, double mass);
-
-  /// Truncation to the 32-bit millisecond wire clock (TCP timestamps and the
-  /// challenge/solution blocks are 32-bit on the wire). This wraps every
-  /// ~49.7 simulated days BY DESIGN; every consumer — challenge freshness
-  /// (puzzle::check_freshness), the replay cache TTL and the cookie counter
-  /// — therefore compares timestamps with wrap-safe serial-number
-  /// arithmetic, never with raw magnitude. See DESIGN.md, "Time discipline".
-  [[nodiscard]] static std::uint32_t to_ms(SimTime t) {
-    return static_cast<std::uint32_t>(t.nanos() / 1'000'000);
-  }
-  [[nodiscard]] static std::uint32_t to_sec(SimTime t) {
-    return static_cast<std::uint32_t>(t.nanos() / 1'000'000'000);
-  }
-
   /// A retired secret epoch, kept alive through the rotation overlap window.
   struct PrevEpoch {
     crypto::SecretKey secret;
@@ -294,15 +278,9 @@ class Listener {
   // remainders of every fluid counter and of the crypto-op charge.
   double fluid_listen_ = 0;
   double fluid_accept_ = 0;
-  double frac_offered_ = 0;
-  double frac_enqueued_ = 0;
-  double frac_challenged_ = 0;
-  double frac_cookied_ = 0;
-  double frac_dropped_ = 0;
-  double frac_solutions_ = 0;
-  double frac_established_ = 0;
-  double frac_deceived_ = 0;
-  double frac_crypto_ops_ = 0;
+  FloorCarry carry_offered_, carry_enqueued_, carry_challenged_, carry_cookied_,
+      carry_dropped_, carry_solutions_, carry_established_, carry_deceived_,
+      carry_crypto_ops_;
 };
 
 }  // namespace tcpz::tcp

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace tcpz {
 
@@ -123,29 +122,6 @@ std::string BoxplotStats::to_string() const {
                 "min=%.3f q1=%.3f med=%.3f q3=%.3f max=%.3f mean=%.3f n=%zu",
                 min, q1, median, q3, max, mean, count);
   return buf;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0.0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram requires hi > lo and bins > 0");
-  }
-}
-
-void Histogram::add(double x, double weight) {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
 }
 
 }  // namespace tcpz

@@ -3,6 +3,7 @@
 // boxplot summaries (Fig. 12 of the paper is a boxplot).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -75,23 +76,17 @@ struct BoxplotStats {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Histogram over [lo, hi) with equal-width bins; out-of-range samples are
-/// clamped into the edge bins so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-  [[nodiscard]] double count(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double total() const { return total_; }
-
- private:
-  double lo_, hi_, width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
+/// Floor-carry accumulation of fractional (fluid) mass into an integer
+/// total: the sub-unit remainder carries over to the next add, so long runs
+/// count every whole unit. Mass must be non-negative.
+struct FloorCarry {
+  double frac = 0;
+  void add(std::uint64_t& total, double mass) {
+    frac += mass;
+    const double whole = std::floor(frac);
+    total += static_cast<std::uint64_t>(whole);
+    frac -= whole;
+  }
 };
 
 }  // namespace tcpz

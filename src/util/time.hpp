@@ -76,4 +76,18 @@ class SimTime {
   std::int64_t nanos_ = 0;
 };
 
+/// Truncation to the 32-bit millisecond wire clock (TCP timestamps and the
+/// challenge/solution blocks are 32-bit on the wire). This wraps every
+/// ~49.7 simulated days BY DESIGN; every consumer — challenge freshness
+/// (puzzle::check_freshness), the replay cache TTL and the cookie counter
+/// — therefore compares timestamps with wrap-safe serial-number arithmetic,
+/// never with raw magnitude. See DESIGN.md, "Time discipline".
+[[nodiscard]] constexpr std::uint32_t wire_ms(SimTime t) {
+  return static_cast<std::uint32_t>(t.nanos() / 1'000'000);
+}
+/// The 32-bit seconds clock of the SYN-cookie counter (same wrap rule).
+[[nodiscard]] constexpr std::uint32_t wire_sec(SimTime t) {
+  return static_cast<std::uint32_t>(t.nanos() / 1'000'000'000);
+}
+
 }  // namespace tcpz

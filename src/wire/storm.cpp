@@ -3,24 +3,8 @@
 namespace tcpz::wire {
 namespace {
 
-void hist_add(obs::HistStats& h, double v) {
-  if (h.count == 0) {
-    h.min = v;
-    h.max = v;
-  } else {
-    if (v < h.min) h.min = v;
-    if (v > h.max) h.max = v;
-  }
-  h.sum += v;
-  ++h.count;
-}
-
 /// First client port; attempts cycle upward through the ephemeral range.
 constexpr std::uint16_t kBasePort = 20'000;
-
-[[nodiscard]] std::uint32_t to_ms(SimTime t) {
-  return static_cast<std::uint32_t>(t.nanos() / 1'000'000);
-}
 
 }  // namespace
 
@@ -176,7 +160,7 @@ void StormClient::apply(SimTime now, std::uint16_t port,
   }
   if (out.established) {
     ++stats_.established;
-    hist_add(stats_.connect_ms, (now - it->second.started).to_millis());
+    stats_.connect_ms.add((now - it->second.started).to_millis());
     finish(port, offense::Outcome::kEstablished, now);
   } else if (out.failed) {
     if (out.reason == tcp::ConnectFail::kReset) {
@@ -231,7 +215,7 @@ tcp::Segment StormClient::make_spoofed_syn(SimTime now) {
   syn.options.mss = 1460;
   syn.options.wscale = 7;
   if (cfg_.use_timestamps) {
-    syn.options.ts = tcp::TimestampsOption{to_ms(now), 0};
+    syn.options.ts = tcp::TimestampsOption{wire_ms(now), 0};
   }
   return syn;
 }

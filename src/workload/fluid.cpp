@@ -24,15 +24,6 @@ constexpr double kRstWire = 40;
 
 }  // namespace
 
-void FluidPopulation::Carry::add(std::uint64_t& total, double mass) {
-  frac += mass;
-  const double whole = std::floor(frac);
-  if (whole > 0) {
-    total += static_cast<std::uint64_t>(whole);
-    frac -= whole;
-  }
-}
-
 FluidPopulation::FluidPopulation(FluidConfig cfg, puzzle::Difficulty initial)
     : cfg_(cfg), difficulty_(initial) {}
 

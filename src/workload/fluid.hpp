@@ -40,6 +40,7 @@
 #include "sim/cpu.hpp"
 #include "sim/metrics.hpp"
 #include "tcp/listener.hpp"
+#include "util/stats.hpp"
 #include "util/time.hpp"
 #include "workload/profiles.hpp"
 #include "workload/spec.hpp"
@@ -100,12 +101,6 @@ class FluidPopulation {
   [[nodiscard]] double conservation_error() const;
 
  private:
-  /// Floor-carry accumulation of fractional mass into an integer total.
-  struct Carry {
-    double frac = 0;
-    void add(std::uint64_t& total, double mass);
-  };
-
   void establish(SimTime now, double mass);
   void deceive(SimTime now, double mass);
   void fail(SimTime now, double mass);
@@ -131,7 +126,7 @@ class FluidPopulation {
   double solve_busy_ = 0;
 
   // Integer-total carries.
-  Carry c_attempts_, c_established_, c_completions_, c_failures_, c_rsts_,
+  FloorCarry c_attempts_, c_established_, c_completions_, c_failures_, c_rsts_,
       c_challenges_, c_refused_;
 };
 

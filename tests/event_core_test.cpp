@@ -1,7 +1,7 @@
 // Event-core coverage: exact (timestamp, sequence) ordering against a
-// reference model across every staging tier (near heap, all wheel levels,
-// far-future overflow heap), timer cancellation semantics, and hot-path
-// closure sizing.
+// reference model across every staging tier (fire batch, wheel, overflow
+// heap beyond the wheel's window), timer cancellation semantics, the cursor
+// rule, and hot-path closure sizing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,13 +20,14 @@ namespace {
 using Fired = std::vector<std::pair<std::int64_t, int>>;
 
 // ---------------------------------------------------------------------------
-// Determinism: the wheel+heap core must fire in the exact order of the seed
-// priority queue — ascending timestamp, scheduling order breaking ties.
+// Determinism: the wheel+batch+heap core must fire in the exact order of
+// the seed priority queue — ascending timestamp, scheduling order breaking
+// ties.
 // ---------------------------------------------------------------------------
 
 TEST(EventCoreOrder, RandomWorkloadMatchesReferenceOrder) {
-  // Deltas span every tier: sub-tick (near heap), all four wheel levels
-  // (2^16..2^48 ns), and beyond the wheel horizon (far heap).
+  // Deltas span every tier: sub-tick (fire batch), inside the wheel's
+  // ~1.07 s window, and far beyond it (overflow heap).
   constexpr std::int64_t kSpans[] = {
       1'000,           50'000,         3'000'000,       800'000'000,
       120'000'000'000, 2'000'000'000'000, 400'000'000'000'000};
@@ -56,8 +57,8 @@ TEST(EventCoreOrder, EqualTimestampsFireInSchedulingOrder) {
   Simulator sim;
   std::vector<int> order;
   // Same nanosecond, scheduled from different staging distances: the first
-  // two land in the wheel and cascade, the third is scheduled once the
-  // cursor has already swept the tick (straight into the near heap).
+  // two land in the wheel, the third is scheduled once the cursor has
+  // already drained the tick (a sorted insert into the fire batch).
   const SimTime t = SimTime::milliseconds(500);
   sim.schedule_at(t, [&] { order.push_back(0); });
   sim.schedule_at(t, [&] {
@@ -68,18 +69,18 @@ TEST(EventCoreOrder, EqualTimestampsFireInSchedulingOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(EventCoreOrder, CascadeChainsThroughEveryLevel) {
-  // One event per wheel level plus near and far tiers, scheduled in reverse
-  // time order so every one must cascade past the others.
+TEST(EventCoreOrder, ReverseScheduledSpansFireInTimeOrder) {
+  // Spans from sub-tick to days, scheduled in reverse time order so every
+  // one must fire ahead of the ones scheduled before it.
   Simulator sim;
   std::vector<int> order;
   const std::int64_t at_ns[] = {
-      500'000'000'000'000,  // far heap (~5.8 days)
-      900'000'000'000,      // level 3
-      5'000'000'000,        // level 2
-      40'000'000,           // level 1
-      200'000,              // level 0
-      10,                   // sub-tick
+      500'000'000'000'000,  // overflow heap (~5.8 days)
+      900'000'000'000,      // overflow heap
+      5'000'000'000,        // overflow heap
+      40'000'000,           // wheel
+      200'000,              // wheel
+      10,                   // sub-tick: fire batch
   };
   for (int i = 0; i < 6; ++i) {
     sim.schedule_at(SimTime::nanoseconds(at_ns[i]),
@@ -90,21 +91,54 @@ TEST(EventCoreOrder, CascadeChainsThroughEveryLevel) {
   EXPECT_EQ(sim.now(), SimTime::nanoseconds(at_ns[0]));
 }
 
-TEST(EventCoreOrder, FarHeapOverflowInterleavesExactlyWithWheel) {
-  // Wheel horizon is 2^48 ns. Schedule pairs straddling it with equal
-  // timestamps to prove the overflow tier costs no ordering.
+TEST(EventCoreOrder, OverflowHeapInterleavesExactlyWithWheel) {
+  // Equal timestamps far beyond the wheel's window, scheduled before and
+  // during the run: the later schedule must fire after its twin (later seq).
   Simulator sim;
   const SimTime beyond = SimTime::nanoseconds((1ll << 48) + 12'345);
   std::vector<int> order;
-  sim.schedule_at(beyond, [&] { order.push_back(0); });       // far heap
+  sim.schedule_at(beyond, [&] { order.push_back(0); });       // overflow heap
   sim.schedule_at(SimTime::nanoseconds(70'000), [&] {         // one tick in
     order.push_back(1);
-    // From here `beyond` is within wheel range: the same timestamp via the
-    // wheel path must fire after the far-heap twin (later seq).
     sim.schedule_at(beyond, [&] { order.push_back(2); });
   });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+}
+
+TEST(EventCoreOrder, WindowEdgeTicksInterleaveExactly) {
+  // With the cursor at tick 0, tick 2^14 - 1 is the last one inside the
+  // wheel's window and tick 2^14 the first one beyond it (overflow heap).
+  constexpr std::int64_t kTickNs = 1ll << EventCore::kTickNanosBits;
+  const SimTime last_in =
+      SimTime::nanoseconds((EventCore::kWheelSlots - 1) * kTickNs);
+  const SimTime first_out =
+      SimTime::nanoseconds(EventCore::kWheelSlots * kTickNs);
+  const SimTime twin = first_out + SimTime::nanoseconds(5);
+  Simulator sim;
+  // Tier check: only the in-window cancel is an O(1) wheel unlink.
+  TimerHandle in_h = sim.schedule_at(last_in, [] {});
+  TimerHandle out_h = sim.schedule_at(first_out, [] {});
+  EXPECT_TRUE(sim.cancel(in_h));
+  EXPECT_EQ(sim.events_cancelled_wheel(), 1u);
+  EXPECT_TRUE(sim.cancel(out_h));
+  EXPECT_EQ(sim.events_cancelled_wheel(), 1u);
+  EXPECT_EQ(sim.events_cancelled(), 2u);
+
+  std::vector<int> order;
+  sim.schedule_at(twin, [&] { order.push_back(0); });  // overflow heap
+  sim.schedule_at(first_out - SimTime::nanoseconds(1), [&] {  // wheel
+    order.push_back(1);
+    // The cursor has drained tick 2^14 - 1, so `twin` is inside the window
+    // now: this wheel-resident copy must still fire after both heap twins.
+    sim.schedule_at(twin, [&] { order.push_back(5); });
+  });
+  sim.schedule_at(twin, [&] { order.push_back(2); });       // overflow heap
+  sim.schedule_at(first_out, [&] { order.push_back(3); });  // overflow heap
+  sim.schedule_at(last_in, [&] { order.push_back(4); });    // wheel
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{4, 1, 3, 0, 2, 5}));
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(EventCoreOrder, RunUntilBoundaryIsInclusive) {
@@ -121,12 +155,12 @@ TEST(EventCoreOrder, RunUntilBoundaryIsInclusive) {
 }
 
 // ---------------------------------------------------------------------------
-// Reuse after a draining run: the cursor must re-anchor so the simulator
-// keeps the wheel's O(1) scheduling/cancel tier instead of silently
-// degrading everything to the ordered heaps (the ROADMAP open item).
+// Reuse after a draining run: the cursor must follow the clock so the
+// simulator keeps the wheel's O(1) scheduling/cancel tier instead of
+// silently degrading everything to the overflow heap.
 // ---------------------------------------------------------------------------
 
-TEST(EventCoreReuse, ReanchorAfterDrainedRunRestoresWheelTier) {
+TEST(EventCoreReuse, CursorFollowsClockAfterDrainedRun) {
   Simulator sim;
   int fired = 0;
   sim.schedule_in(SimTime::milliseconds(5), [&] { ++fired; });
@@ -141,7 +175,7 @@ TEST(EventCoreReuse, ReanchorAfterDrainedRunRestoresWheelTier) {
   EXPECT_TRUE(sim.cancel(h));
   EXPECT_EQ(sim.events_cancelled_wheel(), wheel_before + 1);
 
-  // Firing still works and ordering is still exact after the re-anchor.
+  // Firing still works and ordering is still exact after the cursor moved.
   std::vector<int> order;
   sim.schedule_in(SimTime::milliseconds(2), [&] { order.push_back(2); });
   sim.schedule_in(SimTime::milliseconds(1), [&] { order.push_back(1); });
@@ -149,7 +183,7 @@ TEST(EventCoreReuse, ReanchorAfterDrainedRunRestoresWheelTier) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 
-  // A draining run_until() re-anchors too (the cursor walked to the bound).
+  // A draining run_until() moves the cursor to its bound too.
   sim.run_until(sim.now() + SimTime::seconds(5));
   const std::uint64_t wheel_before2 = sim.events_cancelled_wheel();
   TimerHandle h2 = sim.schedule_in(SimTime::milliseconds(3), [&] { ++fired; });
@@ -157,10 +191,10 @@ TEST(EventCoreReuse, ReanchorAfterDrainedRunRestoresWheelTier) {
   EXPECT_EQ(sim.events_cancelled_wheel(), wheel_before2 + 1);
 }
 
-TEST(EventCoreReuse, ReanchorIsANoopWhileEventsArePending) {
+TEST(EventCoreReuse, CursorMoveKeepsPendingEvents) {
   Simulator sim;
   int fired = 0;
-  // run_until() with work left behind must NOT move the cursor backwards or
+  // run_until() with work left behind must NOT move the cursor past it or
   // drop anything: the far-future event still fires at its exact time.
   sim.schedule_at(SimTime::seconds(10), [&] { ++fired; });
   sim.run_until(SimTime::seconds(1));
@@ -169,6 +203,31 @@ TEST(EventCoreReuse, ReanchorIsANoopWhileEventsArePending) {
   sim.run();
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(sim.now(), SimTime::seconds(10));
+}
+
+TEST(EventCoreReuse, RunUntilStopsCursorShortOfPendingOverflowEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  const SimTime due = SimTime::seconds(3);  // beyond the window from tick 0
+  sim.schedule_at(due, [&] { order.push_back(0); });
+  sim.run_until(SimTime::seconds(2));
+  // The cursor followed the clock: a timer near it parks in the wheel.
+  TimerHandle near_h =
+      sim.schedule_in(SimTime::milliseconds(10), [&] { order.push_back(9); });
+  EXPECT_TRUE(sim.cancel(near_h));
+  EXPECT_EQ(sim.events_cancelled_wheel(), 1u);
+  // A bound inside the pending event's tick stops the cursor one tick short
+  // of it, so that tick still files into the wheel.
+  sim.run_until(due - SimTime::nanoseconds(1));
+  EXPECT_TRUE(order.empty());
+  TimerHandle same_tick = sim.schedule_at(due, [&] { order.push_back(9); });
+  EXPECT_TRUE(sim.cancel(same_tick));
+  EXPECT_EQ(sim.events_cancelled_wheel(), 2u);
+  // A wheel-resident twin of the overflow event fires after it (later seq).
+  sim.schedule_at(due, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sim.now(), due);
 }
 
 // ---------------------------------------------------------------------------
@@ -192,6 +251,48 @@ TEST(EventCoreCancel, CancelledTimerNeverFires) {
   sim.run();
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(sim.events_processed(), 0u);
+}
+
+TEST(EventCoreCancel, CancelledBatchResidentTimerNeverFires) {
+  Simulator sim;
+  std::vector<int> order;
+  TimerHandle drained;
+  sim.schedule_at(SimTime::milliseconds(1), [&] {
+    order.push_back(0);
+    // The cursor has drained this tick: both schedules are sorted inserts
+    // into the fire batch, and `drained` moved there with this event.
+    TimerHandle inserted = sim.schedule_in(SimTime::nanoseconds(10),
+                                           [&] { order.push_back(1); });
+    sim.schedule_in(SimTime::nanoseconds(20), [&] { order.push_back(2); });
+    EXPECT_TRUE(sim.cancel(inserted));
+    EXPECT_TRUE(sim.cancel(drained));
+  });
+  drained = sim.schedule_at(SimTime::milliseconds(1) + SimTime::nanoseconds(30),
+                            [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  EXPECT_EQ(sim.events_cancelled(), 2u);
+  EXPECT_EQ(sim.events_cancelled_wheel(), 0u);
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(EventCoreCancel, CancelledOverflowResidentTimerNeverFires) {
+  Simulator sim;
+  std::vector<int> order;
+  // 5 s is beyond the ~1.07 s window: all three go to the overflow heap,
+  // where a cancel is lazy.
+  TimerHandle victim =
+      sim.schedule_at(SimTime::seconds(5), [&] { order.push_back(0); });
+  sim.schedule_at(SimTime::seconds(5), [&] { order.push_back(1); });
+  sim.schedule_at(SimTime::seconds(6), [&] { order.push_back(2); });
+  EXPECT_TRUE(sim.cancel(victim));
+  EXPECT_EQ(sim.events_cancelled_wheel(), 0u);
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_FALSE(sim.cancel(victim));
+  EXPECT_EQ(sim.events_processed(), 2u);
 }
 
 TEST(EventCoreCancel, DoubleCancelAndSpentHandlesAreNoops) {

@@ -89,7 +89,7 @@ TEST(ObsRecorder, EveryCodeMapsIntoItsCategoryBlock) {
   EXPECT_EQ(obs::cat_of(Code::kDifficultyRetune), Cat::kDefense);
   EXPECT_EQ(obs::cat_of(Code::kSlotSpoofedSyn), Cat::kOffense);
   EXPECT_EQ(obs::cat_of(Code::kOutcomeSolveRefused), Cat::kOffense);
-  EXPECT_EQ(obs::cat_of(Code::kSchedNear), Cat::kEvent);
+  EXPECT_EQ(obs::cat_of(Code::kSched), Cat::kEvent);
   EXPECT_EQ(obs::cat_of(Code::kFire), Cat::kEvent);
   EXPECT_EQ(obs::cat_of(Code::kLinkTx), Cat::kLink);
   EXPECT_EQ(obs::cat_of(Code::kLinkDrop), Cat::kLink);

@@ -77,20 +77,29 @@ TEST(ParallelSim, SingleShardReproducesGoldenTrace) {
 class ParallelSimShards : public ::testing::TestWithParam<int> {};
 
 /// Golden (full_digest, merged-trace digest, order-insensitive merged-trace
-/// digest) of par_fixture() at a shard count. Repeat-determinism alone
-/// cannot see a change in agent placement or cross-shard injection order;
-/// these pins can. When `trace` moves and `unordered_trace` does not, the
-/// change only reordered events recorded at the same instant.
+/// digest, merged-trace digest with the kEvent category masked off) of
+/// par_fixture() at a shard count. Repeat-determinism alone cannot see a
+/// change in agent placement or cross-shard injection order; these pins
+/// can. When `trace` moves and `unordered_trace` does not, the change only
+/// reordered events recorded at the same instant. `trace` and
+/// `unordered_trace` also record the event core's own schedule/cancel/fire
+/// tiers; `no_event_trace` records every decision but those, so it moves
+/// only when what the run did moves, not when the core files events
+/// differently.
 struct ShardGolden {
   int shards;
   std::uint64_t result;
   std::uint64_t trace;
   std::uint64_t unordered_trace;
+  std::uint64_t no_event_trace;
 };
 constexpr ShardGolden kShardGoldens[] = {
-    {2, 0x35c63da11271cbaaull, 0x17d1aca53c42b023ull, 0x969cc48fc7ab4539ull},
-    {4, 0x4118d9689cc0b84aull, 0xfc55f395dfc4e47cull, 0x9f518f53694f628cull},
-    {8, 0x73d2c72cf52b1126ull, 0xbd9c6b84afe293efull, 0xa37de913bd15e4f3ull},
+    {2, 0x35c63da11271cbaaull, 0xa37f151248e17f57ull, 0x5c1ef5471afaa1a9ull,
+     0x121844f09131532full},
+    {4, 0x4118d9689cc0b84aull, 0x04fb3d0ca3ce1bf5ull, 0xdbd505b3f3b42761ull,
+     0x0702d78e580fce31ull},
+    {8, 0x73d2c72cf52b1126ull, 0x5a8914d2b4892bb4ull, 0x9aae3251faff4fd0ull,
+     0x0c3bef7756cff47full},
 };
 
 /// tracedigest::listener_digest() of par_fixture() traced on the listener
@@ -130,6 +139,22 @@ TEST_P(ParallelSimShards, FixedSeedAndShardsIsDeterministic) {
       << "merged trace content drifted from the golden at " << n
       << " shards; computed 0x" << std::hex
       << tracedigest::unordered_digest(*a.trace);
+}
+
+TEST_P(ParallelSimShards, TraceWithoutEventCoreTiersMatchesGolden) {
+  const int n = GetParam();
+  scenario::Spec s = par_fixture();
+  s.obs.trace = true;
+  s.obs.categories = obs::kAllCategories & ~obs::cat_bit(obs::Cat::kEvent);
+  const scenario::Result r = par::run(s, {.shards = n});
+  ASSERT_TRUE(r.trace);
+  const auto* golden =
+      std::find_if(std::begin(kShardGoldens), std::end(kShardGoldens),
+                   [n](const ShardGolden& g) { return g.shards == n; });
+  ASSERT_NE(golden, std::end(kShardGoldens));
+  EXPECT_EQ(r.trace->digest(), golden->no_event_trace)
+      << "merged trace without kEvent drifted from the golden at " << n
+      << " shards; computed 0x" << std::hex << r.trace->digest();
 }
 
 INSTANTIATE_TEST_SUITE_P(N, ParallelSimShards, ::testing::Values(2, 4, 8));

@@ -122,7 +122,7 @@ TEST(Rng, SplitProducesIndependentStream) {
 }
 
 // ---------------------------------------------------------------------------
-// RunningStats / SampleSet / Boxplot / Histogram
+// RunningStats / SampleSet / Boxplot / FloorCarry
 // ---------------------------------------------------------------------------
 
 TEST(RunningStats, BasicMoments) {
@@ -186,20 +186,17 @@ TEST(BoxplotStats, FiveNumberSummary) {
   EXPECT_EQ(b.count, 9u);
 }
 
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(15.0);
-  h.add(5.5);
-  EXPECT_EQ(h.count(0), 1.0);
-  EXPECT_EQ(h.count(9), 1.0);
-  EXPECT_EQ(h.count(5), 1.0);
-  EXPECT_EQ(h.total(), 3.0);
-}
-
-TEST(Histogram, RejectsDegenerateConfig) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
+TEST(FloorCarry, CountsEveryWholeUnitOfFractionalMass) {
+  FloorCarry c;
+  std::uint64_t total = 0;
+  for (int i = 0; i < 10; ++i) c.add(total, 0.25);
+  EXPECT_EQ(total, 2u);
+  EXPECT_DOUBLE_EQ(c.frac, 0.5);
+  c.add(total, 3.75);
+  EXPECT_EQ(total, 6u);
+  EXPECT_DOUBLE_EQ(c.frac, 0.25);
+  c.add(total, 0.0);
+  EXPECT_EQ(total, 6u);
 }
 
 // ---------------------------------------------------------------------------
