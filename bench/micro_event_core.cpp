@@ -11,6 +11,8 @@
 //
 // Self-contained (no Google Benchmark) so it always builds, and cheap enough
 // in --smoke mode for the CI bench-smoke step.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -153,8 +155,9 @@ struct ChainWorkload {
 };
 
 template <typename Sim>
-double run_chain_workload(Sim& sim, std::uint64_t seed, std::uint64_t n_events,
+double run_chain_workload(std::uint64_t seed, std::uint64_t n_events,
                           std::uint64_t& digest_out) {
+  Sim sim;
   ChainWorkload<Sim> workload(sim, seed, n_events);
   const double secs = workload.run();
   digest_out = workload.digest;
@@ -301,6 +304,18 @@ bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// Median wall time of three passes of `run(seed, n, digest)`, so a single
+/// slow pass cannot decide a speedup check. Every pass is deterministic and
+/// leaves the same digest in `digest_out`.
+template <typename Run>
+double median_of_3(Run run, std::uint64_t seed, std::uint64_t n_events,
+                   std::uint64_t& digest_out) {
+  std::array<double, 3> secs{};
+  for (double& s : secs) s = run(seed, n_events, digest_out);
+  std::sort(secs.begin(), secs.end());
+  return secs[1];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -314,29 +329,31 @@ int main(int argc, char** argv) {
       "chains and >= 3x on the TCP retransmit/deschedule pattern, with an "
       "identical firing order on both");
 
-  // Warm-up pass (page in the pool, stabilize the allocator), then measure.
+  // Warm-up pass (page in the pool, stabilize the allocator), then the
+  // median of three passes per core.
   std::uint64_t digest_wheel = 0, digest_seed = 0;
   {
-    tcpz::net::Simulator warm;
     std::uint64_t d;
-    (void)run_chain_workload(warm, args.seed, n_events / 10, d);
+    (void)run_chain_workload<tcpz::net::Simulator>(args.seed, n_events / 10,
+                                                   d);
   }
-  tcpz::net::Simulator wheel;
   const double wheel_secs =
-      run_chain_workload(wheel, args.seed, n_events, digest_wheel);
-  SeedSimulator seedq;
-  const double seed_secs =
-      run_chain_workload(seedq, args.seed, n_events, digest_seed);
+      median_of_3(run_chain_workload<tcpz::net::Simulator>, args.seed,
+                  n_events, digest_wheel);
+  const double seed_secs = median_of_3(run_chain_workload<SeedSimulator>,
+                                       args.seed, n_events, digest_seed);
   const double chain_wheel_eps = static_cast<double>(n_events) / wheel_secs;
   const double chain_seed_eps = static_cast<double>(n_events) / seed_secs;
   const bool chain_digests_match = digest_wheel == digest_seed;
 
   std::uint64_t retx_digest_wheel = 0, retx_digest_seed = 0;
   const std::uint64_t n_retx = n_events / 2;  // each data event adds a timer
-  const double retx_wheel_secs = run_retx_workload<tcpz::net::Simulator>(
-      args.seed, n_retx, retx_digest_wheel);
-  const double retx_seed_secs =
-      run_retx_workload<SeedSimulator>(args.seed, n_retx, retx_digest_seed);
+  const double retx_wheel_secs =
+      median_of_3(run_retx_workload<tcpz::net::Simulator>, args.seed, n_retx,
+                  retx_digest_wheel);
+  const double retx_seed_secs = median_of_3(run_retx_workload<SeedSimulator>,
+                                            args.seed, n_retx,
+                                            retx_digest_seed);
   const double retx_wheel_eps = static_cast<double>(n_retx) / retx_wheel_secs;
   const double retx_seed_eps = static_cast<double>(n_retx) / retx_seed_secs;
 

@@ -149,8 +149,8 @@ void register_metrics(Registry& reg, const sim::HostReport& r,
     reg.histogram("host.conn_time_ms", labels, h,
                   "SYN sent -> established (includes solve time)");
   }
-  if (!r.cpu.points().empty()) {
-    reg.gauge("host.cpu", labels, r.cpu.points().back().value,
+  if (!r.cpu.empty()) {
+    reg.gauge("host.cpu", labels, r.cpu.back(),
               "host CPU utilization, final sample");
   }
 }
@@ -172,10 +172,10 @@ void register_metrics(Registry& reg, const sim::ServerReport& r,
   reg.counter("server." #name, labels, series_total(r.name), help);
   TCPZ_SERVER_REPORT_SERIES_FIELDS(TCPZ_X)
 #undef TCPZ_X
-#define TCPZ_X(name, help)                                              \
-  if (!r.name.points().empty()) {                                       \
-    reg.gauge("server." #name, labels, r.name.points().back().value,    \
-              help ", final sample");                                   \
+#define TCPZ_X(name, help)                                            \
+  if (!r.name.empty()) {                                              \
+    reg.gauge("server." #name, labels, r.name.back(),                 \
+              help ", final sample");                                 \
   }
   TCPZ_SERVER_REPORT_GAUGE_FIELDS(TCPZ_X)
 #undef TCPZ_X

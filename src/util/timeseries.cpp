@@ -1,6 +1,9 @@
 #include "util/timeseries.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
 
 namespace tcpz {
 
@@ -27,13 +30,36 @@ double TimeSeries::mean_rate(std::size_t from, std::size_t to) const {
 }
 
 void GaugeSeries::record(SimTime t, double value) {
-  points_.push_back({t, value});
+  if (count_ == 0) {
+    first_ = t;
+  } else {
+    if (count_ == 1) step_ = t - first_;
+    if (step_ <= SimTime::zero() || t != time_at(count_)) {
+      throw std::logic_error("GaugeSeries: sample off the fixed time grid");
+    }
+  }
+  if (values_.empty() && std::bit_cast<std::uint64_t>(value) == 0) {
+    ++zeros_;
+  } else {
+    values_.push_back(value);
+  }
+  ++count_;
+}
+
+std::vector<GaugeSeries::Point> GaugeSeries::points() const {
+  std::vector<Point> out;
+  out.reserve(count_);
+  for (std::size_t i = 0; i < count_; ++i) {
+    out.push_back({time_at(i), value_at(i)});
+  }
+  return out;
 }
 
 double GaugeSeries::max_in(SimTime from, SimTime to) const {
   double best = 0.0;
-  for (const auto& p : points_) {
-    if (p.t >= from && p.t <= to) best = std::max(best, p.value);
+  for (std::size_t i = 0; i < count_; ++i) {
+    const SimTime t = time_at(i);
+    if (t >= from && t <= to) best = std::max(best, value_at(i));
   }
   return best;
 }
@@ -41,9 +67,10 @@ double GaugeSeries::max_in(SimTime from, SimTime to) const {
 double GaugeSeries::mean_in(SimTime from, SimTime to) const {
   double sum = 0.0;
   std::size_t n = 0;
-  for (const auto& p : points_) {
-    if (p.t >= from && p.t <= to) {
-      sum += p.value;
+  for (std::size_t i = 0; i < count_; ++i) {
+    const SimTime t = time_at(i);
+    if (t >= from && t <= to) {
+      sum += value_at(i);
       ++n;
     }
   }

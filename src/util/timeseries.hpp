@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/time.hpp"
@@ -35,20 +36,36 @@ class TimeSeries {
   std::vector<double> bins_;
 };
 
-/// Samples an instantaneous gauge (queue depth, CPU busy fraction) on demand;
-/// stores (time, value) pairs. Used where the paper plots a level rather than
-/// a rate.
+/// Samples an instantaneous gauge (queue depth, CPU busy fraction) on a fixed
+/// time grid. Used where the paper plots a level rather than a rate.
+///
+/// Storage keeps no time per sample: the first two samples fix `first` and
+/// `step`, and sample i is at `first + i * step`. A sample off that grid
+/// throws std::logic_error. Leading samples that are bit-exact +0.0 (a client
+/// that never solves records nothing else) are only counted; the values from
+/// the first other sample onward are stored.
 class GaugeSeries {
  public:
   void record(SimTime t, double value);
+
+  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  [[nodiscard]] SimTime time_at(std::size_t i) const {
+    return first_ + step_ * static_cast<std::int64_t>(i);
+  }
+  [[nodiscard]] double value_at(std::size_t i) const {
+    return i < zeros_ ? 0.0 : values_[i - zeros_];
+  }
+  /// The last sample's value; the series must not be empty.
+  [[nodiscard]] double back() const { return value_at(count_ - 1); }
 
   struct Point {
     SimTime t;
     double value;
   };
-
-  [[nodiscard]] const std::vector<Point>& points() const { return points_; }
-  [[nodiscard]] bool empty() const { return points_.empty(); }
+  /// A materialized copy of every (time, value) sample, for callers that
+  /// want one; the indexed accessors above allocate nothing.
+  [[nodiscard]] std::vector<Point> points() const;
 
   /// Maximum value observed in [from, to].
   [[nodiscard]] double max_in(SimTime from, SimTime to) const;
@@ -58,7 +75,11 @@ class GaugeSeries {
   [[nodiscard]] double mean_in(SimTime from, SimTime to) const;
 
  private:
-  std::vector<Point> points_;
+  SimTime first_;
+  SimTime step_;
+  std::size_t count_ = 0;
+  std::size_t zeros_ = 0;  ///< leading +0.0 samples, not stored
+  std::vector<double> values_;
 };
 
 }  // namespace tcpz

@@ -23,6 +23,7 @@
 #include "tcp/queues.hpp"
 #include "tcp/segment.hpp"
 #include "tcp/wire_format.hpp"
+#include "util/timeseries.hpp"
 
 #include "util/alloc_counter.hpp"
 
@@ -218,6 +219,21 @@ TEST(AllocGuard, FlowTablesAreZeroAllocOnceGrown) {
   EXPECT_EQ(after, before) << "flow-table cycle allocated";
   EXPECT_EQ(listen.size(), 0u);
   EXPECT_TRUE(admitted.empty());
+}
+
+// A client that never solves samples a CPU gauge of exactly +0.0 every
+// 250 ms for the whole run (80 samples over 20 s); those samples are only
+// counted, so the whole series costs no heap storage.
+TEST(AllocGuard, AllZeroGaugeIsZeroAlloc) {
+  GaugeSeries g;
+  const std::uint64_t before = tcpz_alloc_count();
+  for (std::int64_t i = 1; i <= 80; ++i) {
+    g.record(SimTime::milliseconds(250 * i), 0.0);
+  }
+  const std::uint64_t after = tcpz_alloc_count();
+  EXPECT_EQ(after, before) << "all-zero gauge allocated";
+  EXPECT_EQ(g.size(), 80u);
+  EXPECT_EQ(g.back(), 0.0);
 }
 
 TEST(AllocGuard, InlineBuffersRejectOversizeAtConstruction) {

@@ -2,7 +2,8 @@
 // engine. The digest here folds every client and bot HostReport (all
 // time-series bins, CPU samples and totals) on top of the listener
 // counters, so a single re-ordered RNG draw or a perturbed event anywhere
-// in the attack path shows up.
+// in the attack path shows up. A second digest pins every sample of the
+// servers' gauges (queue depths, CPU, difficulty), which neither folds.
 //
 // If a digest changes, you changed workload/offense semantics. Decide
 // explicitly whether that is intended; if so re-record (the tests print the
@@ -21,23 +22,29 @@ namespace {
 
 using tracedigest::digest;
 using tracedigest::full_digest;
+using tracedigest::server_gauge_digest;
 using tracedigest::sim_digest;
 
-// Golden values for the trace_digest.hpp fixtures under puzzles.
+// Golden values for the trace_digest.hpp fixtures under puzzles, and the
+// server_gauge_digest of the same two runs.
 struct Golden {
   const char* name;
   offense::StrategySpec attack;
   std::uint64_t sim_digest;
   std::uint64_t fleet_digest;
+  std::uint64_t sim_gauges;
+  std::uint64_t fleet_gauges;
 };
 
 const Golden kGolden[] = {
     {"SynFlood", offense::StrategySpec::syn_flood(), 0x96090c56ff9d4857ull,
-     0x87cbbcfb4955eb55ull},
+     0x87cbbcfb4955eb55ull, 0xf32f1801dd237232ull, 0xd2f4051823a6d465ull},
     {"ConnFlood", offense::StrategySpec::conn_flood(),
-     tracedigest::kScaledConnFloodDigest, 0xcb63ad624f71488full},
+     tracedigest::kScaledConnFloodDigest, 0xcb63ad624f71488full,
+     0x076e5a28c4f450dbull, 0x045181c35f68bd00ull},
     {"BogusSolutionFlood", offense::StrategySpec::bogus_solution_flood(),
-     0x42aec9f0eed00bc2ull, 0xcdf19dcdc2c2cd14ull},
+     0x42aec9f0eed00bc2ull, 0xcdf19dcdc2c2cd14ull, 0x746c577c775682e3ull,
+     0x568be730a85e370dull},
 };
 
 class ScenarioTrace : public ::testing::TestWithParam<Golden> {};
@@ -49,6 +56,10 @@ TEST_P(ScenarioTrace, ScaledScenarioMatchesGoldenTrace) {
   const std::uint64_t d = sim_digest(r);
   EXPECT_EQ(d, g.sim_digest) << "sim trace drifted for attack " << g.name
                              << "; computed 0x" << std::hex << d;
+  const std::uint64_t gauges = server_gauge_digest(r);
+  EXPECT_EQ(gauges, g.sim_gauges)
+      << "server gauges drifted for attack " << g.name << "; computed 0x"
+      << std::hex << gauges;
 }
 
 TEST_P(ScenarioTrace, FleetScenarioMatchesGoldenTrace) {
@@ -58,6 +69,10 @@ TEST_P(ScenarioTrace, FleetScenarioMatchesGoldenTrace) {
   const std::uint64_t d = full_digest(r);
   EXPECT_EQ(d, g.fleet_digest) << "fleet trace drifted for attack " << g.name
                                << "; computed 0x" << std::hex << d;
+  const std::uint64_t gauges = server_gauge_digest(r);
+  EXPECT_EQ(gauges, g.fleet_gauges)
+      << "fleet server gauges drifted for attack " << g.name
+      << "; computed 0x" << std::hex << gauges;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAttacks, ScenarioTrace,

@@ -313,9 +313,8 @@ TEST(Scenario, IdleClientsCostNoEvents) {
   ASSERT_GT(many.events_processed, few.events_processed);
   EXPECT_LE(many.events_processed - few.events_processed, 2u * (2000 - 50));
   // Every client still records one CPU gauge point per sample instant.
-  EXPECT_EQ(many.clients.back().cpu.points().size(),
-            few.clients.front().cpu.points().size());
-  EXPECT_EQ(few.clients.front().cpu.points().size(), 80u);
+  EXPECT_EQ(many.clients.back().cpu.size(), few.clients.front().cpu.size());
+  EXPECT_EQ(few.clients.front().cpu.size(), 80u);
 }
 
 // ---------------------------------------------------------------------------

@@ -56,10 +56,10 @@ inline std::uint64_t fold_series(std::uint64_t h, const TimeSeries& s) {
 }
 
 inline std::uint64_t fold_gauge(std::uint64_t h, const GaugeSeries& g) {
-  h = fnv(h, g.points().size());
-  for (const auto& p : g.points()) {
-    h = fnv(h, static_cast<std::uint64_t>(p.t.nanos()));
-    h = fnv_d(h, p.value);
+  h = fnv(h, g.size());
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    h = fnv(h, static_cast<std::uint64_t>(g.time_at(i).nanos()));
+    h = fnv_d(h, g.value_at(i));
   }
   return h;
 }
@@ -89,6 +89,20 @@ inline std::uint64_t full_digest(const scenario::Result& r) {
   for (const auto& c : r.clients) h = fnv(h, digest(c));
   for (const auto& g : r.groups) {
     for (const auto& b : g.bots) h = fnv(h, digest(b));
+  }
+  return h;
+}
+
+/// Every sample (time and value) of every server's gauges, in server order
+/// and gauge table order (TCPZ_SERVER_REPORT_GAUGE_FIELDS). full_digest and
+/// sim_digest fold only the servers' counters, so this pins the queue
+/// occupancy, CPU and difficulty series behind Figs. 9-10.
+inline std::uint64_t server_gauge_digest(const scenario::Result& r) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& s : r.servers) {
+#define TCPZ_X(name, help) h = fold_gauge(h, s.name);
+    TCPZ_SERVER_REPORT_GAUGE_FIELDS(TCPZ_X)
+#undef TCPZ_X
   }
   return h;
 }

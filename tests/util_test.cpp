@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -233,6 +240,113 @@ TEST(GaugeSeries, WindowQueries) {
   EXPECT_EQ(g.max_in(SimTime::seconds(1), SimTime::seconds(2)), 20.0);
   EXPECT_EQ(g.mean_in(SimTime::seconds(1), SimTime::seconds(3)), 20.0);
   EXPECT_EQ(g.mean_in(SimTime::seconds(10), SimTime::seconds(20)), 0.0);
+}
+
+/// The per-point storage GaugeSeries replaced: one (time, value) pair per
+/// sample, with window queries in the same summation order.
+struct PointGauge {
+  std::vector<GaugeSeries::Point> points;
+
+  double max_in(SimTime from, SimTime to) const {
+    double best = 0.0;
+    for (const auto& p : points) {
+      if (p.t >= from && p.t <= to) best = std::max(best, p.value);
+    }
+    return best;
+  }
+  double mean_in(SimTime from, SimTime to) const {
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (const auto& p : points) {
+      if (p.t >= from && p.t <= to) {
+        sum += p.value;
+        ++n;
+      }
+    }
+    return n ? sum / static_cast<double>(n) : 0.0;
+  }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(GaugeSeries, MatchesPerPointReferenceOnRandomSeries) {
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             0x1.8p-1030,
+                             1.0,
+                             0.25,
+                             -3.5};
+  Rng rng(2015);
+  for (int trial = 0; trial < 300; ++trial) {
+    const SimTime first =
+        SimTime::nanoseconds(static_cast<std::int64_t>(rng.uniform_u64(2000)));
+    const SimTime step = SimTime::nanoseconds(
+        1 + static_cast<std::int64_t>(rng.uniform_u64(1000)));
+    const std::size_t n = rng.uniform_u64(90);
+    const std::size_t leading_zeros = rng.uniform_u64(n + 1);
+    GaugeSeries g;
+    PointGauge ref;
+    bool zero_run = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.bernoulli(0.2)) zero_run = !zero_run;
+      double v = 0.0;
+      if (i >= leading_zeros && !zero_run) {
+        v = rng.bernoulli(0.5) ? specials[rng.uniform_u64(std::size(specials))]
+                               : rng.uniform(-2.0, 2.0);
+      }
+      const SimTime t = first + step * static_cast<std::int64_t>(i);
+      g.record(t, v);
+      ref.points.push_back({t, v});
+    }
+
+    ASSERT_EQ(g.size(), ref.points.size());
+    ASSERT_EQ(g.empty(), ref.points.empty());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(g.time_at(i), ref.points[i].t) << "trial " << trial;
+      ASSERT_EQ(bits(g.value_at(i)), bits(ref.points[i].value))
+          << "trial " << trial << " sample " << i;
+    }
+    if (n > 0) {
+      ASSERT_EQ(bits(g.back()), bits(ref.points.back().value));
+    }
+
+    // Window edges on grid points, one nanosecond either side of them,
+    // halfway between them, and outside the series.
+    const auto edge = [&] {
+      const auto k = static_cast<std::int64_t>(rng.uniform_u64(n + 4)) - 2;
+      const std::int64_t jitter[] = {0, 0, -1, 1, step.nanos() / 2};
+      return first + step * k +
+             SimTime::nanoseconds(jitter[rng.uniform_u64(std::size(jitter))]);
+    };
+    for (int w = 0; w < 20; ++w) {
+      SimTime from = edge(), to = edge();
+      if (to < from) std::swap(from, to);
+      ASSERT_EQ(bits(g.max_in(from, to)), bits(ref.max_in(from, to)))
+          << "trial " << trial;
+      ASSERT_EQ(bits(g.mean_in(from, to)), bits(ref.mean_in(from, to)))
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(GaugeSeries, OffGridSampleThrows) {
+  GaugeSeries g;
+  g.record(SimTime::milliseconds(250), 0.0);
+  g.record(SimTime::milliseconds(500), 1.0);
+  EXPECT_THROW(g.record(SimTime::milliseconds(751), 1.0), std::logic_error);
+  EXPECT_THROW(g.record(SimTime::milliseconds(1000), 1.0), std::logic_error);
+  g.record(SimTime::milliseconds(750), 2.0);
+  EXPECT_EQ(g.size(), 3u);
+
+  GaugeSeries same_time;
+  same_time.record(SimTime::seconds(1), 0.0);
+  EXPECT_THROW(same_time.record(SimTime::seconds(1), 0.0), std::logic_error);
+  GaugeSeries backwards;
+  backwards.record(SimTime::seconds(2), 0.0);
+  EXPECT_THROW(backwards.record(SimTime::seconds(1), 0.0), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
