@@ -18,7 +18,10 @@ std::size_t Cadence::join(Member fn, bool active) {
   members_.push_back(std::move(fn));
   if ((id & 63) == 0) active_.push_back(0);
   set_active(id, active);
-  if (id == 0) arm();
+  if (id == 0) {
+    first_ = sim_.now() + period_;
+    arm();
+  }
   return id;
 }
 
@@ -29,6 +32,7 @@ void Cadence::arm() {
 
 void Cadence::fire() {
   const SimTime now = sim_.now();
+  ++fired_;
   for (std::size_t w = 0; w < active_.size(); ++w) {
     std::uint64_t bits = active_[w];
     while (bits != 0) {

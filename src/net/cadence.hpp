@@ -18,6 +18,11 @@
 // rest of the current word is re-read after every call, so a member that
 // clears its own bit stays skipped from then on, and one that sets a later
 // member's bit gets that member called in the same sweep.
+//
+// Firing count: `fired()` counts the firings so far (a firing counts from
+// the start of its sweep), and firing i (from 0) is at `first_firing()` +
+// i periods. A member that skips firings while it knows they would record
+// nothing can fill in what it skipped from these alone.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +60,10 @@ class Cadence {
   }
 
   [[nodiscard]] SimTime period() const { return period_; }
+  /// Firings so far, the one in progress included.
+  [[nodiscard]] std::size_t fired() const { return fired_; }
+  /// The first firing's instant: one period after the first join.
+  [[nodiscard]] SimTime first_firing() const { return first_; }
 
  private:
   void arm();
@@ -63,6 +72,8 @@ class Cadence {
   Simulator& sim_;
   SimTime period_;
   SimTime until_;
+  SimTime first_;
+  std::size_t fired_ = 0;
   std::vector<Member> members_;
   std::vector<std::uint64_t> active_;  ///< one bit per member, join order
 };

@@ -340,6 +340,9 @@ struct Engine::Impl {
   net::Cadence client_ticks{sim, spec.tick_interval, spec.duration};
   net::Cadence client_samples{sim, spec.sample_interval, spec.duration};
   std::vector<std::unique_ptr<sim::ClientAgent>> clients;
+  /// The clients' reports, filled in place and handed to the Result whole
+  /// (full size; slots of remote clients stay empty).
+  std::vector<sim::HostReport> client_reports;
   std::vector<std::unique_ptr<workload::FluidPopulation>> fluids;
   std::vector<tcp::Listener*> fluid_listeners;
   std::vector<std::unique_ptr<sim::AttackerAgent>> bots;
@@ -552,6 +555,7 @@ struct Engine::Impl {
     // solutions derive from the challenge bytes alone, exactly like a real
     // brute-force solver.
     clients.resize(count(Role::kClient));
+    client_reports.resize(clients.size());
     for_owned(Role::kClient, [&](std::size_t k, const Agent& a) {
       sim::ClientAgentConfig ccfg;
       ccfg.model = wmodel;
@@ -563,7 +567,8 @@ struct Engine::Impl {
       ccfg.response_timeout = spec.workload.response_timeout;
       auto& client = clients[static_cast<std::size_t>(a.index)];
       client = std::make_unique<sim::ClientAgent>(
-          sim, *hosts[k], ccfg, seed(a), client_ticks, client_samples);
+          sim, *hosts[k], ccfg, seed(a), client_ticks, client_samples,
+          client_reports[static_cast<std::size_t>(a.index)]);
       client->start(spec.duration);
     });
 
@@ -732,7 +737,6 @@ struct Engine::Impl {
     // default-constructed for the par driver to merge.
     Result result;
     result.servers.resize(servers.size());
-    result.clients.resize(clients.size());
     for (const AttackSpec& g : spec.attacks) {
       AttackGroupReport group;
       group.name = g.label();
@@ -753,13 +757,14 @@ struct Engine::Impl {
         result.cluster += report.counters;
         if (lb != nullptr) result.lb.backends.push_back(lb->stats(a.index));
       } else if (a.role == Role::kClient) {
-        result.clients[i] = std::move(clients[i]->report());
+        clients[i]->report();  // pads its CPU gauge in client_reports
       } else {
         result.groups[static_cast<std::size_t>(a.group)]
             .bots[static_cast<std::size_t>(a.member)] =
             std::move(bots[i]->report());
       }
     }
+    result.clients = std::move(client_reports);
     if (lb != nullptr) {
       result.lb.no_backend_drops = lb->no_backend_drops();
       result.lb.failover_evictions = lb->failover_evictions();

@@ -91,6 +91,8 @@ class Engine {
   /// Result are full-size (global shape); slots owned by other shards are
   /// default-constructed — the par driver merges per-slot. Trace, tracks
   /// and wall_seconds are the caller's job (scenario::run / par::run).
+  /// The agents' reports move into the Result: call it once, after the
+  /// last run_until.
   [[nodiscard]] Result collect();
 
  private:

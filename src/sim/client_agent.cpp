@@ -6,14 +6,16 @@ namespace tcpz::sim {
 
 ClientAgent::ClientAgent(net::Simulator& sim, net::Host& host,
                          ClientAgentConfig cfg, std::uint64_t seed,
-                         net::Cadence& ticks, net::Cadence& samples)
+                         net::Cadence& ticks, net::Cadence& samples,
+                         HostReport& report)
     : sim_(sim),
       host_(host),
       ticks_(ticks),
       samples_(samples),
       cfg_(std::move(cfg)),
       cpu_(cfg_.cpu),
-      rng_(seed) {}
+      rng_(seed),
+      report_(report) {}
 
 void ClientAgent::start(SimTime until) {
   until_ = until;
@@ -21,10 +23,17 @@ void ClientAgent::start(SimTime until) {
     on_segment(now, seg);
   });
   sim_.schedule_at(SimTime::zero(), [this] { request_loop(); });
-  // Idle until the first attempt starts; every client is sampled.
+  // Idle on ticks until the first attempt starts, on samples until the
+  // first solve.
   tick_id_ = ticks_.join([this](SimTime now) { tick(now); },
                          /*active=*/false);
-  samples_.join([this](SimTime now) { sample(now); });
+  sample_id_ = samples_.join([this](SimTime now) { sample(now); },
+                             /*active=*/false);
+}
+
+HostReport& ClientAgent::report() {
+  pad_cpu_gauge();
+  return report_;
 }
 
 void ClientAgent::send_all(const std::vector<tcp::Segment>& segs) {
@@ -94,6 +103,8 @@ void ClientAgent::apply(SimTime now, std::uint16_t sport, Attempt& attempt,
     const puzzle::Solution solution = cfg_.engine->solve(
         *out.solve, attempt.connector.flow_binding(), rng_, hash_ops);
     const SimTime done = cpu_.submit_solve(now, hash_ops);
+    pad_cpu_gauge();
+    samples_.set_active(sample_id_, true);
     ++pending_solves_;
     const std::uint64_t token = next_solve_token_++;
     attempt.solve_token = token;
@@ -158,25 +169,33 @@ void ClientAgent::on_segment(SimTime now, const tcp::Segment& seg) {
 }
 
 void ClientAgent::tick(SimTime now) {
-  // Collect expirations first: apply/finish mutate the map.
-  std::vector<std::uint16_t> expired;
-  std::vector<std::uint16_t> live;
-  live.reserve(attempts_.size());
-  for (auto& [sport, attempt] : attempts_) {
-    (now > attempt.deadline ? expired : live).push_back(sport);
+  // Live attempts first, then expired ones, each in map order. Deadlines
+  // never change, so the two passes split the attempts as they stood at the
+  // call. apply and finish_attempt erase at most the attempt they are given
+  // (sends only schedule deliveries), so each pass steps past an attempt
+  // before handing it over, and no list of ports is built.
+  for (auto it = attempts_.begin(); it != attempts_.end();) {
+    auto& [sport, attempt] = *it++;
+    if (now <= attempt.deadline) {
+      apply(now, sport, attempt, attempt.connector.on_tick(now));
+    }
   }
-  for (const std::uint16_t sport : live) {
-    const auto it = attempts_.find(sport);
-    if (it == attempts_.end()) continue;
-    apply(now, sport, it->second, it->second.connector.on_tick(now));
-  }
-  for (const std::uint16_t sport : expired) {
-    if (attempts_.contains(sport)) finish_attempt(now, sport, false);
+  for (auto it = attempts_.begin(); it != attempts_.end();) {
+    const auto& [sport, attempt] = *it++;
+    if (now > attempt.deadline) finish_attempt(now, sport, false);
   }
 }
 
 void ClientAgent::sample(SimTime now) {
   report_.cpu.record(now, cpu_.sample_utilization(now, samples_.period()));
+  // Nothing left to show: every later sample reads +0.0 until the next
+  // solve is submitted, which rejoins.
+  if (cpu_.idle()) samples_.set_active(sample_id_, false);
+}
+
+void ClientAgent::pad_cpu_gauge() {
+  report_.cpu.record_zeros(samples_.fired() - report_.cpu.size(),
+                           samples_.first_firing(), samples_.period());
 }
 
 }  // namespace tcpz::sim

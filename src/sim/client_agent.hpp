@@ -9,8 +9,12 @@
 //
 // Periodic work runs on two shared net::Cadences the scenario engine owns:
 // the tick cadence polls the connectors and expires overdue attempts, and
-// calls this client only while it has attempts in flight; the sample
-// cadence records a CPU gauge point for every client.
+// calls this client only while it has attempts in flight. The sample
+// cadence records the CPU gauge, and calls this client only while a solve
+// can still show in a sample: from a solve's submission until a sample
+// leaves no job behind its window. A skipped sample would read exactly
+// +0.0, so the gauge is padded with zeros up to the cadence's firing count
+// when the client rejoins and when report() is read.
 #pragma once
 
 #include <cstdint>
@@ -48,16 +52,18 @@ struct ClientAgentConfig {
 class ClientAgent {
  public:
   /// `ticks` paces connector polling and attempt expiry; `samples` paces
-  /// the CPU gauge (its period is the utilization window).
+  /// the CPU gauge (its period is the utilization window). The agent fills
+  /// `report`, which the caller owns: the scenario engine keeps one array of
+  /// client reports and hands it to its Result whole.
   ClientAgent(net::Simulator& sim, net::Host& host, ClientAgentConfig cfg,
-              std::uint64_t seed, net::Cadence& ticks, net::Cadence& samples);
+              std::uint64_t seed, net::Cadence& ticks, net::Cadence& samples,
+              HostReport& report);
 
   /// Schedules the first request and joins both cadences.
   void start(SimTime until);
 
-  [[nodiscard]] HostReport& report() { return report_; }
-  [[nodiscard]] const HostReport& report() const { return report_; }
-  [[nodiscard]] CpuModel& cpu() { return cpu_; }
+  /// The report, its CPU gauge first padded to every sample instant so far.
+  HostReport& report();
 
  private:
   struct Attempt {
@@ -79,6 +85,8 @@ class ClientAgent {
   void request_loop();
   void tick(SimTime now);
   void sample(SimTime now);
+  /// Records +0.0 for every sample instant skipped while idle on samples_.
+  void pad_cpu_gauge();
   void start_attempt(SimTime now);
   void apply(SimTime now, std::uint16_t sport, Attempt& attempt,
              tcp::ConnectorOutput out);
@@ -90,10 +98,11 @@ class ClientAgent {
   net::Cadence& ticks_;
   net::Cadence& samples_;
   std::size_t tick_id_ = 0;
+  std::size_t sample_id_ = 0;
   ClientAgentConfig cfg_;
   CpuModel cpu_;
   Rng rng_;
-  HostReport report_;
+  HostReport& report_;
   SimTime until_;
 
   /// Non-empty exactly while this client is active on the tick cadence.

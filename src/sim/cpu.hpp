@@ -73,6 +73,12 @@ class CpuModel {
   /// accumulator; call on a fixed cadence.
   [[nodiscard]] double sample_utilization(SimTime now, SimTime window);
 
+  /// True when no charge is pending and no job is left from the last
+  /// sample's prune: every later sample reads +0.0 until new work arrives.
+  [[nodiscard]] bool idle() const {
+    return charged_ns_ == 0.0 && recent_jobs_.empty();
+  }
+
  private:
   CpuSpec spec_;
   std::vector<SimTime> lane_free_;

@@ -46,6 +46,21 @@ void GaugeSeries::record(SimTime t, double value) {
   ++count_;
 }
 
+void GaugeSeries::record_zeros(std::size_t k, SimTime first, SimTime step) {
+  if (k == 0) return;
+  if (count_ == 0) first_ = first;
+  if (count_ <= 1) step_ = step;
+  if (step_ <= SimTime::zero() || first != first_ || step != step_) {
+    throw std::logic_error("GaugeSeries: zeros off the fixed time grid");
+  }
+  if (values_.empty()) {
+    zeros_ += k;
+  } else {
+    values_.insert(values_.end(), k, 0.0);
+  }
+  count_ += k;
+}
+
 std::vector<GaugeSeries::Point> GaugeSeries::points() const {
   std::vector<Point> out;
   out.reserve(count_);

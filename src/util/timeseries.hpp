@@ -47,6 +47,11 @@ class TimeSeries {
 class GaugeSeries {
  public:
   void record(SimTime t, double value);
+  /// Appends k samples of +0.0, as k record() calls on the grid (first,
+  /// step) would: an empty series takes that grid, a non-empty one must
+  /// already be on it (std::logic_error otherwise). While no other value has
+  /// been stored this only bumps the counts.
+  void record_zeros(std::size_t k, SimTime first, SimTime step);
 
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }

@@ -236,6 +236,27 @@ TEST(AllocGuard, AllZeroGaugeIsZeroAlloc) {
   EXPECT_EQ(g.back(), 0.0);
 }
 
+// A client that never solves is never called by the sample cadence; its
+// gauge is padded to the 80 instants at collect, in one count bump. Padding
+// in pieces (a client that rejoins pads the instants it skipped) stays
+// allocation-free too while every sample is +0.0.
+TEST(AllocGuard, PaddingANeverActiveGaugeIsZeroAlloc) {
+  const SimTime p = SimTime::milliseconds(250);
+  GaugeSeries g;
+  GaugeSeries pieces;
+  const std::uint64_t before = tcpz_alloc_count();
+  g.record_zeros(80, p, p);
+  pieces.record_zeros(30, p, p);
+  pieces.record(p * 31, 0.0);
+  pieces.record_zeros(49, p, p);
+  const std::uint64_t after = tcpz_alloc_count();
+  EXPECT_EQ(after, before) << "padding an all-zero gauge allocated";
+  EXPECT_EQ(g.size(), 80u);
+  EXPECT_EQ(g.time_at(79), SimTime::seconds(20));
+  EXPECT_EQ(g.back(), 0.0);
+  EXPECT_EQ(pieces.size(), 80u);
+}
+
 TEST(AllocGuard, InlineBuffersRejectOversizeAtConstruction) {
   // A pre-image beyond the engine bound (32 bytes) cannot be represented.
   tcp::ChallengeOption c;

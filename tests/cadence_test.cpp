@@ -1,6 +1,6 @@
 // net::Cadence: join-order sweeps, idle skipping, the (at, seq) position of
-// each firing relative to plain events, the `until` bound, and bit flips
-// made from inside a sweep.
+// each firing relative to plain events, the `until` bound, the firing count,
+// and bit flips made from inside and outside a sweep.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -71,6 +71,55 @@ TEST(Cadence, FiresAtTheJoiningMembersScheduleInPosition) {
   EXPECT_EQ(log, (Log{"before", "m0@100", "m1@100", "after", "last"}));
 }
 
+TEST(Cadence, InactiveFirstJoinStillArmsAtItsScheduleInPosition) {
+  // Members joining idle (as every client joins the sample cadence) change
+  // nothing about where the firings sit: the first join arms, active or not.
+  Simulator sim;
+  const SimTime p = SimTime::milliseconds(100);
+  Log log;
+  sim.schedule_in(p, [&] { log.push_back("before"); });
+  Cadence c(sim, p, SimTime::milliseconds(200));
+  const std::size_t m0 = c.join(logger(log, "m0"), /*active=*/false);
+  sim.schedule_in(p, [&] { log.push_back("after"); });
+  c.join(logger(log, "m1"), /*active=*/false);
+  sim.schedule_in(p, [&] {
+    log.push_back("wake");
+    c.set_active(m0, true);
+  });
+  sim.run();
+  EXPECT_EQ(log, (Log{"before", "after", "wake", "m0@200"}));
+  EXPECT_EQ(sim.events_processed(), 5u);  // 3 plain events + 2 firings
+}
+
+TEST(Cadence, CountsFiringsUpToAndPastUntil) {
+  Simulator sim;
+  const SimTime p = SimTime::milliseconds(100);
+  // Joined at 50 ms, so the grid is 150, 250, 350, ... and until (300 ms)
+  // is off it: the last firing is at 350 ms.
+  Cadence c(sim, p, SimTime::milliseconds(300));
+  sim.run_until(SimTime::milliseconds(50));
+  std::vector<std::size_t> seen;
+  c.join([&](SimTime now) {
+    seen.push_back(c.fired());
+    EXPECT_EQ(now, c.first_firing() +
+                       p * static_cast<std::int64_t>(c.fired() - 1));
+  });
+  EXPECT_EQ(c.fired(), 0u);
+  EXPECT_EQ(c.first_firing(), SimTime::milliseconds(150));
+  sim.run_until(SimTime::milliseconds(149));
+  EXPECT_EQ(c.fired(), 0u);
+  sim.run_until(SimTime::milliseconds(150));
+  EXPECT_EQ(c.fired(), 1u);
+  sim.run_until(SimTime::milliseconds(349));
+  EXPECT_EQ(c.fired(), 2u);
+  sim.run();
+  EXPECT_EQ(c.fired(), 3u);
+  sim.run_until(SimTime::seconds(5));
+  EXPECT_EQ(c.fired(), 3u);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2, 3}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 TEST(Cadence, ReArmsAfterTheSweepLikeASelfDrivenTimer) {
   // A plain periodic timer re-arms when it fires; one scheduled before the
   // cadence's firing keeps its place ahead of the cadence at the next
@@ -138,6 +187,27 @@ TEST(Cadence, MemberCanClearAndReSetItsOwnBitDuringASweep) {
   sim.run();
   EXPECT_EQ(log, (Log{"self@100", "other@100", "other@200", "other@300",
                       "self@400", "other@400", "self@500", "other@500"}));
+}
+
+TEST(Cadence, SelfClearedMemberReSetFromOutsideIsCalledAtTheNextFiring) {
+  // The client sample pattern: a member leaves inside its own call, and an
+  // event between firings (a solve being submitted) sets it again.
+  Simulator sim;
+  Cadence c(sim, SimTime::milliseconds(100), SimTime::milliseconds(500));
+  Log log;
+  std::size_t self = 0;
+  self = c.join([&](SimTime now) {
+    log.push_back("self@" + std::to_string(now.nanos() / 1'000'000));
+    c.set_active(self, false);
+  });
+  c.join(logger(log, "other"));
+  for (const int ms : {150, 350}) {
+    sim.schedule_at(SimTime::milliseconds(ms),
+                    [&] { c.set_active(self, true); });
+  }
+  sim.run();
+  EXPECT_EQ(log, (Log{"self@100", "other@100", "self@200", "other@200",
+                      "other@300", "self@400", "other@400", "other@500"}));
 }
 
 TEST(Cadence, EarlierMemberCanWakeALaterOneWithinTheSweep) {

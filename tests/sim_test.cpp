@@ -1,20 +1,29 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <unordered_set>
+#include <vector>
 
+#include "net/cadence.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/simulator.hpp"
 #include "puzzle/engine.hpp"
 #include "sim/attacker_agent.hpp"
+#include "sim/client_agent.hpp"
 #include "sim/cpu.hpp"
 #include "sim/devices.hpp"
 #include "sim/server_agent.hpp"
 #include "defense/spec.hpp"
 #include "offense/spec.hpp"
 #include "scenario/spec.hpp"
+#include "util/timeseries.hpp"
 #include "workload/profiles.hpp"
+#include "workload/spec.hpp"
 
 namespace tcpz::sim {
 namespace {
@@ -330,11 +339,16 @@ class FixedCostEngine final : public puzzle::PuzzleEngine {
  public:
   explicit FixedCostEngine(std::uint64_t cost)
       : PuzzleEngine(crypto::SecretKey::from_seed(1), {}), cost_(cost) {}
+
+  /// Called on every solve, right before the solver's submit_solve.
+  std::function<void()> on_solve;
+
   [[nodiscard]] puzzle::Solution solve(const puzzle::Challenge& ch,
                                        const puzzle::FlowBinding& /*flow*/,
                                        Rng& /*rng*/,
                                        std::uint64_t& hash_ops) const override {
     hash_ops = cost_;
+    if (on_solve) on_solve();
     puzzle::Solution sol;
     sol.timestamp = ch.timestamp;
     return sol;
@@ -348,6 +362,26 @@ class FixedCostEngine final : public puzzle::PuzzleEngine {
   }
   std::uint64_t cost_;
 };
+
+/// A challenge SYN-ACK answering `syn`.
+tcp::Segment challenge_for(const tcp::Segment& syn) {
+  tcp::Segment out;
+  out.saddr = syn.daddr;
+  out.daddr = syn.saddr;
+  out.sport = syn.dport;
+  out.dport = syn.sport;
+  out.seq = 1;
+  out.ack = syn.seq + 1;
+  out.flags = tcp::kSyn | tcp::kAck;
+  tcp::ChallengeOption ch;
+  ch.k = 1;
+  ch.m = 4;
+  ch.sol_len = 8;
+  ch.embedded_ts = 0;
+  ch.preimage = std::vector<std::uint8_t>(8, 0);
+  out.options.challenge = ch;
+  return out;
+}
 
 /// One patched conn-flood bot against a scripted server that challenges
 /// every SYN and counts the solution ACKs. A slot every 350 ms launches the
@@ -369,22 +403,7 @@ struct BotRig {
         if (in.options.solution) ++solution_acks;
         return;
       }
-      tcp::Segment out;
-      out.saddr = in.daddr;
-      out.daddr = in.saddr;
-      out.sport = in.dport;
-      out.dport = in.sport;
-      out.seq = 1;
-      out.ack = in.seq + 1;
-      out.flags = tcp::kSyn | tcp::kAck;
-      tcp::ChallengeOption ch;
-      ch.k = 1;
-      ch.m = 4;
-      ch.sol_len = 8;
-      ch.embedded_ts = 0;
-      ch.preimage = std::vector<std::uint8_t>(8, 0);
-      out.options.challenge = ch;
-      server.send(out);
+      server.send(challenge_for(in));
     });
     AttackerAgentConfig cfg;
     cfg.targets = {{server.addr(), 80}};
@@ -446,6 +465,164 @@ TEST(AgentTimers, EarlyCompletionIsNeverCountedAsFailure) {
   EXPECT_GE(rig.report().total_attempts, 10u);
   EXPECT_GE(rig.report().total_established + 1, rig.report().total_attempts);
   EXPECT_EQ(rig.report().total_failures, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The client CPU gauge: a client is called by the sample cadence only while
+// a solve can show in its gauge, and pads the skipped instants with +0.0.
+// ---------------------------------------------------------------------------
+
+/// One patched client against a scripted server that challenges every new
+/// flow. Segments cross each link in exactly its delay (serialization rounds
+/// to 0 ns at this bandwidth): the SYN arrives when it is sent, the
+/// challenge one period after the server sends it. The server sends the
+/// challenge to its n-th flow
+///   n % 3 == 0: at once, so it arrives between sample instants;
+///   n % 3 == 1: at the next sample instant t, after that instant's sweep
+///               (the cadence event for t was scheduled first), so it
+///               arrives at t + period after that instant's sweep;
+///   n % 3 == 2: at the second sample instant t' from now, before that
+///               instant's sweep, so the delivery is scheduled before the
+///               cadence re-arms and arrives at t' + period before its sweep.
+struct GaugeRig {
+  static constexpr SimTime kPeriod = SimTime::milliseconds(250);
+  static constexpr SimTime kUntil = SimTime::seconds(20);
+  static constexpr std::uint64_t kCost = 1000;
+
+  net::Simulator sim;
+  net::Host client{sim, "client", tcp::ipv4(10, 2, 0, 1)};
+  net::Host server{sim, "server", tcp::ipv4(10, 1, 0, 1)};
+  net::Link up{sim, server, 1e15, SimTime::zero(), 1 << 20, "up"};
+  net::Link down{sim, client, 1e15, kPeriod, 1 << 20, "down"};
+  net::Cadence ticks{sim, SimTime::milliseconds(100), kUntil};
+  net::Cadence samples{sim, kPeriod, kUntil};
+  CpuSpec cpu;
+  HostReport report;
+  std::unique_ptr<ClientAgent> agent;
+
+  /// One solve: when it was submitted, and how many sample sweeps had
+  /// started by then.
+  struct Submit {
+    SimTime at;
+    std::size_t fired;
+  };
+  std::vector<Submit> submits;
+  std::unordered_set<std::uint16_t> flows;
+
+  GaugeRig(double solve_s, double request_rate, int lanes) {
+    client.set_default_route(&up);
+    server.set_default_route(&down);
+    server.set_handler([this](SimTime now, const tcp::Segment& in) {
+      if (!in.is_syn() || !flows.insert(in.sport).second) return;
+      const std::size_t mode = (flows.size() - 1) % 3;
+      const tcp::Segment out = challenge_for(in);
+      if (mode == 0) {
+        server.send(out);
+        return;
+      }
+      const std::int64_t k = now.nanos() / kPeriod.nanos();
+      sim.schedule_at(kPeriod * (k + static_cast<std::int64_t>(mode)),
+                      [this, out] { server.send(out); });
+    });
+    auto engine = std::make_shared<FixedCostEngine>(kCost);
+    engine->on_solve = [this] {
+      submits.push_back({sim.now(), samples.fired()});
+    };
+    ClientAgentConfig cfg;
+    cfg.server_addr = server.addr();
+    cfg.engine = engine;
+    cpu = CpuSpec{static_cast<double>(kCost) / solve_s, 4, lanes};
+    cfg.cpu = cpu;
+    cfg.model.request_rate = request_rate;
+    cfg.model.max_pending_solves = 8;
+    cfg.response_timeout = SimTime::seconds(2);
+    agent = std::make_unique<ClientAgent>(sim, client, cfg, 7, ticks, samples,
+                                          report);
+    agent->start(kUntil);
+    sim.run();
+  }
+
+  /// The gauge of a CpuModel that gets the same solves and is sampled at
+  /// every firing of the cadence; `ends` receives each job's end.
+  GaugeSeries reference(std::vector<SimTime>& ends) const {
+    CpuModel ref(cpu);
+    GaugeSeries want;
+    std::size_t next = 0;
+    for (std::size_t k = 1; k <= samples.fired(); ++k) {
+      while (next < submits.size() && submits[next].fired < k) {
+        ends.push_back(ref.submit_solve(submits[next].at, kCost));
+        ++next;
+      }
+      const SimTime t = kPeriod * static_cast<std::int64_t>(k);
+      want.record(t, ref.sample_utilization(t, kPeriod));
+    }
+    for (; next < submits.size(); ++next) {
+      ends.push_back(ref.submit_solve(submits[next].at, kCost));
+    }
+    return want;
+  }
+};
+
+void expect_same_gauge(const GaugeSeries& got, const GaugeSeries& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.time_at(i), want.time_at(i)) << "sample " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value_at(i)),
+              std::bit_cast<std::uint64_t>(want.value_at(i)))
+        << "sample " << i << " at " << want.time_at(i).to_string();
+  }
+}
+
+// Sparse solves on one lane: the client goes idle for several periods
+// between solves and rejoins, and solves land between, exactly on, and
+// (grid instant, sweep) both ways around the sample instants.
+TEST(ClientCpuGauge, LeavesAndRejoinsBitExact) {
+  GaugeRig rig(/*solve_s=*/0.3, /*request_rate=*/0.8, /*lanes=*/1);
+  std::vector<SimTime> ends;
+  const GaugeSeries want = rig.reference(ends);
+  EXPECT_EQ(rig.samples.fired(), 80u);
+  expect_same_gauge(rig.agent->report().cpu, want);
+
+  bool before_sweep = false, after_sweep = false, rejoin_after_gap = false;
+  SimTime busy_until = SimTime::zero();
+  for (std::size_t i = 0; i < rig.submits.size(); ++i) {
+    const auto& [at, fired] = rig.submits[i];
+    if (at.nanos() % GaugeRig::kPeriod.nanos() == 0) {
+      const auto k = static_cast<std::size_t>(at.nanos() /
+                                              GaugeRig::kPeriod.nanos());
+      before_sweep |= fired + 1 == k;
+      after_sweep |= fired == k;
+    }
+    rejoin_after_gap |= i > 0 && at > busy_until + GaugeRig::kPeriod * 4;
+    busy_until = std::max(busy_until, ends[i]);
+  }
+  EXPECT_TRUE(before_sweep);
+  EXPECT_TRUE(after_sweep);
+  EXPECT_TRUE(rejoin_after_gap);
+  double peak = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    peak = std::max(peak, want.value_at(i));
+  }
+  EXPECT_GT(peak, 0.0);
+}
+
+// Long solves at a high rate queue behind the busy lane: a job submitted in
+// one sampling window starts after the next sample instant, and the client
+// must stay sampled while it waits.
+TEST(ClientCpuGauge, QueuedJobKeepsTheClientSampled) {
+  GaugeRig rig(/*solve_s=*/0.7, /*request_rate=*/3.0, /*lanes=*/1);
+  std::vector<SimTime> ends;
+  const GaugeSeries want = rig.reference(ends);
+  expect_same_gauge(rig.agent->report().cpu, want);
+
+  bool queued_past_next_instant = false;
+  const SimTime solve = SimTime::from_seconds(0.7);
+  for (std::size_t i = 0; i < rig.submits.size(); ++i) {
+    const SimTime at = rig.submits[i].at;
+    const std::int64_t k = at.nanos() / GaugeRig::kPeriod.nanos();
+    queued_past_next_instant |= ends[i] - solve > GaugeRig::kPeriod * (k + 1);
+  }
+  EXPECT_TRUE(queued_past_next_instant);
 }
 
 /// A stock server agent (5 s idle timeout) and a client host whose

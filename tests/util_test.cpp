@@ -287,10 +287,24 @@ TEST(GaugeSeries, MatchesPerPointReferenceOnRandomSeries) {
         1 + static_cast<std::int64_t>(rng.uniform_u64(1000)));
     const std::size_t n = rng.uniform_u64(90);
     const std::size_t leading_zeros = rng.uniform_u64(n + 1);
+    // Every tenth series is padding only: zero-runs and no recorded sample.
+    const bool padding_only = trial % 10 == 0;
     GaugeSeries g;
     PointGauge ref;
     bool zero_run = false;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n;) {
+      if (padding_only || rng.bernoulli(0.15)) {
+        // A run of +0.0 appended in one call, as a recorder that skipped
+        // those instants fills them in.
+        const std::size_t k = std::min<std::size_t>(n - i,
+                                                    1 + rng.uniform_u64(12));
+        g.record_zeros(k, first, step);
+        for (std::size_t j = 0; j < k; ++j, ++i) {
+          ref.points.push_back({first + step * static_cast<std::int64_t>(i),
+                                0.0});
+        }
+        continue;
+      }
       if (rng.bernoulli(0.2)) zero_run = !zero_run;
       double v = 0.0;
       if (i >= leading_zeros && !zero_run) {
@@ -300,6 +314,7 @@ TEST(GaugeSeries, MatchesPerPointReferenceOnRandomSeries) {
       const SimTime t = first + step * static_cast<std::int64_t>(i);
       g.record(t, v);
       ref.points.push_back({t, v});
+      ++i;
     }
 
     ASSERT_EQ(g.size(), ref.points.size());
@@ -347,6 +362,25 @@ TEST(GaugeSeries, OffGridSampleThrows) {
   GaugeSeries backwards;
   backwards.record(SimTime::seconds(2), 0.0);
   EXPECT_THROW(backwards.record(SimTime::seconds(1), 0.0), std::logic_error);
+
+  // Zero-runs take the grid they are given and must stay on it.
+  const SimTime p = SimTime::milliseconds(250);
+  GaugeSeries padded;
+  padded.record_zeros(0, SimTime::seconds(9), SimTime::seconds(9));  // no-op
+  EXPECT_TRUE(padded.empty());
+  padded.record_zeros(1, p, p);
+  padded.record_zeros(2, p, p);
+  EXPECT_THROW(padded.record_zeros(1, p, p * 2), std::logic_error);
+  EXPECT_THROW(padded.record_zeros(1, p * 2, p), std::logic_error);
+  EXPECT_THROW(padded.record(p * 5, 1.0), std::logic_error);
+  padded.record(p * 4, 1.0);
+  padded.record_zeros(2, p, p);
+  EXPECT_EQ(padded.size(), 6u);
+  EXPECT_EQ(padded.time_at(5), p * 6);
+  EXPECT_EQ(padded.value_at(3), 1.0);
+  EXPECT_EQ(padded.back(), 0.0);
+  GaugeSeries unstepped;
+  EXPECT_THROW(unstepped.record_zeros(3, p, SimTime::zero()), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
