@@ -15,9 +15,8 @@ const char* to_string(BalancePolicy p) {
   return "unknown";
 }
 
-LoadBalancer::LoadBalancer(net::Simulator& sim, std::string name,
-                           LoadBalancerConfig cfg)
-    : net::Node(sim, std::move(name)), cfg_(cfg) {
+LoadBalancer::LoadBalancer(net::Simulator& sim, LoadBalancerConfig cfg)
+    : net::Node(sim), cfg_(cfg) {
   if (cfg_.vip == 0) {
     throw std::invalid_argument("LoadBalancer: a VIP address is required");
   }

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -64,7 +63,7 @@ struct BackendStats {
 
 class LoadBalancer final : public net::Node {
  public:
-  LoadBalancer(net::Simulator& sim, std::string name, LoadBalancerConfig cfg);
+  LoadBalancer(net::Simulator& sim, LoadBalancerConfig cfg);
 
   /// Registers a replica reached over `link` (the balancer->replica
   /// direction of a Topology::connect pair). Returns the backend index.

@@ -10,13 +10,12 @@
 namespace tcpz::net {
 
 Link::Link(Simulator& sim, Node& dst, double bandwidth_bps, SimTime delay,
-           std::size_t queue_cap_bytes, std::string name)
+           std::size_t queue_cap_bytes)
     : sim_(sim),
       dst_(dst),
       bandwidth_bps_(bandwidth_bps),
       delay_(delay),
-      queue_cap_bytes_(queue_cap_bytes),
-      name_(std::move(name)) {}
+      queue_cap_bytes_(queue_cap_bytes) {}
 
 std::size_t Link::backlog_bytes() const {
   const SimTime now = sim_.now();

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "tcp/segment.hpp"
 #include "util/time.hpp"
@@ -24,7 +23,7 @@ struct LinkStats {
 class Link {
  public:
   Link(Simulator& sim, Node& dst, double bandwidth_bps, SimTime delay,
-       std::size_t queue_cap_bytes, std::string name);
+       std::size_t queue_cap_bytes);
 
   /// Enqueues the segment for transmission; delivers it to the destination
   /// node after serialization + queueing + propagation, or drops it if the
@@ -32,9 +31,6 @@ class Link {
   void transmit(const tcp::Segment& seg);
 
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] Node& dst() const { return dst_; }
-  [[nodiscard]] double bandwidth_bps() const { return bandwidth_bps_; }
 
   /// Bytes currently waiting or in transmission (derived from the busy
   /// horizon, so it needs no per-packet bookkeeping).
@@ -46,7 +42,6 @@ class Link {
   double bandwidth_bps_;
   SimTime delay_;
   std::size_t queue_cap_bytes_;
-  std::string name_;
 
   SimTime busy_until_ = SimTime::zero();
   LinkStats stats_;

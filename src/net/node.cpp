@@ -5,16 +5,18 @@
 
 namespace tcpz::net {
 
-Node::Node(Simulator& sim, std::string name)
-    : sim_(sim), name_(std::move(name)) {}
-
-void Node::add_route(std::uint32_t dst_addr, Link* link) {
-  routes_[dst_addr] = link;
-}
-
 Link* Node::route_for(std::uint32_t dst_addr) const {
-  Link* const* link = routes_.find(dst_addr);
-  return link != nullptr ? *link : default_route_;
+  Link* link = nullptr;
+  if (directory_ != nullptr) {
+    if (const std::uint32_t* at = directory_->find(dst_addr)) {
+      if (*at == kRemoteNode) {
+        link = portal_;
+      } else if (*at < first_hop_.size()) {
+        link = first_hop_[*at];
+      }
+    }
+  }
+  return link != nullptr ? link : default_route_;
 }
 
 void Node::forward(const tcp::Segment& seg) {
@@ -25,19 +27,14 @@ void Node::forward(const tcp::Segment& seg) {
   }
 }
 
-Host::Host(Simulator& sim, std::string name, std::uint32_t addr)
-    : Node(sim, std::move(name)), addr_(addr) {}
-
 void Host::deliver(const tcp::Segment& seg) {
   if (seg.daddr != addr_) return;  // not ours; hosts do not forward
   ++rx_packets_;
-  rx_bytes_ += seg.wire_size();
   if (handler_) handler_(sim().now(), seg);
 }
 
 void Host::send(const tcp::Segment& seg) {
   ++tx_packets_;
-  tx_bytes_ += seg.wire_size();
   forward(seg);
 }
 

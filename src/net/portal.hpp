@@ -1,8 +1,10 @@
 // Cross-shard egress portal for the sharded engine (src/par). A PortalNode
-// stands in for the remote part of the topology: routes for addresses owned
-// by other shards point at a zero-delay link whose destination is a portal,
-// and the portal hands each arriving segment to a sink callback together with
-// the simulated time at which it must be injected on the owning shard.
+// stands in for the remote part of the topology: addresses owned by other
+// shards sit in the topology's address directory under one remote entry
+// (Topology::advertise_remote), and each egress node's portal link
+// (Node::set_portal) is a zero-delay link whose destination is a portal. The
+// portal hands each arriving segment to a sink callback together with the
+// simulated time at which it must be injected on the owning shard.
 //
 // The injection time is `now + extra`, where `extra` is the analytic delay of
 // the remaining propagation hops the segment would have traversed in the
@@ -13,9 +15,9 @@
 // lookahead invariant the round barrier relies on.
 //
 // Portals never drop traffic silently on their own: a segment only reaches a
-// portal if a route for its (known, remote) destination address was installed,
-// so anything unroutable still dies at the router exactly as in the
-// single-shard topology.
+// portal if its destination is a known remote address, so anything
+// unroutable still dies at the router exactly as in the single-shard
+// topology.
 #pragma once
 
 #include <functional>
@@ -32,21 +34,16 @@ class PortalNode final : public Node {
   /// during its round; the par engine moves it across the barrier.
   using Sink = std::function<void(SimTime, const tcp::Segment&)>;
 
-  PortalNode(Simulator& sim, std::string name, SimTime extra, Sink sink)
-      : Node(sim, std::move(name)), extra_(extra), sink_(std::move(sink)) {}
+  PortalNode(Simulator& sim, SimTime extra, Sink sink)
+      : Node(sim), extra_(extra), sink_(std::move(sink)) {}
 
   void deliver(const tcp::Segment& seg) override {
-    ++captured_;
     sink_(sim().now() + extra_, seg);
   }
-
-  [[nodiscard]] SimTime extra() const { return extra_; }
-  [[nodiscard]] std::uint64_t captured() const { return captured_; }
 
  private:
   SimTime extra_;
   Sink sink_;
-  std::uint64_t captured_ = 0;
 };
 
 }  // namespace tcpz::net

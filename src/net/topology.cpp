@@ -1,119 +1,91 @@
 #include "net/topology.hpp"
 
-#include <deque>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace tcpz::net {
 
-Host* Topology::add_host(const std::string& name, std::uint32_t addr,
-                         bool advertise) {
-  auto host = std::make_unique<Host>(sim_, name, addr);
-  Host* ptr = host.get();
-  nodes_.push_back(std::move(host));
-  index_[ptr] = nodes_.size() - 1;
-  if (advertise) advertised_.push_back({nodes_.size() - 1, addr});
-  return ptr;
+Host* Topology::add_host(std::uint32_t addr, bool advertise) {
+  auto* host = static_cast<Host*>(add_node(std::make_unique<Host>(sim_, addr)));
+  if (advertise) enter(addr, index_of(host));
+  return host;
 }
 
-Router* Topology::add_router(const std::string& name) {
-  auto router = std::make_unique<Router>(sim_, name);
-  Router* ptr = router.get();
-  nodes_.push_back(std::move(router));
-  index_[ptr] = nodes_.size() - 1;
-  return ptr;
+Router* Topology::add_router() {
+  return static_cast<Router*>(add_node(std::make_unique<Router>(sim_)));
 }
 
 Node* Topology::add_node(std::unique_ptr<Node> node) {
-  Node* ptr = node.get();
+  node->index_ = nodes_.size();
   nodes_.push_back(std::move(node));
-  index_[ptr] = nodes_.size() - 1;
-  return ptr;
+  return nodes_.back().get();
 }
 
-std::size_t Topology::index_of(const Node* node) const {
-  const auto it = index_.find(node);
-  return it == index_.end() ? nodes_.size() : it->second;
+std::uint32_t Topology::index_of(const Node* node) const {
+  if (node->index_ >= nodes_.size() || nodes_[node->index_].get() != node) {
+    throw std::invalid_argument("Topology: node of another topology");
+  }
+  return static_cast<std::uint32_t>(node->index_);
+}
+
+void Topology::enter(std::uint32_t addr, std::uint32_t owner) {
+  const auto [at, added] = directory_.try_emplace(addr, owner);
+  if (!added && !(owner == kRemoteNode && *at == kRemoteNode)) {
+    throw std::invalid_argument("Topology: address already advertised");
+  }
 }
 
 void Topology::advertise(Node* node, std::uint32_t addr) {
-  const std::size_t idx = index_of(node);
-  if (idx == nodes_.size()) {
-    throw std::invalid_argument("Topology::advertise: unknown node");
-  }
-  advertised_.push_back({idx, addr});
+  enter(addr, index_of(node));
+}
+
+void Topology::advertise_remote(std::uint32_t addr) {
+  enter(addr, kRemoteNode);
 }
 
 std::pair<Link*, Link*> Topology::connect(Node* a, Node* b,
                                           const LinkSpec& spec) {
   const std::size_t ia = index_of(a), ib = index_of(b);
-  if (ia == nodes_.size() || ib == nodes_.size()) {
-    throw std::invalid_argument("Topology::connect: unknown node");
+  for (auto [from, to] : {std::pair{ia, ib}, std::pair{ib, ia}}) {
+    edges_.push_back({from, to,
+                      std::make_unique<Link>(sim_, *nodes_[to],
+                                             spec.bandwidth_bps, spec.delay,
+                                             spec.queue_cap_bytes)});
   }
-  auto ab = std::make_unique<Link>(sim_, *b, spec.bandwidth_bps, spec.delay,
-                                   spec.queue_cap_bytes,
-                                   a->name() + "->" + b->name());
-  auto ba = std::make_unique<Link>(sim_, *a, spec.bandwidth_bps, spec.delay,
-                                   spec.queue_cap_bytes,
-                                   b->name() + "->" + a->name());
-  edges_.push_back({ia, ib, ab.get()});
-  edges_.push_back({ib, ia, ba.get()});
-  Link* fwd = ab.get();
-  Link* rev = ba.get();
-  links_.push_back(std::move(ab));
-  links_.push_back(std::move(ba));
-  return {fwd, rev};
+  return {edges_[edges_.size() - 2].link.get(), edges_.back().link.get()};
 }
 
 void Topology::compute_routes() {
   const std::size_t n = nodes_.size();
-  // Adjacency: node index -> outgoing (neighbor index, link).
+  // Adjacency: node index -> outgoing (neighbor index, link), in edge
+  // insertion order (BFS ties break by it).
   std::vector<std::vector<std::pair<std::size_t, Link*>>> adj(n);
-  for (const Edge& e : edges_) adj[e.from].push_back({e.to, e.link});
+  for (const Edge& e : edges_) adj[e.from].push_back({e.to, e.link.get()});
 
-  // Hosts with a single uplink get it as default gateway, so replies to
-  // spoofed sources leave the host and die at a router, as on a real edge.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dynamic_cast<Host*>(nodes_[i].get()) != nullptr &&
-        adj[i].size() == 1) {
-      nodes_[i]->set_default_route(adj[i][0].second);
-    }
-  }
-
-  // Route targets: every advertised (node, address) pair.
-  std::vector<std::vector<std::uint32_t>> addrs_at(n);
-  for (const auto& [idx, addr] : advertised_) addrs_at[idx].push_back(addr);
-
-  // BFS from each source; record the first-hop link toward every node.
-  // Single-uplink hosts are skipped: their default route already covers every
-  // destination through the same (only) link an exact route would pick, so
-  // forwarding behavior is identical and a 100k-host edge costs no BFS.
+  std::vector<std::size_t> frontier;
   for (std::size_t src = 0; src < n; ++src) {
-    if (adj[src].size() == 1 &&
-        dynamic_cast<Host*>(nodes_[src].get()) != nullptr) {
+    Node& node = *nodes_[src];
+    // A host with a single uplink takes it as default gateway, so replies to
+    // spoofed sources leave the host and die at a router, as on a real edge.
+    // Any table would only repeat that link, so a 100k-host edge costs no
+    // BFS.
+    if (adj[src].size() == 1 && dynamic_cast<Host*>(&node) != nullptr) {
+      node.set_default_route(adj[src][0].second);
       continue;
     }
-    std::vector<Link*> first_hop(n, nullptr);
-    std::vector<bool> seen(n, false);
-    seen[src] = true;
-    std::deque<std::size_t> frontier{src};
-    while (!frontier.empty()) {
-      const std::size_t cur = frontier.front();
-      frontier.pop_front();
+    // BFS; a node is seen once it has a first hop (the source never gets
+    // one).
+    std::vector<Link*>& first_hop = node.first_hop_;
+    first_hop.assign(n, nullptr);
+    frontier.assign(1, src);
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const std::size_t cur = frontier[head];
       for (const auto& [next, link] : adj[cur]) {
-        if (seen[next]) continue;
-        seen[next] = true;
+        if (next == src || first_hop[next] != nullptr) continue;
         first_hop[next] = (cur == src) ? link : first_hop[cur];
         frontier.push_back(next);
       }
     }
-    // Install exact routes for every reachable advertised address.
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      if (dst == src || first_hop[dst] == nullptr) continue;
-      for (const std::uint32_t addr : addrs_at[dst]) {
-        nodes_[src]->add_route(addr, first_hop[dst]);
-      }
-    }
+    node.directory_ = &directory_;
   }
 }
 

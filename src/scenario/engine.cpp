@@ -35,7 +35,8 @@ namespace tcpz::scenario {
 namespace {
 
 /// Model address plan: servers at 10.1.0.1+i (a fleet shares the VIP
-/// 10.1.0.1), clients at 10.2.0.1+i, bots at 10.3.0.1+i.
+/// 10.1.0.1), clients at 10.2.0.1+i, bots at 10.3.0.1+i. Clients past the
+/// 10.2/16 block continue at 10.64.0.0, clear of the bots.
 namespace addrs {
 constexpr std::uint32_t kServerAddr = tcp::ipv4(10, 1, 0, 1);
 constexpr std::uint16_t kServerPort = 80;
@@ -43,7 +44,10 @@ std::uint32_t server(int i) {
   return kServerAddr + static_cast<std::uint32_t>(i);
 }
 std::uint32_t client(int i) {
-  return tcp::ipv4(10, 2, 0, 1) + static_cast<std::uint32_t>(i);
+  constexpr std::uint32_t kBlock = 0xffff;  // 10.2.0.1 .. 10.2.255.255
+  const auto u = static_cast<std::uint32_t>(i);
+  return u < kBlock ? tcp::ipv4(10, 2, 0, 1) + u
+                    : tcp::ipv4(10, 64, 0, 0) + (u - kBlock);
 }
 std::uint32_t bot(int i) {
   return tcp::ipv4(10, 3, 0, 1) + static_cast<std::uint32_t>(i);
@@ -402,8 +406,7 @@ struct Engine::Impl {
     // Fig. 16: three fully connected backbone routers; the service edge
     // (server, server group, or balancer + fleet) hangs off r1. Every shard
     // carries the router triangle — local traffic uses its local replica.
-    routers = {topo.add_router("r1"), topo.add_router("r2"),
-               topo.add_router("r3")};
+    routers = {topo.add_router(), topo.add_router(), topo.add_router()};
     const net::LinkSpec backbone{kBackboneBps, spec.net.link_delay, 4u << 20};
     topo.connect(routers[0], routers[1], backbone);
     topo.connect(routers[1], routers[2], backbone);
@@ -415,7 +418,7 @@ struct Engine::Impl {
       lcfg.policy = spec.fleet.balance;
       lcfg.flow_idle_timeout = kLbFlowIdleTimeout;
       lb = static_cast<fleet::LoadBalancer*>(topo.add_node(
-          std::make_unique<fleet::LoadBalancer>(sim, "lb", lcfg)));
+          std::make_unique<fleet::LoadBalancer>(sim, lcfg)));
       topo.advertise(lb, addrs::kServerAddr);
       topo.connect(lb, routers[0],
                    {kLbUplinkBps, spec.net.link_delay, 4u << 20});
@@ -432,7 +435,6 @@ struct Engine::Impl {
     for (std::size_t k = 0; k < roster.size(); ++k) {
       if (!owns(k)) continue;
       const Agent& a = roster[k];
-      const std::string idx = std::to_string(a.index);
       if (a.role == Role::kServer && spec.fleet.enabled) {
         // Replicas terminate VIP traffic directly (DSR); their hosts carry
         // the VIP address but are not advertised — the balancer owns the
@@ -441,18 +443,15 @@ struct Engine::Impl {
           throw std::invalid_argument(
               "scenario::Engine: a fleet replica must be owned with server 0");
         }
-        hosts[k] = topo.add_host("replica" + idx, a.addr, /*advertise=*/false);
+        hosts[k] = topo.add_host(a.addr, /*advertise=*/false);
         lb->add_backend(topo.connect(lb, hosts[k], server_link).first);
-      } else if (a.role == Role::kServer) {
-        // Each server is independently addressable at 10.1.0.1+i;
-        // fleet-aware strategies spread their attempts across the list.
-        hosts[k] = topo.add_host(
-            spec.servers.count == 1 ? "server" : "server" + idx, a.addr);
-        topo.connect(hosts[k], router(a), server_link);
       } else {
-        hosts[k] = topo.add_host(
-            (a.role == Role::kClient ? "client" : "bot") + idx, a.addr);
-        topo.connect(hosts[k], router(a), host_link);
+        // Servers, clients and bots hang off their access router. Each
+        // server is independently addressable at 10.1.0.1+i; fleet-aware
+        // strategies spread their attempts across the list.
+        hosts[k] = topo.add_host(a.addr);
+        topo.connect(hosts[k], router(a),
+                     a.role == Role::kServer ? server_link : host_link);
       }
     }
     topo.compute_routes();
@@ -673,53 +672,37 @@ struct Engine::Impl {
 
   /// Cross-shard wiring. Injections for owned agents enter at their access
   /// router, so the access link (the dominant queueing direction under
-  /// flood) keeps exact contention. Routes for remote addresses point at
-  /// per-egress portals: captured one propagation hop early, serialized at
-  /// the real egress link's bandwidth (the portal link), stamped
-  /// `now + extra` for the remaining hops.
+  /// flood) keeps exact contention. Remote addresses go into the address
+  /// directory once; each egress node sends them to its own portal:
+  /// captured one propagation hop early, serialized at the real egress
+  /// link's bandwidth (the portal link), stamped `now + extra` for the
+  /// remaining hops.
   void wire_cross_shard() {
-    std::vector<std::uint32_t> remote;
     for (std::size_t k = 0; k < roster.size(); ++k) {
       if (owns(k)) {
         inject_points[roster[k].addr] = router(roster[k]);
       } else {
-        remote.push_back(roster[k].addr);
+        // Idempotent: on a shard without the balancer, every replica's
+        // roster entry carries the VIP.
+        topo.advertise_remote(roster[k].addr);
       }
     }
-    if (remote.empty()) return;
 
     const SimTime L = spec.net.link_delay;
-    const auto attach = [this](net::Node* at, double bw,
-                               SimTime extra) -> net::Link* {
-      auto portal = std::make_unique<net::PortalNode>(
-          sim, at->name() + ":portal", extra,
-          [this](SimTime t, const tcp::Segment& seg) { env->send(t, seg); });
-      auto link =
-          std::make_unique<net::Link>(sim, *portal, bw, SimTime::zero(),
-                                      4u << 20, at->name() + "->portal");
-      net::Link* l = link.get();
-      portals.push_back(std::move(portal));
-      portal_links.push_back(std::move(link));
-      return l;
+    const auto attach = [this](net::Node* at, double bw, SimTime extra) {
+      portals.push_back(std::make_unique<net::PortalNode>(
+          sim, extra,
+          [this](SimTime t, const tcp::Segment& seg) { env->send(t, seg); }));
+      portal_links.push_back(std::make_unique<net::Link>(
+          sim, *portals.back(), bw, SimTime::zero(), 4u << 20));
+      at->set_portal(portal_links.back().get());
     };
-    struct Egress {
-      net::Node* node;
-      net::Link* link;
-    };
-    std::vector<Egress> egress;
     // From an access router the remaining path is one backbone hop
     // (propagation L, serialized at backbone bandwidth).
-    for (net::Router* r : routers) {
-      egress.push_back({r, attach(r, kBackboneBps, L)});
-    }
+    for (net::Router* r : routers) attach(r, kBackboneBps, L);
     // DSR replies leave the balancer two propagation hops from any remote
     // edge (uplink + backbone), serialized at the uplink's bandwidth.
-    if (lb != nullptr) {
-      egress.push_back({lb, attach(lb, kLbUplinkBps, L + L)});
-    }
-    for (const Egress& e : egress) {
-      for (const std::uint32_t addr : remote) e.node->add_route(addr, e.link);
-    }
+    if (lb != nullptr) attach(lb, kLbUplinkBps, L + L);
   }
 
   Result collect() {

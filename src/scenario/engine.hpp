@@ -10,7 +10,7 @@
 //
 // With a ShardEnv, only the agents the env assigns to this shard are
 // instantiated (plus the backbone-router skeleton every shard shares), and
-// routes for remote addresses point at net::PortalNode egress portals: a
+// remote addresses route to net::PortalNode egress portals: a
 // segment bound for another shard is captured one propagation hop early,
 // stamped with its analytic arrival time (see portal.hpp for the lookahead
 // invariant), and handed to env.send. The par driver moves it across the

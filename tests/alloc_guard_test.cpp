@@ -17,6 +17,7 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/simulator.hpp"
+#include "net/topology.hpp"
 #include "obs/trace.hpp"
 #include "puzzle/types.hpp"
 #include "tcp/options.hpp"
@@ -105,10 +106,10 @@ TEST(AllocGuard, SegmentCopiesAreZeroAlloc) {
 
 TEST(AllocGuard, LinkDeliveryIsZeroAlloc) {
   net::Simulator sim;
-  net::Host dst(sim, "dst", tcp::ipv4(10, 2, 0, 1));
+  net::Host dst(sim, tcp::ipv4(10, 2, 0, 1));
   std::uint64_t delivered = 0;
   dst.set_handler([&delivered](SimTime, const tcp::Segment&) { ++delivered; });
-  net::Link link(sim, dst, 1e9, SimTime::microseconds(500), 1 << 20, "l");
+  net::Link link(sim, dst, 1e9, SimTime::microseconds(500), 1 << 20);
 
   const tcp::Segment chal = challenge_segment();
   const tcp::Segment sol = solution_segment();
@@ -131,6 +132,35 @@ TEST(AllocGuard, LinkDeliveryIsZeroAlloc) {
   EXPECT_EQ(delivered, 202u);
 }
 
+TEST(AllocGuard, RoutedForwardingIsZeroAlloc) {
+  // host -> router -> host: the router's lookup is a directory probe and a
+  // table index, neither of which may allocate.
+  net::Simulator sim;
+  net::Topology topo(sim);
+  net::Router* r = topo.add_router();
+  net::Host* src = topo.add_host(tcp::ipv4(10, 1, 0, 1));
+  net::Host* dst = topo.add_host(tcp::ipv4(10, 2, 0, 1));
+  topo.connect(src, r, {});
+  topo.connect(dst, r, {});
+  topo.compute_routes();
+  std::uint64_t delivered = 0;
+  dst->set_handler([&delivered](SimTime, const tcp::Segment&) { ++delivered; });
+
+  const tcp::Segment chal = challenge_segment();
+  src->send(chal);
+  sim.run();
+  ASSERT_EQ(delivered, 1u);
+
+  const std::uint64_t before = tcpz_alloc_count();
+  for (int i = 0; i < 100; ++i) {
+    src->send(chal);
+    sim.run();
+  }
+  EXPECT_EQ(tcpz_alloc_count(), before) << "routed forwarding allocated";
+  EXPECT_EQ(delivered, 101u);
+  EXPECT_EQ(r->unroutable_drops(), 0u);
+}
+
 TEST(AllocGuard, LinkDeliveryIsZeroAllocWithNoRecorderInstalled) {
   // The default state: no flight recorder. Every TCPZ_TRACE site must be a
   // not-taken branch, so the packet path allocates nothing — this is the
@@ -138,9 +168,9 @@ TEST(AllocGuard, LinkDeliveryIsZeroAllocWithNoRecorderInstalled) {
   // layer compiled in and explicitly uninstalled.
   ASSERT_EQ(obs::recorder(), nullptr);
   net::Simulator sim;
-  net::Host dst(sim, "dst", tcp::ipv4(10, 2, 0, 1));
+  net::Host dst(sim, tcp::ipv4(10, 2, 0, 1));
   dst.set_handler([](SimTime, const tcp::Segment&) {});
-  net::Link link(sim, dst, 1e9, SimTime::microseconds(500), 1 << 20, "l");
+  net::Link link(sim, dst, 1e9, SimTime::microseconds(500), 1 << 20);
   const tcp::Segment chal = challenge_segment();
   link.transmit(chal);
   sim.run();
@@ -162,9 +192,9 @@ TEST(AllocGuard, LinkDeliveryIsZeroAllocWithTracingEnabled) {
   obs::ScopedRecorder scoped(&rec);
 
   net::Simulator sim;
-  net::Host dst(sim, "dst", tcp::ipv4(10, 2, 0, 1));
+  net::Host dst(sim, tcp::ipv4(10, 2, 0, 1));
   dst.set_handler([](SimTime, const tcp::Segment&) {});
-  net::Link link(sim, dst, 1e9, SimTime::microseconds(500), 1 << 20, "l");
+  net::Link link(sim, dst, 1e9, SimTime::microseconds(500), 1 << 20);
   const tcp::Segment chal = challenge_segment();
   link.transmit(chal);
   sim.run();

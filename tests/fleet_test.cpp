@@ -44,12 +44,11 @@ struct MiniFleet {
     cfg.vip = kVip;
     cfg.policy = policy;
     lb = static_cast<LoadBalancer*>(
-        topo.add_node(std::make_unique<LoadBalancer>(sim, "lb", cfg)));
+        topo.add_node(std::make_unique<LoadBalancer>(sim, cfg)));
     topo.advertise(lb, kVip);
     delivered.assign(static_cast<std::size_t>(n_replicas), 0);
     for (int i = 0; i < n_replicas; ++i) {
-      net::Host* h = topo.add_host("replica" + std::to_string(i), kVip,
-                                   /*advertise=*/false);
+      net::Host* h = topo.add_host(kVip, /*advertise=*/false);
       auto [fwd, rev] = topo.connect(lb, h, {});
       (void)rev;
       lb->add_backend(fwd);
@@ -58,7 +57,7 @@ struct MiniFleet {
       });
       replicas.push_back(h);
     }
-    client = topo.add_host("client", kClientAddr);
+    client = topo.add_host(kClientAddr);
     topo.connect(client, lb, {});
     topo.compute_routes();
   }
@@ -464,17 +463,16 @@ TEST(LoadBalancer, IdleSweepBoundsFlowTableUnderSpoofedSynFlood) {
   cfg.flow_idle_timeout = SimTime::seconds(2);
   cfg.sweep_interval = SimTime::seconds(1);
   auto* lb = static_cast<LoadBalancer*>(
-      topo.add_node(std::make_unique<LoadBalancer>(sim, "lb", cfg)));
+      topo.add_node(std::make_unique<LoadBalancer>(sim, cfg)));
   topo.advertise(lb, kVip);
   for (int i = 0; i < 2; ++i) {
-    net::Host* h = topo.add_host("replica" + std::to_string(i), kVip,
-                                 /*advertise=*/false);
+    net::Host* h = topo.add_host(kVip, /*advertise=*/false);
     auto [fwd, rev] = topo.connect(lb, h, {});
     (void)rev;
     lb->add_backend(fwd);
     h->set_handler([](SimTime, const tcp::Segment&) {});  // sink
   }
-  net::Host* zombie = topo.add_host("zombie", tcp::ipv4(100, 64, 0, 1));
+  net::Host* zombie = topo.add_host(tcp::ipv4(100, 64, 0, 1));
   topo.connect(zombie, lb, {});
   topo.compute_routes();
 

@@ -28,9 +28,9 @@ constexpr std::uint32_t kClientAddr = tcp::ipv4(10, 2, 0, 1);
 class RealStackFixture : public ::testing::Test {
  protected:
   RealStackFixture() : topo_(sim_) {
-    net::Router* r = topo_.add_router("r");
-    server_host_ = topo_.add_host("server", kServerAddr);
-    client_host_ = topo_.add_host("client", kClientAddr);
+    net::Router* r = topo_.add_router();
+    server_host_ = topo_.add_host(kServerAddr);
+    client_host_ = topo_.add_host(kClientAddr);
     const net::LinkSpec spec{100e6, SimTime::microseconds(200), 1 << 20};
     topo_.connect(server_host_, r, spec);
     topo_.connect(client_host_, r, spec);

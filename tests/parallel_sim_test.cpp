@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "defense/spec.hpp"
@@ -24,6 +25,7 @@
 #include "offense/spec.hpp"
 #include "par/engine.hpp"
 #include "par/mailbox.hpp"
+#include "scenario/engine.hpp"
 #include "scenario/spec.hpp"
 #include "trace_digest.hpp"
 
@@ -213,6 +215,19 @@ TEST(ParallelSim, ShardedStatisticallyMatchesSingleThread) {
     const auto est2 = static_cast<double>(sharded.cluster.established_total);
     EXPECT_NEAR(est2 / est1, 1.0, 0.15) << n << " shards";
   }
+}
+
+// Every roster address belongs to one agent, or the topology's directory
+// would refuse it: past 65,535 clients the client block continues clear of
+// the bots' 10.3/16.
+TEST(ParallelSim, RosterAddressesStayUniquePastOneBlock) {
+  scenario::Spec s = par_fixture();
+  s.workload.n_clients = 100'000;
+  s.attacks[0].count = 2'000;
+  const std::vector<scenario::Agent> agents = scenario::roster(s);
+  std::unordered_set<std::uint32_t> addrs;
+  for (const scenario::Agent& a : agents) addrs.insert(a.addr);
+  EXPECT_EQ(addrs.size(), agents.size());
 }
 
 TEST(ParallelSim, RejectsBadLookahead) {

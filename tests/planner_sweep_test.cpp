@@ -83,10 +83,10 @@ INSTANTIATE_TEST_SUITE_P(Budgets, BudgetSweepTest,
 TEST(ReplayAttack, CapturedSolutionAckOccupiesOneSlotAndExpires) {
   net::Simulator sim;
   net::Topology topo(sim);
-  net::Router* r = topo.add_router("r");
-  net::Host* server_host = topo.add_host("server", tcp::ipv4(10, 1, 0, 1));
-  net::Host* client_host = topo.add_host("client", tcp::ipv4(10, 2, 0, 1));
-  net::Host* spy_host = topo.add_host("spy", tcp::ipv4(10, 3, 0, 1));
+  net::Router* r = topo.add_router();
+  net::Host* server_host = topo.add_host(tcp::ipv4(10, 1, 0, 1));
+  net::Host* client_host = topo.add_host(tcp::ipv4(10, 2, 0, 1));
+  net::Host* spy_host = topo.add_host(tcp::ipv4(10, 3, 0, 1));
   const net::LinkSpec spec{100e6, SimTime::microseconds(100), 1 << 20};
   topo.connect(server_host, r, spec);
   topo.connect(client_host, r, spec);

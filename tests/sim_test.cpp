@@ -388,10 +388,10 @@ tcp::Segment challenge_for(const tcp::Segment& syn) {
 /// first attempt at 0.35 s; each solve takes `solve_s` on one lane.
 struct BotRig {
   net::Simulator sim;
-  net::Host bot{sim, "bot", tcp::ipv4(10, 9, 0, 1)};
-  net::Host server{sim, "server", tcp::ipv4(10, 1, 0, 1)};
-  net::Link up{sim, server, 1e9, SimTime::zero(), 1 << 20, "up"};
-  net::Link down{sim, bot, 1e9, SimTime::zero(), 1 << 20, "down"};
+  net::Host bot{sim, tcp::ipv4(10, 9, 0, 1)};
+  net::Host server{sim, tcp::ipv4(10, 1, 0, 1)};
+  net::Link up{sim, server, 1e9, SimTime::zero(), 1 << 20};
+  net::Link down{sim, bot, 1e9, SimTime::zero(), 1 << 20};
   std::unique_ptr<AttackerAgent> agent;
   int solution_acks = 0;
 
@@ -490,10 +490,10 @@ struct GaugeRig {
   static constexpr std::uint64_t kCost = 1000;
 
   net::Simulator sim;
-  net::Host client{sim, "client", tcp::ipv4(10, 2, 0, 1)};
-  net::Host server{sim, "server", tcp::ipv4(10, 1, 0, 1)};
-  net::Link up{sim, server, 1e15, SimTime::zero(), 1 << 20, "up"};
-  net::Link down{sim, client, 1e15, kPeriod, 1 << 20, "down"};
+  net::Host client{sim, tcp::ipv4(10, 2, 0, 1)};
+  net::Host server{sim, tcp::ipv4(10, 1, 0, 1)};
+  net::Link up{sim, server, 1e15, SimTime::zero(), 1 << 20};
+  net::Link down{sim, client, 1e15, kPeriod, 1 << 20};
   net::Cadence ticks{sim, SimTime::milliseconds(100), kUntil};
   net::Cadence samples{sim, kPeriod, kUntil};
   CpuSpec cpu;
@@ -629,10 +629,10 @@ TEST(ClientCpuGauge, QueuedJobKeepsTheClientSampled) {
 /// connections the test opens, feeds requests into and watches.
 struct ServerRig {
   net::Simulator sim;
-  net::Host server{sim, "server", tcp::ipv4(10, 1, 0, 1)};
-  net::Host client{sim, "client", tcp::ipv4(10, 2, 0, 1)};
-  net::Link up{sim, server, 1e9, SimTime::zero(), 1 << 20, "up"};
-  net::Link down{sim, client, 1e9, SimTime::zero(), 1 << 20, "down"};
+  net::Host server{sim, tcp::ipv4(10, 1, 0, 1)};
+  net::Host client{sim, tcp::ipv4(10, 2, 0, 1)};
+  net::Link up{sim, server, 1e9, SimTime::zero(), 1 << 20};
+  net::Link down{sim, client, 1e9, SimTime::zero(), 1 << 20};
   std::unique_ptr<ServerAgent> agent;
 
   explicit ServerRig(double service_rate) {
