@@ -50,8 +50,8 @@ scenario::Spec mega_workload(std::uint64_t seed, bool full, bool smoke) {
   s.net.link_delay = SimTime::milliseconds(5);
   const int dur_s = smoke ? 2 : (full ? 30 : 10);
   s.duration = SimTime::seconds(dur_s);
-  s.attack_start = SimTime::seconds(dur_s) * 0.2;
-  s.attack_end = SimTime::seconds(dur_s) * 0.8;
+  s.attack_start = SimTime::milliseconds(dur_s * 200);
+  s.attack_end = SimTime::milliseconds(dur_s * 800);
   s.workload.n_clients = smoke ? 200 : (full ? 100'000 : 8'000);
   s.workload.request_rate = full ? 0.2 : 1.0;
   s.workload.response_bytes = 20'000;
@@ -160,11 +160,15 @@ int main(int argc, char** argv) {
   double speedup4 = 0.0;
   double speedup8 = 0.0;
   double established8 = 0.0;
+  bool hordes_attacked = true;
   std::printf("%8s %12s %12s %10s %10s\n", "shards", "wall_s", "events",
               "Mev/s", "speedup");
   for (const int n : shard_counts) {
     const scenario::Result r = par::run(spec, {.shards = n});
     const auto events = static_cast<double>(r.events_processed);
+    for (const auto& g : r.groups) {
+      hordes_attacked = hordes_attacked && g.total_attempts() > 0;
+    }
     if (n == 1) {
       wall1 = r.wall_seconds;
       established1 = static_cast<double>(r.cluster.established_total);
@@ -182,6 +186,9 @@ int main(int argc, char** argv) {
     benchutil::metric(("events_" + tag).c_str(), events);
     benchutil::metric(("speedup_" + tag).c_str(), speedup);
   }
+  // A horde that never sends leaves only client traffic to scale.
+  benchutil::check("every horde makes attempts at every shard count",
+                   hordes_attacked);
   if (!smoke) {
     // The sharded run approximates cross-shard queueing, so aggregates are
     // statistically — not bitwise — equal to single-thread.

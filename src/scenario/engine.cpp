@@ -337,12 +337,18 @@ struct Engine::Impl {
   std::optional<fleet::SecretDirectory> directory;
   std::optional<fleet::ReplayCache> replay_cache;
 
+  /// Every periodic agent timer, per shard (DESIGN.md "Cadences"). Ticks:
+  /// servers, clients. Samples: servers, clients, bots. Per attack group
+  /// with a bot here: its flood slots and ticks, until the group's end.
+  net::Cadence ticks{sim, Spec::tick_interval, spec.duration};
+  net::Cadence samples{sim, Spec::sample_interval, spec.duration};
+  struct GroupCadences {
+    net::Cadence slots, ticks;
+  };
+  std::vector<std::unique_ptr<GroupCadences>> group_cadences;
+
   // Agents by index within their role; nullptr = owned by another shard.
   std::vector<std::unique_ptr<sim::ServerAgent>> servers;
-  /// The discrete clients' shared tick and sample timers (per shard: each
-  /// shard's engine has its own simulator).
-  net::Cadence client_ticks{sim, spec.tick_interval, spec.duration};
-  net::Cadence client_samples{sim, spec.sample_interval, spec.duration};
   std::vector<std::unique_ptr<sim::ClientAgent>> clients;
   /// The clients' reports, filled in place and handed to the Result whole
   /// (full size; slots of remote clients stay empty).
@@ -518,8 +524,6 @@ struct Engine::Impl {
       scfg.response_bytes = wmodel.response_bytes;
       scfg.app_idle_timeout = spec.servers.app_idle_timeout;
       scfg.cpu = spec.servers.cpu;
-      scfg.tick_interval = spec.tick_interval;
-      scfg.sample_interval = spec.sample_interval;
       scfg.is_attacker = addrs::is_bot;
       const bool puzzles = pspec.wants_engine();
       auto& server = servers[static_cast<std::size_t>(a.index)];
@@ -536,7 +540,7 @@ struct Engine::Impl {
               return rc->check_and_insert(flow, ts, now_ms);
             });
       }
-      server->start(spec.duration);
+      server->start(spec.duration, ticks, samples);
     });
     if (spec.fleet.enabled && owns_infra()) {
       directory->start(sim, spec.duration);
@@ -566,7 +570,7 @@ struct Engine::Impl {
       ccfg.response_timeout = spec.workload.response_timeout;
       auto& client = clients[static_cast<std::size_t>(a.index)];
       client = std::make_unique<sim::ClientAgent>(
-          sim, *hosts[k], ccfg, seed(a), client_ticks, client_samples,
+          sim, *hosts[k], ccfg, seed(a), ticks, samples,
           client_reports[static_cast<std::size_t>(a.index)]);
       client->start(spec.duration);
     });
@@ -608,19 +612,16 @@ struct Engine::Impl {
       }
       // The step/sample drivers, all scheduled here up front (bounded by
       // duration, a few thousand events). Order at equal timestamps is
-      // schedule order: at the first tick instant the step fires after the
-      // servers' ticks and the client tick cadence, which were armed
-      // earlier in this build. From the second instant on it fires before
-      // every agent tick, because agent timers re-arm at an earlier
-      // instant, after this whole pre-schedule. The drivers stay
-      // pre-scheduled: they already cost one event per instant for all
-      // populations together, so a cadence would save nothing, and
-      // self-re-arming would move every later step behind the server and
-      // client ticks.
+      // schedule order: at its first instant each driver fires after the
+      // agents' tick or sample cadence, armed earlier in this build; from
+      // the second on it fires before them, because they re-arm one period
+      // earlier. The drivers stay off the cadences: they already cost one
+      // event per instant for all populations together, and as members
+      // every later step would fall behind the agent ticks.
       if (!fluids.empty()) {
         auto* fl = &fluids;
         auto* ls = &fluid_listeners;
-        const SimTime dt = spec.tick_interval;
+        const SimTime dt = Spec::tick_interval;
         for (SimTime t = dt; t <= spec.duration; t += dt) {
           sim.schedule_at(t, [fl, ls, t, dt] {
             for (std::size_t i = 0; i < fl->size(); ++i) {
@@ -628,8 +629,8 @@ struct Engine::Impl {
             }
           });
         }
-        for (SimTime t = spec.sample_interval; t <= spec.duration;
-             t += spec.sample_interval) {
+        for (SimTime t = Spec::sample_interval; t <= spec.duration;
+             t += Spec::sample_interval) {
           sim.schedule_at(t, [fl, t] {
             for (auto& f : *fl) f->sample(t);
           });
@@ -648,6 +649,7 @@ struct Engine::Impl {
       }
     }
     bots.resize(count(Role::kBot));
+    group_cadences.resize(spec.attacks.size());
     for_owned(Role::kBot, [&](std::size_t k, const Agent& a) {
       const AttackSpec& g = spec.attacks[static_cast<std::size_t>(a.group)];
       offense::StrategySpec sspec = g.strategy;
@@ -655,18 +657,22 @@ struct Engine::Impl {
       sim::AttackerAgentConfig acfg;
       acfg.targets = targets;
       acfg.strategy = sspec;
-      acfg.rate = g.rate;
       acfg.attack_start = g.start.value_or(spec.attack_start);
-      acfg.attack_end = g.end.value_or(spec.attack_end);
+      acfg.attack_end =
+          std::min(g.end.value_or(spec.attack_end), spec.duration);
       acfg.engine = engine;
       acfg.cpu = solver_cpu(spec, g.cpu);
       acfg.max_inflight = g.max_inflight;
-      acfg.tick_interval = spec.tick_interval;
-      acfg.sample_interval = spec.sample_interval;
       acfg.trace_track = a.track;
+      auto& gc = group_cadences[static_cast<std::size_t>(a.group)];
+      if (gc == nullptr) {
+        gc.reset(new GroupCadences{
+            {sim, SimTime::from_seconds(1.0 / g.rate), acfg.attack_end},
+            {sim, Spec::tick_interval, acfg.attack_end}});
+      }
       auto& bot = bots[static_cast<std::size_t>(a.index)];
       bot = std::make_unique<sim::AttackerAgent>(sim, *hosts[k], acfg, seed(a));
-      bot->start(spec.duration);
+      bot->start(gc->slots, gc->ticks, samples);
     });
   }
 

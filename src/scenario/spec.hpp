@@ -184,8 +184,9 @@ struct Spec {
   std::vector<TimelineEvent> events;
 
   PowKind pow = PowKind::kCpuBound;
-  SimTime tick_interval = SimTime::milliseconds(100);
-  SimTime sample_interval = SimTime::milliseconds(250);
+  /// The agents' and fluid drivers' tick and gauge sample periods.
+  static constexpr SimTime tick_interval = SimTime::milliseconds(100);
+  static constexpr SimTime sample_interval = SimTime::milliseconds(250);
   ObsSpec obs;
 
   /// Same rates and shapes on a short timeline: 120 s run, attack 30-80 s.

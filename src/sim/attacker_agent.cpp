@@ -36,14 +36,16 @@ offense::BotView AttackerAgent::view(SimTime now) {
   return v;
 }
 
-void AttackerAgent::start(SimTime until) {
-  until_ = until;
+void AttackerAgent::start(net::Cadence& slots, net::Cadence& ticks,
+                          net::Cadence& samples) {
   host_.set_handler([this](SimTime now, const tcp::Segment& seg) {
     on_segment(now, seg);
   });
-  sim_.schedule_at(cfg_.attack_start, [this] { flood_loop(); });
-  sim_.schedule_at(cfg_.attack_start, [this] { tick_loop(); });
-  sample_loop();
+  sim_.schedule_at(cfg_.attack_start, [this, &slots, &ticks] {
+    slots.join([this](SimTime now) { slot(now); });
+    ticks.join([this](SimTime now) { tick(now); });
+  });
+  samples.join([this, w = samples.period()](SimTime now) { sample(now, w); });
 }
 
 void AttackerAgent::send_all(const std::vector<tcp::Segment>& segs) {
@@ -54,34 +56,27 @@ void AttackerAgent::send_all(const std::vector<tcp::Segment>& segs) {
   }
 }
 
-void AttackerAgent::flood_loop() {
-  const SimTime now = sim_.now();
-  if (now >= cfg_.attack_end || now >= until_) return;
+void AttackerAgent::slot(SimTime now) {
+  // The cadence also fires at the first grid instant at or after its end.
+  if (now >= cfg_.attack_end) return;
   // Constant-rate emission (hping3/nping "--rate" behaviour); the strategy
   // decides what each slot carries.
-  sim_.schedule_in(SimTime::from_seconds(1.0 / cfg_.rate), [this] {
-    const SimTime now2 = sim_.now();
-    if (now2 < cfg_.attack_end && now2 < until_) {
-      const offense::SlotDecision d = strategy_->on_slot(view(now2));
-      const std::size_t target = d.target < cfg_.targets.size() ? d.target : 0;
-      switch (d.action) {
-        case offense::SlotAction::kSpoofedSyn:
-          TCPZ_TRACE(now2, obs::Code::kSlotSpoofedSyn, cfg_.trace_track,
-                     target);
-          send_spoofed_syn(now2, target);
-          break;
-        case offense::SlotAction::kConnect:
-          TCPZ_TRACE(now2, obs::Code::kSlotConnect, cfg_.trace_track, target,
-                     d.patched ? 1 : 0);
-          launch_attempt(now2, d.patched, target);
-          break;
-        case offense::SlotAction::kIdle:
-          TCPZ_TRACE(now2, obs::Code::kSlotIdle, cfg_.trace_track);
-          break;
-      }
-    }
-    flood_loop();
-  });
+  const offense::SlotDecision d = strategy_->on_slot(view(now));
+  const std::size_t target = d.target < cfg_.targets.size() ? d.target : 0;
+  switch (d.action) {
+    case offense::SlotAction::kSpoofedSyn:
+      TCPZ_TRACE(now, obs::Code::kSlotSpoofedSyn, cfg_.trace_track, target);
+      send_spoofed_syn(now, target);
+      break;
+    case offense::SlotAction::kConnect:
+      TCPZ_TRACE(now, obs::Code::kSlotConnect, cfg_.trace_track, target,
+                 d.patched ? 1 : 0);
+      launch_attempt(now, d.patched, target);
+      break;
+    case offense::SlotAction::kIdle:
+      TCPZ_TRACE(now, obs::Code::kSlotIdle, cfg_.trace_track);
+      break;
+  }
 }
 
 void AttackerAgent::send_spoofed_syn(SimTime now, std::size_t target) {
@@ -160,7 +155,7 @@ void AttackerAgent::apply(SimTime now, std::uint16_t sport,
                  sport);
       strategy_->on_outcome(view(now), offense::Outcome::kSolveRefused);
       // The attempt keeps holding its in-flight slot until the tool times
-      // it out (tick_loop), throttling the measured attack rate.
+      // it out (tick), throttling the measured attack rate.
       return;
     }
     TCPZ_TRACE(now, obs::Code::kChallengeSolve, cfg_.trace_track, sport,
@@ -259,36 +254,25 @@ bool AttackerAgent::settle(SimTime now, std::uint16_t sport) {
   return true;
 }
 
-void AttackerAgent::tick_loop() {
-  const SimTime now = sim_.now();
-  if (now >= until_) return;
-  sim_.schedule_in(cfg_.tick_interval, [this] {
-    const SimTime t = sim_.now();
-    // Recycle in-flight slots whose attempt went nowhere. No attempt is
-    // stale before kAttemptTimeout, so only the grace list and the launches
-    // come due are checked, not the whole table. A stamp rounds down, so a
-    // launch is due no later than its attempt; settle() applies the exact
-    // limit, to whichever attempt now holds the port.
-    std::erase_if(grace_,
-                  [&](std::uint16_t sport) { return settle(t, sport); });
-    const std::uint32_t t_ms = wire_ms(t);
-    while (!launches_.empty() &&
-           t_ms - launches_.front().at_ms >= kAttemptTimeoutMs) {
-      const std::uint16_t sport = launches_.front().sport;
-      launches_.pop_front();
-      if (!settle(t, sport)) grace_.push_back(sport);
-    }
-    if (t < cfg_.attack_end) tick_loop();
-  });
+void AttackerAgent::tick(SimTime now) {
+  // Recycle in-flight slots whose attempt went nowhere. No attempt is stale
+  // before kAttemptTimeout, so only the grace list and the launches come
+  // due are checked, not the whole table. A stamp rounds down, so a launch
+  // is due no later than its attempt; settle() applies the exact limit, to
+  // whichever attempt now holds the port.
+  std::erase_if(grace_,
+                [&](std::uint16_t sport) { return settle(now, sport); });
+  const std::uint32_t now_ms = wire_ms(now);
+  while (!launches_.empty() &&
+         now_ms - launches_.front().at_ms >= kAttemptTimeoutMs) {
+    const std::uint16_t sport = launches_.front().sport;
+    launches_.pop_front();
+    if (!settle(now, sport)) grace_.push_back(sport);
+  }
 }
 
-void AttackerAgent::sample_loop() {
-  if (sim_.now() >= until_) return;
-  sim_.schedule_in(cfg_.sample_interval, [this] {
-    const SimTime now = sim_.now();
-    report_.cpu.record(now, cpu_.sample_utilization(now, cfg_.sample_interval));
-    sample_loop();
-  });
+void AttackerAgent::sample(SimTime now, SimTime window) {
+  report_.cpu.record(now, cpu_.sample_utilization(now, window));
 }
 
 }  // namespace tcpz::sim

@@ -1,12 +1,13 @@
 // Botnet members. The agent owns the mechanics every attack shares — the
-// constant-rate emission loop, the bounded in-flight attempt table, the
-// serial in-kernel solver admission, timers, the CPU model and metric
+// constant-rate emission slots, the bounded in-flight attempt table, the
+// serial in-kernel solver admission, timeouts, the CPU model and metric
 // accounting — and consults a pluggable offense::AttackStrategy at each
 // decision point (emission slot, received segment, challenge, verdict).
 // The paper's three behaviours (SYN flood, connection flood, bogus-solution
 // flood) and the extended attacker models (pulsed, game-adaptive,
 // multi-target) all live in src/offense/; the agent itself never branches
-// on what kind of attack it is running.
+// on what kind of attack it is running. Slots, ticks and samples run on
+// engine-owned net::Cadences; a group's bots share one slot grid.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/cadence.hpp"
 #include "net/node.hpp"
 #include "net/simulator.hpp"
 #include "offense/spec.hpp"
@@ -42,9 +44,8 @@ struct AttackerAgentConfig {
   std::vector<AttackTarget> targets;
   /// The behaviour behind the flood; every bot builds its own instance.
   offense::StrategySpec strategy;
-  double rate = 500.0;  ///< packets (connection attempts) per second
   SimTime attack_start = SimTime::seconds(120);
-  SimTime attack_end = SimTime::seconds(480);
+  SimTime attack_end = SimTime::seconds(480);  ///< no slot emits from here on
   std::shared_ptr<const puzzle::PuzzleEngine> engine;
   /// Commodity zombie: equal-or-better hash rate than clients (§6), fewer
   /// spare cores. hash_rate is the resolved solve rate.
@@ -52,8 +53,6 @@ struct AttackerAgentConfig {
   /// Finite tool concurrency: new attempts are skipped while this many are
   /// in flight (this is what caps the "measured attack rate" of Figs 13–14).
   int max_inflight = 250;
-  SimTime tick_interval = SimTime::milliseconds(100);
-  SimTime sample_interval = SimTime::milliseconds(250);
   /// Flight-recorder track this bot's offense events report under (one
   /// track per agent in the Chrome-trace export; see src/obs/).
   std::uint16_t trace_track = 0;
@@ -64,7 +63,9 @@ class AttackerAgent {
   AttackerAgent(net::Simulator& sim, net::Host& host, AttackerAgentConfig cfg,
                 std::uint64_t seed);
 
-  void start(SimTime until);
+  /// Joins `samples` (its period is the CPU utilization window) now, and
+  /// `slots` and `ticks` (both ending at attack_end) at attack_start.
+  void start(net::Cadence& slots, net::Cadence& ticks, net::Cadence& samples);
 
   [[nodiscard]] HostReport& report() { return report_; }
   [[nodiscard]] const HostReport& report() const { return report_; }
@@ -93,9 +94,9 @@ class AttackerAgent {
 
   [[nodiscard]] offense::BotView view(SimTime now);
   void on_segment(SimTime now, const tcp::Segment& seg);
-  void flood_loop();
-  void tick_loop();
-  void sample_loop();
+  void slot(SimTime now);
+  void tick(SimTime now);
+  void sample(SimTime now, SimTime window);
   void launch_attempt(SimTime now, bool patched, std::size_t target);
   void send_spoofed_syn(SimTime now, std::size_t target);
   void apply(SimTime now, std::uint16_t sport, tcp::ConnectorOutput out);
@@ -112,7 +113,6 @@ class AttackerAgent {
   CpuModel cpu_;
   Rng rng_;
   HostReport report_;
-  SimTime until_;
   std::unique_ptr<offense::AttackStrategy> strategy_;
 
   AttemptMap attempts_;

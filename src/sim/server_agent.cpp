@@ -31,14 +31,15 @@ ServerAgent::ServerAgent(net::Simulator& sim, net::Host& host,
       });
 }
 
-void ServerAgent::start(SimTime until) {
+void ServerAgent::start(SimTime until, net::Cadence& ticks,
+                        net::Cadence& samples) {
   until_ = until;
   host_.set_handler([this](SimTime now, const tcp::Segment& seg) {
     on_segment(now, seg);
   });
   service_loop();
-  tick_loop();
-  sample_loop();
+  ticks.join([this](SimTime now) { tick(now); });
+  samples.join([this, w = samples.period()](SimTime now) { sample(now, w); });
 }
 
 void ServerAgent::send_all(const std::vector<tcp::Segment>& segs) {
@@ -123,52 +124,42 @@ void ServerAgent::service_loop() {
   });
 }
 
-void ServerAgent::tick_loop() {
-  if (sim_.now() >= until_) return;
-  sim_.schedule_in(cfg_.tick_interval, [this] {
-    const SimTime now = sim_.now();
-    // §7 closed-loop difficulty control now lives inside the defense layer:
-    // the listener consults its policy's on_tick here.
-    send_all(listener_.on_tick(now));
-    cpu_.charge_hash_ops(listener_.take_hash_ops());
+void ServerAgent::tick(SimTime now) {
+  // §7 closed-loop difficulty control now lives inside the defense layer:
+  // the listener consults its policy's on_tick here.
+  send_all(listener_.on_tick(now));
+  cpu_.charge_hash_ops(listener_.take_hash_ops());
 
-    // Reap workers pinned by request-less connections (flood bots). Only
-    // workers accepted over app_idle_timeout ago can be due; they head idle_.
-    while (!idle_.empty() &&
-           now - idle_.front().accepted_at > cfg_.app_idle_timeout) {
-      const IdleWorker due = idle_.front();
-      idle_.pop_front();
-      const WorkerState* worker = workers_.find(due.flow);
-      if (worker == nullptr || worker->has_request ||
-          worker->accepted_at != due.accepted_at) {
-        continue;
-      }
-      listener_.close(due.flow);
-      early_requests_.erase(due.flow);
-      workers_.erase(due.flow);
+  // Reap workers pinned by request-less connections (flood bots). Only
+  // workers accepted over app_idle_timeout ago can be due; they head idle_.
+  while (!idle_.empty() &&
+         now - idle_.front().accepted_at > cfg_.app_idle_timeout) {
+    const IdleWorker due = idle_.front();
+    idle_.pop_front();
+    const WorkerState* worker = workers_.find(due.flow);
+    if (worker == nullptr || worker->has_request ||
+        worker->accepted_at != due.accepted_at) {
+      continue;
     }
-    // Early requests whose connection evaporated (closed before accept).
-    early_requests_.erase_if([this](const tcp::FlowKey& flow, std::uint32_t) {
-      return !listener_.is_established(flow);
-    });
-    drain_accept_queue(now);
-    tick_loop();
+    listener_.close(due.flow);
+    early_requests_.erase(due.flow);
+    workers_.erase(due.flow);
+  }
+  // Early requests whose connection evaporated (closed before accept).
+  early_requests_.erase_if([this](const tcp::FlowKey& flow, std::uint32_t) {
+    return !listener_.is_established(flow);
   });
+  drain_accept_queue(now);
 }
 
-void ServerAgent::sample_loop() {
-  if (sim_.now() >= until_) return;
-  sim_.schedule_in(cfg_.sample_interval, [this] {
-    const SimTime now = sim_.now();
-    report_.listen_queue.record(now,
-                                static_cast<double>(listener_.listen_depth()));
-    report_.accept_queue.record(now,
-                                static_cast<double>(listener_.accept_depth()));
-    report_.cpu.record(now, cpu_.sample_utilization(now, cfg_.sample_interval));
-    report_.difficulty_m.record(
-        now, static_cast<double>(listener_.config().difficulty.m));
-    sample_loop();
-  });
+void ServerAgent::sample(SimTime now, SimTime window) {
+  report_.listen_queue.record(now,
+                              static_cast<double>(listener_.listen_depth()));
+  report_.accept_queue.record(now,
+                              static_cast<double>(listener_.accept_depth()));
+  report_.cpu.record(now, cpu_.sample_utilization(now, window));
+  report_.difficulty_m.record(
+      now, static_cast<double>(listener_.config().difficulty.m));
 }
 
 }  // namespace tcpz::sim

@@ -8,12 +8,15 @@
 // timeout. Under a flood the effective accept-queue drain is therefore
 // workers/idle_timeout, which is what actually collapses an unprotected
 // server even though its nominal µ is high.
+// Request service is the agent's own Exp(µ) timer; its ticks (listener,
+// reaper, accept) and gauge samples run on the engine's shared cadences.
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <memory>
 
+#include "net/cadence.hpp"
 #include "net/node.hpp"
 #include "net/simulator.hpp"
 #include "sim/cpu.hpp"
@@ -33,8 +36,6 @@ struct ServerAgentConfig {
   std::uint32_t response_bytes = workload::profiles::kResponseBytes;
   SimTime app_idle_timeout = SimTime::seconds(5);
   CpuSpec cpu = server_cpu();  ///< §7: 10.8 Mhash/s
-  SimTime tick_interval = SimTime::milliseconds(100);
-  SimTime sample_interval = SimTime::milliseconds(250);
   /// Classifier for the established-by-source-class metric.
   std::function<bool(std::uint32_t addr)> is_attacker;
 };
@@ -45,9 +46,10 @@ class ServerAgent {
               crypto::SecretKey secret, std::uint64_t seed,
               std::shared_ptr<const puzzle::PuzzleEngine> engine);
 
-  /// Installs the host handler and schedules the periodic loops. `until`
-  /// bounds the self-rescheduling loops so the simulation can end.
-  void start(SimTime until);
+  /// Installs the host handler, starts the service loop (bounded by
+  /// `until`) and joins `ticks` and `samples` (whose period is the CPU
+  /// utilization window).
+  void start(SimTime until, net::Cadence& ticks, net::Cadence& samples);
 
   [[nodiscard]] ServerReport& report() { return report_; }
   [[nodiscard]] const ServerReport& report() const { return report_; }
@@ -72,8 +74,8 @@ class ServerAgent {
   void on_segment(SimTime now, const tcp::Segment& seg);
   void on_request(SimTime now, const tcp::FlowKey& flow, const tcp::Segment& seg);
   void service_loop();
-  void tick_loop();
-  void sample_loop();
+  void tick(SimTime now);
+  void sample(SimTime now, SimTime window);
   void drain_accept_queue(SimTime now);
   void send_all(const std::vector<tcp::Segment>& segs);
   void respond_and_close(SimTime now, const tcp::FlowKey& flow);

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <compare>
+#include <concepts>
 #include <limits>
 #include <string>
 
@@ -68,6 +69,9 @@ class SimTime {
     return SimTime{a.nanos_ * k};
   }
   friend constexpr SimTime operator*(std::int64_t k, SimTime a) { return a * k; }
+  /// No fractional factor (it would truncate): use from_seconds for those.
+  friend SimTime operator*(SimTime, std::floating_point auto) = delete;
+  friend SimTime operator*(std::floating_point auto, SimTime) = delete;
 
   /// Human-readable rendering with an adaptive unit, e.g. "120.000s", "2.5ms".
   [[nodiscard]] std::string to_string() const;

@@ -96,11 +96,11 @@ struct ShardGolden {
   std::uint64_t no_event_trace;
 };
 constexpr ShardGolden kShardGoldens[] = {
-    {2, 0x35c63da11271cbaaull, 0xa37f151248e17f57ull, 0x5c1ef5471afaa1a9ull,
+    {2, 0x35c63da11271cbaaull, 0x16240ad67dacd76aull, 0xcf2c244dd48a62d4ull,
      0x121844f09131532full},
-    {4, 0x4118d9689cc0b84aull, 0x04fb3d0ca3ce1bf5ull, 0xdbd505b3f3b42761ull,
+    {4, 0x4118d9689cc0b84aull, 0xb2740a8b81507c88ull, 0xd6c28dd403ccd104ull,
      0x0702d78e580fce31ull},
-    {8, 0x73d2c72cf52b1126ull, 0x5a8914d2b4892bb4ull, 0x9aae3251faff4fd0ull,
+    {8, 0x73d2c72cf52b1126ull, 0x2205d14472a400aeull, 0x8231b8f880420472ull,
      0x0c3bef7756cff47full},
 };
 

@@ -326,6 +326,36 @@ TEST(Scenario, IdleClientsCostNoEvents) {
   EXPECT_EQ(few.clients.front().cpu.size(), 80u);
 }
 
+TEST(Scenario, SilentBotsCostOneStartEventEach) {
+  // Two runs that differ only in the size of a connection flood whose bots
+  // may hold no attempt in flight, so no slot ever sends. A group's slot
+  // and tick timers and every bot's sample timer are shared cadences, so
+  // each extra bot adds only its start event, which joins its group's
+  // cadences, instead of one event per slot, tick and sample.
+  Spec s;
+  s.duration = SimTime::seconds(20);
+  s.attack_start = SimTime::seconds(5);
+  s.attack_end = SimTime::seconds(15);
+  s.workload.request_rate = 1e-9;  // mean gap ~32 years
+  s.workload.n_clients = 4;
+  scenario::AttackSpec a;
+  a.count = 1;
+  a.rate = 500.0;
+  a.strategy = StrategySpec::conn_flood();
+  a.max_inflight = 0;
+  s.attacks = {a};
+  const Result one = scenario::run(s);
+  s.attacks[0].count = 40;
+  const Result many = scenario::run(s);
+  for (const Result* r : {&one, &many}) {
+    ASSERT_EQ(r->groups[0].total_attempts(), 0u);
+  }
+  ASSERT_GE(many.events_processed, one.events_processed);
+  EXPECT_LE(many.events_processed - one.events_processed, 40u - 1u);
+  // Every bot still records one CPU gauge point per sample instant.
+  EXPECT_EQ(many.groups[0].bots.back().cpu.size(), 80u);
+}
+
 // ---------------------------------------------------------------------------
 // Agent timers: bot attempt timeouts and the idle-worker reaper. Both ticks
 // run every 100 ms from t = 0; the events under test sit off that grid.
@@ -387,11 +417,16 @@ tcp::Segment challenge_for(const tcp::Segment& syn) {
 /// every SYN and counts the solution ACKs. A slot every 350 ms launches the
 /// first attempt at 0.35 s; each solve takes `solve_s` on one lane.
 struct BotRig {
+  static constexpr SimTime kEnd = SimTime::seconds(60);
+
   net::Simulator sim;
   net::Host bot{sim, tcp::ipv4(10, 9, 0, 1)};
   net::Host server{sim, tcp::ipv4(10, 1, 0, 1)};
   net::Link up{sim, server, 1e9, SimTime::zero(), 1 << 20};
   net::Link down{sim, bot, 1e9, SimTime::zero(), 1 << 20};
+  net::Cadence slots{sim, SimTime::milliseconds(350), kEnd};
+  net::Cadence ticks{sim, SimTime::milliseconds(100), kEnd};
+  net::Cadence samples{sim, SimTime::milliseconds(250), kEnd};
   std::unique_ptr<AttackerAgent> agent;
   int solution_acks = 0;
 
@@ -408,14 +443,13 @@ struct BotRig {
     AttackerAgentConfig cfg;
     cfg.targets = {{server.addr(), 80}};
     cfg.strategy = offense::StrategySpec::conn_flood(/*patched=*/true);
-    cfg.rate = 1.0 / 0.35;
     cfg.attack_start = SimTime::zero();
-    cfg.attack_end = SimTime::seconds(60);
+    cfg.attack_end = kEnd;
     cfg.engine = std::make_shared<FixedCostEngine>(1000);
     cfg.cpu = CpuSpec{1000.0 / solve_s, 1, 1};
     cfg.max_inflight = max_inflight;
     agent = std::make_unique<AttackerAgent>(sim, bot, cfg, 1);
-    agent->start(SimTime::seconds(60));
+    agent->start(slots, ticks, samples);
   }
   const HostReport& report() const { return agent->report(); }
 };
@@ -633,6 +667,8 @@ struct ServerRig {
   net::Host client{sim, tcp::ipv4(10, 2, 0, 1)};
   net::Link up{sim, server, 1e9, SimTime::zero(), 1 << 20};
   net::Link down{sim, client, 1e9, SimTime::zero(), 1 << 20};
+  net::Cadence ticks{sim, SimTime::milliseconds(100), SimTime::seconds(60)};
+  net::Cadence samples{sim, SimTime::milliseconds(250), SimTime::seconds(60)};
   std::unique_ptr<ServerAgent> agent;
 
   explicit ServerRig(double service_rate) {
@@ -649,7 +685,7 @@ struct ServerRig {
     agent = std::make_unique<ServerAgent>(sim, server, cfg,
                                           crypto::SecretKey::from_seed(3), 3,
                                           nullptr);
-    agent->start(SimTime::seconds(60));
+    agent->start(SimTime::seconds(60), ticks, samples);
   }
 
   void send(std::uint16_t port, std::uint8_t flags, std::uint32_t seq,

@@ -46,6 +46,17 @@ TEST(SimTime, Arithmetic) {
   EXPECT_EQ(a, SimTime::seconds(2));
 }
 
+// Only whole factors scale a SimTime: a fractional one would truncate.
+template <typename F>
+concept ScalesSimTime = requires(SimTime t, F f) {
+  t * f;
+  f * t;
+};
+static_assert(ScalesSimTime<std::int64_t>);
+static_assert(ScalesSimTime<int>);
+static_assert(!ScalesSimTime<double>, "SimTime * 0.5 must not compile");
+static_assert(!ScalesSimTime<float>);
+
 TEST(SimTime, ToStringPicksUnit) {
   EXPECT_EQ(SimTime::seconds(2).to_string(), "2.000s");
   EXPECT_EQ(SimTime::milliseconds(3).to_string(), "3.000ms");
