@@ -126,9 +126,10 @@ inline void register_result(const tcpz::scenario::Result& res,
     obs::register_metrics(g_registry, c, prefix + "role=client");
   }
   for (const auto& f : res.fluid) {
-    // Aggregate fluid-population reports (hybrid workloads): series and
-    // totals are scaled in whole users, under their own role label so
-    // fleet-wide legit metrics are role=client + role=fluid.
+    // Aggregate fluid-population reports (hybrid workloads): totals are
+    // scaled in whole users (the populations' series are in Result::legit),
+    // under their own role label so fleet-wide legit metrics are
+    // role=client + role=fluid.
     obs::register_metrics(g_registry, f, prefix + "role=fluid");
   }
   for (const auto& g : res.groups) {

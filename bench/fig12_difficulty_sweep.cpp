@@ -18,9 +18,7 @@ BoxplotStats throughput_box(const scenario::Result& res,
   SampleSet samples;
   for (std::size_t t = benchutil::atk_lo(spec); t < benchutil::atk_hi(spec);
        ++t) {
-    double mbps = 0;
-    for (const auto& c : res.clients) mbps += c.rx_bytes.rate_at(t) * 8 / 1e6;
-    samples.add(mbps);
+    samples.add(res.legit.rx_bytes.rate_at(t) * 8 / 1e6);
   }
   return BoxplotStats::from(samples);
 }

@@ -5,15 +5,6 @@
 
 namespace tcpz::obs {
 
-const char* to_string(MetricKind k) {
-  switch (k) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
-  }
-  return "unknown";
-}
-
 Metric& Registry::upsert(std::string_view name, std::string_view labels,
                          MetricKind kind, std::string_view help) {
   for (Metric& m : metrics_) {
@@ -155,21 +146,11 @@ void register_metrics(Registry& reg, const sim::HostReport& r,
   }
 }
 
-namespace {
-
-double series_total(const tcpz::TimeSeries& s) {
-  double sum = 0;
-  for (std::size_t i = 0; i < s.bins(); ++i) sum += s.total(i);
-  return sum;
-}
-
-}  // namespace
-
 void register_metrics(Registry& reg, const sim::ServerReport& r,
                       std::string_view labels) {
   register_metrics(reg, r.counters, labels);
 #define TCPZ_X(name, help) \
-  reg.counter("server." #name, labels, series_total(r.name), help);
+  reg.counter("server." #name, labels, r.name.sum(), help);
   TCPZ_SERVER_REPORT_SERIES_FIELDS(TCPZ_X)
 #undef TCPZ_X
 #define TCPZ_X(name, help)                                            \

@@ -22,8 +22,6 @@ namespace tcpz::obs {
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
-[[nodiscard]] const char* to_string(MetricKind k);
-
 /// Summary statistics of a histogram metric (enough to merge across
 /// replicas without shipping raw samples).
 struct HistStats {

@@ -158,7 +158,8 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
 
   // Merge: each agent's report comes from its owning shard; scalar fields
   // live where their owner does (the fleet control plane and the fluid
-  // populations follow server 0's shard).
+  // populations follow server 0's shard). The other shards' role ledgers
+  // are added to the infra shard's bin by bin, in shard order.
   std::uint64_t total_events = 0;
   for (const ShardSlot& slot : slots) {
     total_events += slot.result.events_processed;
@@ -185,6 +186,14 @@ scenario::Result run(const Spec& spec, const ParSpec& par) {
   merged.cluster = {};
   for (const sim::ServerReport& server : merged.servers) {
     merged.cluster += server.counters;
+  }
+  for (int s = 0; s < n; ++s) {
+    if (s == infra) continue;
+    const scenario::Result& from = slots[static_cast<std::size_t>(s)].result;
+    merged.legit += from.legit;
+    for (std::size_t g = 0; g < merged.groups.size(); ++g) {
+      merged.groups[g].series += from.groups[g].series;
+    }
   }
   merged.events_processed = total_events;
 

@@ -142,9 +142,7 @@ defense::PolicySpec Spec::server_policy(int i) const {
 
 double AttackGroupReport::measured_rate(std::size_t from,
                                         std::size_t to) const {
-  double sum = 0;
-  for (const auto& b : bots) sum += b.attempts.mean_rate(from, to);
-  return sum;
+  return series.attempts.mean_rate(from, to);
 }
 
 std::uint64_t AttackGroupReport::total_established() const {
@@ -159,44 +157,23 @@ std::uint64_t AttackGroupReport::total_attempts() const {
   return sum;
 }
 
-namespace {
-/// Applies `fn` to every legitimate-population report: the discrete cohort
-/// and the fluid aggregates (each of the latter stands for many users).
-template <typename F>
-void for_each_legit(const Result& r, F&& fn) {
-  for (const auto& c : r.clients) fn(c);
-  for (const auto& c : r.fluid) fn(c);
-}
-}  // namespace
-
 double Result::client_rx_mbps(std::size_t from, std::size_t to) const {
-  double sum = 0;
-  for_each_legit(*this,
-                 [&](const sim::HostReport& c) { sum += c.rx_mbps(from, to); });
-  return sum;
+  return legit.rx_mbps(from, to);
 }
 
 double Result::client_success_ratio() const {
-  std::uint64_t attempts = 0, completions = 0;
-  for_each_legit(*this, [&](const sim::HostReport& c) {
-    attempts += c.total_attempts;
-    completions += c.total_completions;
-  });
-  return attempts ? static_cast<double>(completions) /
-                        static_cast<double>(attempts)
-                  : 0.0;
+  const double attempts = legit.attempts.sum();
+  return attempts > 0 ? legit.completions.sum() / attempts : 0.0;
 }
 
 double Result::client_wire_success_pct(std::size_t from,
                                        std::size_t to) const {
   double attempts = 0, completions = 0, refused = 0;
-  for_each_legit(*this, [&](const sim::HostReport& c) {
-    for (std::size_t t = from; t < to; ++t) {
-      attempts += c.attempts.total(t);
-      completions += c.completions.total(t);
-      refused += c.refusals.total(t);
-    }
-  });
+  for (std::size_t t = from; t < to; ++t) {
+    attempts += legit.attempts.total(t);
+    completions += legit.completions.total(t);
+    refused += legit.refusals.total(t);
+  }
   const double wire = attempts - refused;
   // Completions bin later than their attempts (solve + RTT + response), so
   // a window can complete slightly more than it started; clamp to 100.
@@ -205,12 +182,10 @@ double Result::client_wire_success_pct(std::size_t from,
 
 double Result::client_success_pct(std::size_t from, std::size_t to) const {
   double attempts = 0, completions = 0;
-  for_each_legit(*this, [&](const sim::HostReport& c) {
-    for (std::size_t t = from; t < to; ++t) {
-      attempts += c.attempts.total(t);
-      completions += c.completions.total(t);
-    }
-  });
+  for (std::size_t t = from; t < to; ++t) {
+    attempts += legit.attempts.total(t);
+    completions += legit.completions.total(t);
+  }
   return attempts > 0 ? 100.0 * completions / attempts : 0.0;
 }
 
@@ -353,6 +328,10 @@ struct Engine::Impl {
   /// The clients' reports, filled in place and handed to the Result whole
   /// (full size; slots of remote clients stay empty).
   std::vector<sim::HostReport> client_reports;
+  /// This shard's ledgers: the legitimate population's (clients and fluid
+  /// populations) and one per attack group, moved into the Result whole.
+  sim::RoleSeries legit;
+  std::vector<sim::RoleSeries> group_series;
   std::vector<std::unique_ptr<workload::FluidPopulation>> fluids;
   std::vector<tcp::Listener*> fluid_listeners;
   std::vector<std::unique_ptr<sim::AttackerAgent>> bots;
@@ -571,7 +550,7 @@ struct Engine::Impl {
       auto& client = clients[static_cast<std::size_t>(a.index)];
       client = std::make_unique<sim::ClientAgent>(
           sim, *hosts[k], ccfg, seed(a), ticks, samples,
-          client_reports[static_cast<std::size_t>(a.index)]);
+          client_reports[static_cast<std::size_t>(a.index)], legit);
       client->start(spec.duration);
     });
 
@@ -606,7 +585,7 @@ struct Engine::Impl {
                           std::max(1.0, per_users + cohort_per);
         fc.response_timeout = spec.workload.response_timeout;
         fluids.push_back(std::make_unique<workload::FluidPopulation>(
-            fc, spec.servers.difficulty));
+            fc, spec.servers.difficulty, legit));
         fluid_listeners.push_back(
             &servers[static_cast<std::size_t>(i)]->listener());
       }
@@ -650,6 +629,7 @@ struct Engine::Impl {
     }
     bots.resize(count(Role::kBot));
     group_cadences.resize(spec.attacks.size());
+    group_series.resize(spec.attacks.size());
     for_owned(Role::kBot, [&](std::size_t k, const Agent& a) {
       const AttackSpec& g = spec.attacks[static_cast<std::size_t>(a.group)];
       offense::StrategySpec sspec = g.strategy;
@@ -671,7 +651,9 @@ struct Engine::Impl {
             {sim, Spec::tick_interval, acfg.attack_end}});
       }
       auto& bot = bots[static_cast<std::size_t>(a.index)];
-      bot = std::make_unique<sim::AttackerAgent>(sim, *hosts[k], acfg, seed(a));
+      bot = std::make_unique<sim::AttackerAgent>(
+          sim, *hosts[k], acfg, seed(a),
+          group_series[static_cast<std::size_t>(a.group)]);
       bot->start(gc->slots, gc->ticks, samples);
     });
   }
@@ -724,12 +706,14 @@ struct Engine::Impl {
 
     // Full-size (global shape) vectors; slots of remote agents stay
     // default-constructed for the par driver to merge.
+    // The ledgers hold this shard's agents only; par::run sums them.
     Result result;
     result.servers.resize(servers.size());
     for (const AttackSpec& g : spec.attacks) {
       AttackGroupReport group;
       group.name = g.label();
       group.bots.resize(static_cast<std::size_t>(g.count));
+      group.series = std::move(group_series[result.groups.size()]);
       result.groups.push_back(std::move(group));
     }
     for (std::size_t k = 0; k < roster.size(); ++k) {
@@ -754,6 +738,7 @@ struct Engine::Impl {
       }
     }
     result.clients = std::move(client_reports);
+    result.legit = std::move(legit);
     if (lb != nullptr) {
       result.lb.no_backend_drops = lb->no_backend_drops();
       result.lb.failover_evictions = lb->failover_evictions();

@@ -218,10 +218,12 @@ struct LbReport {
   std::uint64_t failover_evictions = 0;
 };
 
-/// One attack group's per-bot reports, in spec order.
+/// One attack group's per-bot reports, in spec order, and the group's
+/// ledger: its bots' series, summed bin by bin.
 struct AttackGroupReport {
   std::string name;
   std::vector<sim::HostReport> bots;
+  sim::RoleSeries series;
 
   /// Attack rate actually emitted by this group (Figs. 13a/14a).
   [[nodiscard]] double measured_rate(std::size_t from, std::size_t to) const;
@@ -233,11 +235,14 @@ struct Result {
   std::vector<sim::ServerReport> servers;
   std::vector<sim::HostReport> clients;
   /// Aggregate fluid-population reports (hybrid workloads only): one per
-  /// server carrying fluid mass, with series/totals scaled in whole users.
-  /// The client_* aggregates below fold these in next to the discrete
-  /// cohort; mean_client_cpu stays cohort-only (a population gauge is an
-  /// N-user average, not comparable to a single host's).
+  /// server carrying fluid mass, with totals scaled in whole users.
+  /// mean_client_cpu stays cohort-only (a population gauge is an N-user
+  /// average, not comparable to a single host's).
   std::vector<sim::HostReport> fluid;
+  /// The legitimate population's ledger: every discrete client's and fluid
+  /// population's series, summed bin by bin. The client_* window
+  /// aggregates below read it.
+  sim::RoleSeries legit;
   /// Users modeled as fluid mass (0 for pure-discrete workloads).
   std::uint64_t fluid_users = 0;
   std::vector<AttackGroupReport> groups;

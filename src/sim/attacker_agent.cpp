@@ -19,8 +19,10 @@ constexpr std::uint32_t kAttemptTimeoutMs = wire_ms(kAttemptTimeout);
 }  // namespace
 
 AttackerAgent::AttackerAgent(net::Simulator& sim, net::Host& host,
-                             AttackerAgentConfig cfg, std::uint64_t seed)
-    : sim_(sim), host_(host), cfg_(std::move(cfg)), cpu_(cfg_.cpu), rng_(seed) {
+                             AttackerAgentConfig cfg, std::uint64_t seed,
+                             RoleSeries& series)
+    : sim_(sim), host_(host), cfg_(std::move(cfg)), cpu_(cfg_.cpu),
+      rng_(seed), series_(series) {
   if (cfg_.targets.empty()) {
     throw std::invalid_argument("attacker: at least one target is required");
   }
@@ -50,7 +52,7 @@ void AttackerAgent::start(net::Cadence& slots, net::Cadence& ticks,
 
 void AttackerAgent::send_all(const std::vector<tcp::Segment>& segs) {
   for (const tcp::Segment& seg : segs) {
-    report_.tx_bytes.add(sim_.now(), seg.wire_size());
+    series_.tx_bytes.add(sim_.now(), seg.wire_size());
     cpu_.charge_seconds(kPerPacketCpuSec);
     host_.send(seg);
   }
@@ -90,7 +92,7 @@ void AttackerAgent::send_spoofed_syn(SimTime now, std::size_t target) {
   syn.seq = static_cast<std::uint32_t>(rng_.next());
   syn.flags = tcp::kSyn;
   syn.options.mss = 1460;
-  report_.attempts.add(now, 1.0);
+  series_.attempts.add(now, 1.0);
   ++report_.total_attempts;
   send_all({syn});
 }
@@ -123,7 +125,7 @@ void AttackerAgent::launch_attempt(SimTime now, bool patched,
   auto [it, inserted] = attempts_.emplace(
       sport, Attempt{tcp::Connector(ccfg, rng_.next()), now, {}});
   launches_.push_back({wire_ms(now), sport});
-  report_.attempts.add(now, 1.0);
+  series_.attempts.add(now, 1.0);
   ++report_.total_attempts;
   apply(now, sport, it->second.connector.start(now));
 }
@@ -180,7 +182,7 @@ void AttackerAgent::apply(SimTime now, std::uint16_t sport,
   if (out.established) {
     // Connection floods hold the connection and send nothing further; the
     // in-flight slot is recycled immediately.
-    report_.established.add(now, 1.0);
+    series_.established.add(now, 1.0);
     ++report_.total_established;
     erase_attempt(it);
     TCPZ_TRACE(now, obs::Code::kOutcomeEstablished, cfg_.trace_track, sport);
@@ -191,7 +193,7 @@ void AttackerAgent::apply(SimTime now, std::uint16_t sport,
   if (out.failed) {
     const bool reset = out.reason == tcp::ConnectFail::kReset;
     if (reset) ++report_.total_rsts;
-    report_.failures.add(now, 1.0);
+    series_.failures.add(now, 1.0);
     ++report_.total_failures;
     erase_attempt(it);
     TCPZ_TRACE(now,
@@ -208,7 +210,7 @@ void AttackerAgent::erase_attempt(AttemptMap::iterator it) {
 }
 
 void AttackerAgent::on_segment(SimTime now, const tcp::Segment& seg) {
-  report_.rx_bytes.add(now, seg.wire_size());
+  series_.rx_bytes.add(now, seg.wire_size());
   cpu_.charge_seconds(kPerPacketCpuSec);
   const offense::RxAction rx = strategy_->on_rx(view(now), seg);
   if (rx == offense::RxAction::kIgnore) return;  // backscatter is ignored
@@ -223,7 +225,7 @@ void AttackerAgent::on_segment(SimTime now, const tcp::Segment& seg) {
                (static_cast<std::uint64_t>(seg.options.challenge->k) << 8) |
                    seg.options.challenge->m);
     send_all({offense::make_bogus_solution_ack(now, seg, rng_)});
-    report_.established.add(now, 1.0);  // it *believes* it connected
+    series_.established.add(now, 1.0);  // it *believes* it connected
     ++report_.total_established;
     erase_attempt(it);
     strategy_->on_outcome(view(now), offense::Outcome::kEstablished);
@@ -244,7 +246,7 @@ bool AttackerAgent::settle(SimTime now, std::uint16_t sport) {
       static_cast<bool>(attempt.solve_timer);
   const SimTime limit = solving ? kAttemptTimeout * 3 : kAttemptTimeout;
   if (now - attempt.started <= limit) return false;
-  report_.failures.add(now, 1.0);
+  series_.failures.add(now, 1.0);
   ++report_.total_failures;
   // Descheduling the admitted solve models the tool closing its socket: the
   // queued search is abandoned rather than firing as a tombstone.

@@ -60,8 +60,9 @@ struct AttackerAgentConfig {
 
 class AttackerAgent {
  public:
+  /// `series` is the attack group's ledger, owned by the caller.
   AttackerAgent(net::Simulator& sim, net::Host& host, AttackerAgentConfig cfg,
-                std::uint64_t seed);
+                std::uint64_t seed, RoleSeries& series);
 
   /// Joins `samples` (its period is the CPU utilization window) now, and
   /// `slots` and `ticks` (both ending at attack_end) at attack_start.
@@ -113,6 +114,7 @@ class AttackerAgent {
   CpuModel cpu_;
   Rng rng_;
   HostReport report_;
+  RoleSeries& series_;
   std::unique_ptr<offense::AttackStrategy> strategy_;
 
   AttemptMap attempts_;

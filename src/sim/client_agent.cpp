@@ -7,7 +7,7 @@ namespace tcpz::sim {
 ClientAgent::ClientAgent(net::Simulator& sim, net::Host& host,
                          ClientAgentConfig cfg, std::uint64_t seed,
                          net::Cadence& ticks, net::Cadence& samples,
-                         HostReport& report)
+                         HostReport& report, RoleSeries& series)
     : sim_(sim),
       host_(host),
       ticks_(ticks),
@@ -15,7 +15,8 @@ ClientAgent::ClientAgent(net::Simulator& sim, net::Host& host,
       cfg_(std::move(cfg)),
       cpu_(cfg_.cpu),
       rng_(seed),
-      report_(report) {}
+      report_(report),
+      series_(series) {}
 
 void ClientAgent::start(SimTime until) {
   until_ = until;
@@ -38,7 +39,7 @@ HostReport& ClientAgent::report() {
 
 void ClientAgent::send_all(const std::vector<tcp::Segment>& segs) {
   for (const tcp::Segment& seg : segs) {
-    report_.tx_bytes.add(sim_.now(), seg.wire_size());
+    series_.tx_bytes.add(sim_.now(), seg.wire_size());
     host_.send(seg);
   }
 }
@@ -79,7 +80,7 @@ void ClientAgent::start_attempt(SimTime now) {
       sport, Attempt{tcp::Connector(ccfg, rng_.next()), now,
                      now + cfg_.response_timeout, false, 0, 0});
   if (attempts_.size() == 1) ticks_.set_active(tick_id_, true);
-  report_.attempts.add(now, 1.0);
+  series_.attempts.add(now, 1.0);
   ++report_.total_attempts;
   apply(now, sport, it->second, it->second.connector.start(now));
 }
@@ -92,7 +93,7 @@ void ClientAgent::apply(SimTime now, std::uint16_t sport, Attempt& attempt,
     ++report_.challenges_seen;
     if (pending_solves_ >= cfg_.model.max_pending_solves) {
       ++report_.solves_refused;
-      report_.refusals.add(now, 1.0);
+      series_.refusals.add(now, 1.0);
       finish_attempt(now, sport, false);
       return;
     }
@@ -119,7 +120,7 @@ void ClientAgent::apply(SimTime now, std::uint16_t sport, Attempt& attempt,
   }
 
   if (out.established) {
-    report_.established.add(now, 1.0);
+    series_.established.add(now, 1.0);
     ++report_.total_established;
     report_.conn_time_ms.add((now - attempt.started).to_millis());
     if (!attempt.request_sent) {
@@ -139,10 +140,10 @@ void ClientAgent::apply(SimTime now, std::uint16_t sport, Attempt& attempt,
 void ClientAgent::finish_attempt(SimTime now, std::uint16_t sport,
                                  bool success) {
   if (success) {
-    report_.completions.add(now, 1.0);
+    series_.completions.add(now, 1.0);
     ++report_.total_completions;
   } else {
-    report_.failures.add(now, 1.0);
+    series_.failures.add(now, 1.0);
     ++report_.total_failures;
   }
   attempts_.erase(sport);
@@ -150,7 +151,7 @@ void ClientAgent::finish_attempt(SimTime now, std::uint16_t sport,
 }
 
 void ClientAgent::on_segment(SimTime now, const tcp::Segment& seg) {
-  report_.rx_bytes.add(now, seg.wire_size());
+  series_.rx_bytes.add(now, seg.wire_size());
   const auto it = attempts_.find(seg.dport);
   if (it == attempts_.end()) return;
   Attempt& attempt = it->second;

@@ -53,11 +53,10 @@ class ClientAgent {
  public:
   /// `ticks` paces connector polling and attempt expiry; `samples` paces
   /// the CPU gauge (its period is the utilization window). The agent fills
-  /// `report`, which the caller owns: the scenario engine keeps one array of
-  /// client reports and hands it to its Result whole.
+  /// `report` and adds to `series`, its role's ledger; the caller owns both.
   ClientAgent(net::Simulator& sim, net::Host& host, ClientAgentConfig cfg,
               std::uint64_t seed, net::Cadence& ticks, net::Cadence& samples,
-              HostReport& report);
+              HostReport& report, RoleSeries& series);
 
   /// Schedules the first request and joins both cadences.
   void start(SimTime until);
@@ -103,6 +102,7 @@ class ClientAgent {
   CpuModel cpu_;
   Rng rng_;
   HostReport& report_;
+  RoleSeries& series_;
   SimTime until_;
 
   /// Non-empty exactly while this client is active on the tick cadence.

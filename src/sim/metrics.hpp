@@ -1,6 +1,11 @@
 // Metric containers filled by the agents during a scenario run. Everything
 // the paper's Figures 6-15 plot comes out of these.
 //
+// The paper's time plots sum over a role, never one host, so RoleSeries is
+// per role (clients and fluid populations add into Result::legit, each bot
+// into its group's AttackGroupReport::series); HostReport is per host, and
+// ServerReport per server.
+//
 // Field lists are single-sourced as X-macro tables (like
 // TCPZ_LISTENER_COUNTER_FIELDS in tcp/counters.hpp): the golden-trace digest
 // (tests/trace_digest.hpp) and the metrics registry (obs/registry.cpp) both
@@ -18,8 +23,8 @@
 
 namespace tcpz::sim {
 
-/// Per-host TimeSeries fields. X(name, help).
-#define TCPZ_HOST_REPORT_SERIES_FIELDS(X)                                   \
+/// Per-role TimeSeries fields. X(name, help).
+#define TCPZ_ROLE_SERIES_FIELDS(X)                                          \
   X(rx_bytes, "bytes received per second")                                  \
   X(tx_bytes, "bytes sent per second")                                      \
   X(attempts, "connection attempts started per second")                     \
@@ -27,6 +32,26 @@ namespace tcpz::sim {
   X(completions, "full request/response cycles per second")                 \
   X(failures, "connection attempts failed per second")                      \
   X(refusals, "attempts abandoned pre-wire: backlogged solver or price refusal")
+
+/// One role's time series, summed bin by bin over its hosts.
+struct RoleSeries {
+#define TCPZ_X(name, help) TimeSeries name;
+  TCPZ_ROLE_SERIES_FIELDS(TCPZ_X)
+#undef TCPZ_X
+
+  /// Bin-wise sum of another ledger of the same role (shard merge).
+  RoleSeries& operator+=(const RoleSeries& o) {
+#define TCPZ_X(name, help) name += o.name;
+    TCPZ_ROLE_SERIES_FIELDS(TCPZ_X)
+#undef TCPZ_X
+    return *this;
+  }
+
+  /// Mean goodput in Mbps over bins [from, to).
+  [[nodiscard]] double rx_mbps(std::size_t from, std::size_t to) const {
+    return rx_bytes.mean_rate(from, to) * 8.0 / 1e6;
+  }
+};
 
 /// Per-host cumulative totals. X(name, help).
 #define TCPZ_HOST_REPORT_TOTAL_FIELDS(X)                                    \
@@ -38,22 +63,14 @@ namespace tcpz::sim {
   X(challenges_seen, "puzzle challenges received")                          \
   X(solves_refused, "solves refused: backlogged solver or price refusal")
 
-/// Per-host (client or attacker) measurements.
+/// Per-host (client, bot or fluid population) measurements.
 struct HostReport {
-#define TCPZ_X(name, help) TimeSeries name;
-  TCPZ_HOST_REPORT_SERIES_FIELDS(TCPZ_X)
-#undef TCPZ_X
   SampleSet conn_time_ms;  ///< SYN sent -> established (includes solve time)
   GaugeSeries cpu;
 
 #define TCPZ_X(name, help) std::uint64_t name = 0;
   TCPZ_HOST_REPORT_TOTAL_FIELDS(TCPZ_X)
 #undef TCPZ_X
-
-  /// Mean goodput in Mbps over bins [from, to).
-  [[nodiscard]] double rx_mbps(std::size_t from, std::size_t to) const {
-    return rx_bytes.mean_rate(from, to) * 8.0 / 1e6;
-  }
 };
 
 /// Server-side TimeSeries fields. X(name, help).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace tcpz {
 
@@ -38,8 +37,6 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void RunningStats::reset() { *this = RunningStats{}; }
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -57,14 +54,6 @@ double SampleSet::mean() const {
   double s = 0.0;
   for (double x : samples_) s += x;
   return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double s = 0.0;
-  for (double x : samples_) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(samples_.size() - 1));
 }
 
 const std::vector<double>& SampleSet::sorted() const {
@@ -114,14 +103,6 @@ BoxplotStats BoxplotStats::from(const SampleSet& s) {
   b.max = s.max();
   b.mean = s.mean();
   return b;
-}
-
-std::string BoxplotStats::to_string() const {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "min=%.3f q1=%.3f med=%.3f q3=%.3f max=%.3f mean=%.3f n=%zu",
-                min, q1, median, q3, max, mean, count);
-  return buf;
 }
 
 }  // namespace tcpz

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace tcpz {
@@ -17,7 +16,6 @@ class RunningStats {
  public:
   void add(double x);
   void merge(const RunningStats& other);
-  void reset();
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] bool empty() const { return n_ == 0; }
@@ -48,7 +46,6 @@ class SampleSet {
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
 
@@ -73,7 +70,6 @@ struct BoxplotStats {
   std::size_t count = 0;
 
   [[nodiscard]] static BoxplotStats from(const SampleSet& s);
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Floor-carry accumulation of fractional (fluid) mass into an integer

@@ -14,8 +14,21 @@ void TimeSeries::add(SimTime t, double weight) {
   bins_[bin] += weight;
 }
 
+TimeSeries& TimeSeries::operator+=(const TimeSeries& other) {
+  const std::size_t n = other.bins_.size();
+  if (n > bins_.size()) bins_.resize(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) bins_[i] += other.bins_[i];
+  return *this;
+}
+
 double TimeSeries::total(std::size_t bin) const {
   return bin < bins_.size() ? bins_[bin] : 0.0;
+}
+
+double TimeSeries::sum() const {
+  double s = 0.0;
+  for (const double b : bins_) s += b;
+  return s;
 }
 
 double TimeSeries::rate_at(std::size_t bin) const {

@@ -22,9 +22,13 @@ class TimeSeries {
   static constexpr SimTime kBinWidth = SimTime::seconds(1);
 
   void add(SimTime t, double weight = 1.0);
+  /// Adds `other` bin by bin; the result has the longer of the two lengths.
+  TimeSeries& operator+=(const TimeSeries& other);
 
   [[nodiscard]] std::size_t bins() const { return bins_.size(); }
   [[nodiscard]] double total(std::size_t bin) const;
+  /// Sum of every bin.
+  [[nodiscard]] double sum() const;
   /// Bin total divided by bin width in seconds (e.g. bytes -> bytes/s).
   [[nodiscard]] double rate_at(std::size_t bin) const;
 

@@ -24,14 +24,15 @@ constexpr double kRstWire = 40;
 
 }  // namespace
 
-FluidPopulation::FluidPopulation(FluidConfig cfg, puzzle::Difficulty initial)
-    : cfg_(cfg), difficulty_(initial) {}
+FluidPopulation::FluidPopulation(FluidConfig cfg, puzzle::Difficulty initial,
+                                 sim::RoleSeries& series)
+    : cfg_(cfg), difficulty_(initial), series_(series) {}
 
 void FluidPopulation::establish(SimTime now, double mass) {
   if (mass <= 0) return;
-  report_.established.add(now, mass);
+  series_.established.add(now, mass);
   c_established_.add(report_.total_established, mass);
-  report_.tx_bytes.add(now, mass * (40.0 + cfg_.model.request_bytes));
+  series_.tx_bytes.add(now, mass * (40.0 + cfg_.model.request_bytes));
   service_ += mass;
 }
 
@@ -39,24 +40,24 @@ void FluidPopulation::deceive(SimTime now, double mass) {
   if (mass <= 0) return;
   // §5 deception: the senders believe they connected (established from the
   // client's view), send their request, and the server answers RST.
-  report_.established.add(now, mass);
+  series_.established.add(now, mass);
   c_established_.add(report_.total_established, mass);
-  report_.tx_bytes.add(now, mass * (40.0 + cfg_.model.request_bytes));
-  report_.rx_bytes.add(now, mass * kRstWire);
+  series_.tx_bytes.add(now, mass * (40.0 + cfg_.model.request_bytes));
+  series_.rx_bytes.add(now, mass * kRstWire);
   c_rsts_.add(report_.total_rsts, mass);
   fail(now, mass);
 }
 
 void FluidPopulation::fail(SimTime now, double mass) {
   if (mass <= 0) return;
-  report_.failures.add(now, mass);
+  series_.failures.add(now, mass);
   c_failures_.add(report_.total_failures, mass);
   failed_ += mass;
 }
 
 void FluidPopulation::refuse(SimTime now, double mass) {
   if (mass <= 0) return;
-  report_.refusals.add(now, mass);
+  series_.refusals.add(now, mass);
   c_refused_.add(report_.solves_refused, mass);
   refused_ += mass;
 }
@@ -70,7 +71,7 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
   // fires, 1/max_syn_retries has exhausted its retries and gives up.
   const double fresh = cfg_.users * cfg_.model.request_rate * dts;
   created_ += fresh;
-  report_.attempts.add(now, fresh);
+  series_.attempts.add(now, fresh);
   c_attempts_.add(report_.total_attempts, fresh);
 
   double reoffer = 0;
@@ -90,8 +91,8 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
   const double offered = fresh + reoffer;
   const tcp::Listener::FluidAdmission adm =
       listener.admit_fluid_syns(now, offered);
-  report_.tx_bytes.add(now, offered * kSynWire);
-  report_.rx_bytes.add(
+  series_.tx_bytes.add(now, offered * kSynWire);
+  series_.rx_bytes.add(
       now, (adm.enqueued + adm.challenged + adm.cookied) * kSynAckWire);
   synretry_ += adm.dropped;
 
@@ -122,7 +123,7 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
     solveq_ -= solved;
     solve_busy_ = capacity > 0 ? solved / capacity : 0;
     if (solved > 0) {
-      report_.tx_bytes.add(now, solved * kSolutionAckWire);
+      series_.tx_bytes.add(now, solved * kSolutionAckWire);
       const double admitted = listener.admit_fluid_handshakes(now, solved,
                                                               /*puzzle_path=*/true);
       establish(now, admitted);
@@ -142,7 +143,7 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
   const double stateless_mass = adm.cookied;
   const double handshakes = queue_mass + stateless_mass;
   if (handshakes > 0) {
-    report_.tx_bytes.add(now, (adm.enqueued + adm.cookied) * kAckWire);
+    series_.tx_bytes.add(now, (adm.enqueued + adm.cookied) * kAckWire);
     const double admitted = listener.admit_fluid_handshakes(
         now, handshakes, /*puzzle_path=*/false);
     establish(now, admitted);
@@ -161,12 +162,12 @@ void FluidPopulation::step(SimTime now, SimTime dt, tcp::Listener& listener) {
     const double served = std::min(service_, cfg_.service_rate * dts);
     service_ -= served;
     completed_ += served;
-    report_.completions.add(now, served);
+    series_.completions.add(now, served);
     c_completions_.add(report_.total_completions, served);
     const double segments =
         std::ceil(static_cast<double>(cfg_.model.response_bytes) /
                   static_cast<double>(kConnector.mss));
-    report_.rx_bytes.add(now,
+    series_.rx_bytes.add(now,
                          served * (cfg_.model.response_bytes + segments * 40.0));
   }
 

@@ -71,8 +71,10 @@ struct FluidConfig {
 class FluidPopulation {
  public:
   /// `initial` is the difficulty assumed for solve pricing until the first
-  /// challenge reports the actually-minted one.
-  FluidPopulation(FluidConfig cfg, puzzle::Difficulty initial);
+  /// challenge reports the actually-minted one. Series go into `series`,
+  /// the caller's ledger; whole-user totals and the gauge into report().
+  FluidPopulation(FluidConfig cfg, puzzle::Difficulty initial,
+                  sim::RoleSeries& series);
 
   /// Advances one Euler step of length `dt`, pushing this tick's aggregate
   /// demand through `listener`'s fluid admission entry points and
@@ -109,6 +111,7 @@ class FluidPopulation {
   FluidConfig cfg_;
   puzzle::Difficulty difficulty_;
   sim::HostReport report_;
+  sim::RoleSeries& series_;
 
   // Pools (user mass).
   double solveq_ = 0;    ///< B: accepted challenges being solved

@@ -96,11 +96,11 @@ struct ShardGolden {
   std::uint64_t no_event_trace;
 };
 constexpr ShardGolden kShardGoldens[] = {
-    {2, 0x35c63da11271cbaaull, 0x16240ad67dacd76aull, 0xcf2c244dd48a62d4ull,
+    {2, 0xe701a81ebb913119ull, 0x16240ad67dacd76aull, 0xcf2c244dd48a62d4ull,
      0x121844f09131532full},
-    {4, 0x4118d9689cc0b84aull, 0xb2740a8b81507c88ull, 0xd6c28dd403ccd104ull,
+    {4, 0x8d061e4093028054ull, 0xb2740a8b81507c88ull, 0xd6c28dd403ccd104ull,
      0x0702d78e580fce31ull},
-    {8, 0x73d2c72cf52b1126ull, 0x2205d14472a400aeull, 0x8231b8f880420472ull,
+    {8, 0xe0803323306d9296ull, 0x2205d14472a400aeull, 0x8231b8f880420472ull,
      0x0c3bef7756cff47full},
 };
 
@@ -112,7 +112,7 @@ constexpr ShardGolden kShardGoldens[] = {
 constexpr std::uint64_t kListenerDigest = 0xb5bb63fc225bbc65ull;
 
 /// full_digest of the 4-shard sharded-fleet fixture below.
-constexpr std::uint64_t kShardedFleetDigest = 0x8fe8ec8326e34c00ull;
+constexpr std::uint64_t kShardedFleetDigest = 0xfbd164ab45e553fdull;
 
 TEST_P(ParallelSimShards, FixedSeedAndShardsIsDeterministic) {
   const int n = GetParam();
@@ -198,8 +198,16 @@ TEST(ParallelSim, ShardedFleetIsDeterministic) {
 TEST(ParallelSim, ShardedStatisticallyMatchesSingleThread) {
   const scenario::Spec s = par_fixture();
   const scenario::Result single = par::run(s, {.shards = 1});
+  // Each role ledger, summed across shards, conserves its hosts' totals.
+  const auto expect_ledgers_conserve = [](const scenario::Result& r, int n) {
+    for (const tracedigest::LedgerSum& c : tracedigest::ledger_sums(r)) {
+      EXPECT_EQ(c.ledger, c.hosts) << c.what << " at " << n << " shards";
+    }
+  };
+  expect_ledgers_conserve(single, 1);
   for (const int n : {2, 4}) {
     const scenario::Result sharded = par::run(s, {.shards = n});
+    expect_ledgers_conserve(sharded, n);
 
     // Bot emission is driven by per-bot RNG alone — attempts match almost
     // exactly (only feedback-dependent strategies could drift).

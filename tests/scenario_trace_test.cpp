@@ -1,9 +1,10 @@
 // Golden-trace regression tests for the offense layer and the scenario
-// engine. The digest here folds every client and bot HostReport (all
-// time-series bins, CPU samples and totals) on top of the listener
-// counters, so a single re-ordered RNG draw or a perturbed event anywhere
-// in the attack path shows up. A second digest pins every sample of the
-// servers' gauges (queue depths, CPU, difficulty), which neither folds.
+// engine. The digest here folds every client and bot HostReport (CPU
+// samples, connection times and totals) and every bin of the role ledgers
+// on top of the listener counters, so a single re-ordered RNG draw or a
+// perturbed event anywhere in the attack path shows up. A second digest
+// pins every sample of the servers' gauges (queue depths, CPU, difficulty),
+// which neither folds.
 //
 // If a digest changes, you changed workload/offense semantics. Decide
 // explicitly whether that is intended; if so re-record (the tests print the
@@ -37,13 +38,13 @@ struct Golden {
 };
 
 const Golden kGolden[] = {
-    {"SynFlood", offense::StrategySpec::syn_flood(), 0x96090c56ff9d4857ull,
-     0x87cbbcfb4955eb55ull, 0xf32f1801dd237232ull, 0xd2f4051823a6d465ull},
+    {"SynFlood", offense::StrategySpec::syn_flood(), 0x6508677ba1211f5bull,
+     0xf8635397f8617113ull, 0xf32f1801dd237232ull, 0xd2f4051823a6d465ull},
     {"ConnFlood", offense::StrategySpec::conn_flood(),
-     tracedigest::kScaledConnFloodDigest, 0xcb63ad624f71488full,
+     tracedigest::kScaledConnFloodDigest, 0x534afde2b337c6afull,
      0x076e5a28c4f450dbull, 0x045181c35f68bd00ull},
     {"BogusSolutionFlood", offense::StrategySpec::bogus_solution_flood(),
-     0x42aec9f0eed00bc2ull, 0xcdf19dcdc2c2cd14ull, 0x746c577c775682e3ull,
+     0x0327c1ff59370d3bull, 0xa091aafd3ac45eabull, 0x746c577c775682e3ull,
      0x568be730a85e370dull},
 };
 
@@ -60,6 +61,10 @@ TEST_P(ScenarioTrace, ScaledScenarioMatchesGoldenTrace) {
   EXPECT_EQ(gauges, g.sim_gauges)
       << "server gauges drifted for attack " << g.name << "; computed 0x"
       << std::hex << gauges;
+  for (const tracedigest::LedgerSum& c : tracedigest::ledger_sums(r)) {
+    EXPECT_EQ(c.ledger, c.hosts) << c.what << " ledger does not conserve the "
+                                 << "per-host totals under " << g.name;
+  }
 }
 
 TEST_P(ScenarioTrace, FleetScenarioMatchesGoldenTrace) {
@@ -143,6 +148,11 @@ TEST(ScenarioTrace, InsertingIdleBotLeavesOtherStreamsByteIdentical) {
               digest(with_idle.groups[0].bots[i]))
         << "bot " << i << " stream perturbed by an idle bot";
   }
+  EXPECT_EQ(digest(base.legit), digest(with_idle.legit))
+      << "client ledger perturbed by an idle bot";
+  EXPECT_EQ(digest(base.groups[0].series), digest(with_idle.groups[0].series))
+      << "group ledger perturbed by an idle bot";
+  EXPECT_EQ(digest(with_idle.groups[1].series), digest(sim::RoleSeries{}));
   EXPECT_EQ(digest(base.server().counters), digest(with_idle.server().counters));
 }
 

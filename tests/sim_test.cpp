@@ -427,6 +427,7 @@ struct BotRig {
   net::Cadence slots{sim, SimTime::milliseconds(350), kEnd};
   net::Cadence ticks{sim, SimTime::milliseconds(100), kEnd};
   net::Cadence samples{sim, SimTime::milliseconds(250), kEnd};
+  RoleSeries series;
   std::unique_ptr<AttackerAgent> agent;
   int solution_acks = 0;
 
@@ -448,7 +449,7 @@ struct BotRig {
     cfg.engine = std::make_shared<FixedCostEngine>(1000);
     cfg.cpu = CpuSpec{1000.0 / solve_s, 1, 1};
     cfg.max_inflight = max_inflight;
-    agent = std::make_unique<AttackerAgent>(sim, bot, cfg, 1);
+    agent = std::make_unique<AttackerAgent>(sim, bot, cfg, 1, series);
     agent->start(slots, ticks, samples);
   }
   const HostReport& report() const { return agent->report(); }
@@ -532,6 +533,7 @@ struct GaugeRig {
   net::Cadence samples{sim, kPeriod, kUntil};
   CpuSpec cpu;
   HostReport report;
+  RoleSeries series;
   std::unique_ptr<ClientAgent> agent;
 
   /// One solve: when it was submitted, and how many sample sweeps had
@@ -571,7 +573,7 @@ struct GaugeRig {
     cfg.model.max_pending_solves = 8;
     cfg.response_timeout = SimTime::seconds(2);
     agent = std::make_unique<ClientAgent>(sim, client, cfg, 7, ticks, samples,
-                                          report);
+                                          report, series);
     agent->start(kUntil);
     sim.run();
   }

@@ -5,7 +5,8 @@
 // byte-for-byte identical as far as the struct can see.
 //
 // Field lists are expanded from the X-macro tables that declare the structs
-// (TCPZ_LISTENER_COUNTER_FIELDS, TCPZ_HOST_REPORT_*_FIELDS), so a newly
+// (TCPZ_LISTENER_COUNTER_FIELDS, TCPZ_HOST_REPORT_TOTAL_FIELDS,
+// TCPZ_ROLE_SERIES_FIELDS), so a newly
 // added field is folded automatically — it can no longer be forgotten here.
 // The flip side: adding a field now ALWAYS perturbs the goldens (by design;
 // a counter that never affects a digest is a counter nobody is testing).
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -64,13 +66,22 @@ inline std::uint64_t fold_gauge(std::uint64_t h, const GaugeSeries& g) {
   return h;
 }
 
-/// Every counter, every time-series bin, every CPU sample and the
-/// connection-time sample set of one client/bot report.
+/// Every bin of every series of one role ledger, in table order.
+inline std::uint64_t fold_role(std::uint64_t h, const sim::RoleSeries& s) {
+#define TCPZ_X(name, help) h = fold_series(h, s.name);
+  TCPZ_ROLE_SERIES_FIELDS(TCPZ_X)
+#undef TCPZ_X
+  return h;
+}
+
+inline std::uint64_t digest(const sim::RoleSeries& s) {
+  return fold_role(kFnvBasis, s);
+}
+
+/// Every counter, every CPU sample and the connection-time sample set of
+/// one client/bot report.
 inline std::uint64_t digest(const sim::HostReport& r) {
   std::uint64_t h = kFnvBasis;
-#define TCPZ_X(name, help) h = fold_series(h, r.name);
-  TCPZ_HOST_REPORT_SERIES_FIELDS(TCPZ_X)
-#undef TCPZ_X
   h = fnv(h, r.conn_time_ms.count());
   for (const double s : r.conn_time_ms.sorted()) h = fnv_d(h, s);
   h = fold_gauge(h, r.cpu);
@@ -80,17 +91,26 @@ inline std::uint64_t digest(const sim::HostReport& r) {
   return h;
 }
 
-/// Every server's counters, the cluster sum, every client and every bot
-/// report — any re-ordered RNG draw or perturbed event shows up.
-inline std::uint64_t full_digest(const scenario::Result& r) {
-  std::uint64_t h = kFnvBasis;
-  for (const auto& s : r.servers) h = fnv(h, digest(s.counters));
-  h = fnv(h, digest(r.cluster));
+/// Every client and every bot report, then the legitimate ledger and each
+/// group's ledger in group order.
+inline std::uint64_t fold_agents(std::uint64_t h, const scenario::Result& r) {
   for (const auto& c : r.clients) h = fnv(h, digest(c));
   for (const auto& g : r.groups) {
     for (const auto& b : g.bots) h = fnv(h, digest(b));
   }
+  h = fold_role(h, r.legit);
+  for (const auto& g : r.groups) h = fold_role(h, g.series);
   return h;
+}
+
+/// Every server's counters, the cluster sum, every client and every bot
+/// report and every role ledger — any re-ordered RNG draw or perturbed
+/// event shows up.
+inline std::uint64_t full_digest(const scenario::Result& r) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& s : r.servers) h = fnv(h, digest(s.counters));
+  h = fnv(h, digest(r.cluster));
+  return fold_agents(h, r);
 }
 
 /// Every sample (time and value) of every server's gauges, in server order
@@ -107,15 +127,53 @@ inline std::uint64_t server_gauge_digest(const scenario::Result& r) {
   return h;
 }
 
-/// Single-server run: server 0's counters, every client, every bot.
+/// Single-server run: server 0's counters, every client, every bot, every
+/// role ledger.
 inline std::uint64_t sim_digest(const scenario::Result& r) {
   std::uint64_t h = kFnvBasis;
   h = fnv(h, digest(r.server().counters));
-  for (const auto& c : r.clients) h = fnv(h, digest(c));
-  for (const auto& g : r.groups) {
-    for (const auto& b : g.bots) h = fnv(h, digest(b));
-  }
-  return h;
+  return fold_agents(h, r);
+}
+
+/// A role ledger's series summed over its bins, next to the sum of the
+/// matching per-host total over the hosts of that role.
+struct LedgerSum {
+  std::string what;
+  double ledger;
+  double hosts;
+};
+
+/// Every ledger series that has a per-host total: attempts, established,
+/// completions and failures for the clients and for each attack group, and
+/// refusals against solves_refused for the clients (a bot counts a refused
+/// solve without a series entry). Each bin of a discrete run holds whole
+/// events, so the two sums must be equal. Fluid populations are left out:
+/// they add fractional mass to the ledger and floor-carry their totals.
+inline std::vector<LedgerSum> ledger_sums(const scenario::Result& r) {
+  const auto hosts = [](const std::vector<sim::HostReport>& reports,
+                        std::uint64_t sim::HostReport::*total) {
+    std::uint64_t sum = 0;
+    for (const sim::HostReport& h : reports) sum += h.*total;
+    return static_cast<double>(sum);
+  };
+  const auto add = [&](std::vector<LedgerSum>& out, const std::string& role,
+                       const sim::RoleSeries& s,
+                       const std::vector<sim::HostReport>& reports) {
+    out.push_back({role + " attempts", s.attempts.sum(),
+                   hosts(reports, &sim::HostReport::total_attempts)});
+    out.push_back({role + " established", s.established.sum(),
+                   hosts(reports, &sim::HostReport::total_established)});
+    out.push_back({role + " completions", s.completions.sum(),
+                   hosts(reports, &sim::HostReport::total_completions)});
+    out.push_back({role + " failures", s.failures.sum(),
+                   hosts(reports, &sim::HostReport::total_failures)});
+  };
+  std::vector<LedgerSum> out;
+  add(out, "clients", r.legit, r.clients);
+  out.push_back({"clients refusals", r.legit.refusals.sum(),
+                 hosts(r.clients, &sim::HostReport::solves_refused)});
+  for (const auto& g : r.groups) add(out, "group " + g.name, g.series, g.bots);
+  return out;
 }
 
 /// Order-insensitive companion of obs::Recorder::digest(): the digest of
@@ -227,6 +285,6 @@ inline scenario::Spec fleet_fixture(defense::PolicySpec policy,
 /// sim_digest() of scaled_fixture(puzzles, patched conn flood). Pinned by
 /// scenario_trace_test (through scenario::run) and parallel_sim_test
 /// (through a 1-shard par::run), so the two drivers are held to one value.
-inline constexpr std::uint64_t kScaledConnFloodDigest = 0xbc39caee416bea59ull;
+inline constexpr std::uint64_t kScaledConnFloodDigest = 0x0f29e4497ceb8b50ull;
 
 }  // namespace tcpz::tracedigest

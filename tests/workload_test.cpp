@@ -202,6 +202,7 @@ struct FluidHarness {
   crypto::SecretKey secret = crypto::SecretKey::from_seed(7);
   std::shared_ptr<puzzle::OraclePuzzleEngine> engine;
   std::unique_ptr<tcp::Listener> listener;
+  sim::RoleSeries series;  ///< the population's ledger
 };
 
 FluidConfig benign_config(double users) {
@@ -217,7 +218,7 @@ FluidConfig benign_config(double users) {
 // be exact (up to float error) and nothing may fail or be refused.
 TEST(FluidPopulationTest, BenignFlowConservesMassAndCompletes) {
   FluidHarness h(defense::PolicySpec::none());
-  FluidPopulation pop(benign_config(50), {2, 17});
+  FluidPopulation pop(benign_config(50), {2, 17}, h.series);
   h.run(pop, 30.0);
 
   const double created = pop.created();
@@ -236,7 +237,9 @@ TEST(FluidPopulationTest, BenignFlowConservesMassAndCompletes) {
   EXPECT_EQ(c.fluid_deceived, 0u);
   EXPECT_NEAR(static_cast<double>(c.fluid_established),
               pop.completed() + pop.service_backlog(), 2.0);
-  // Report integer totals track the same ledger through the floor-carries.
+  // The attempts series holds the offered mass; the report's integer
+  // totals track it through the floor-carries.
+  EXPECT_NEAR(h.series.attempts.sum(), created, 1e-6 * created);
   EXPECT_NEAR(static_cast<double>(pop.report().total_attempts), created, 2.0);
   EXPECT_NEAR(static_cast<double>(pop.report().total_completions),
               pop.completed(), 2.0);
@@ -247,7 +250,7 @@ TEST(FluidPopulationTest, BenignFlowConservesMassAndCompletes) {
 // per-user bounded solve queue must shed the excess as refusals.
 TEST(FluidPopulationTest, ChallengedFlowIsSolveLimited) {
   FluidHarness h(fixtures::always_puzzles());
-  FluidPopulation pop(benign_config(50), {2, 17});
+  FluidPopulation pop(benign_config(50), {2, 17}, h.series);
   h.run(pop, 30.0);
 
   EXPECT_LT(pop.conservation_error(), 1e-6 * pop.created());
@@ -274,7 +277,7 @@ TEST(FluidPopulationTest, UnpatchedPopulationRefusesChallenges) {
   FluidHarness h(fixtures::always_puzzles());
   FluidConfig fc = benign_config(50);
   fc.solve_puzzles = false;
-  FluidPopulation pop(fc, {2, 17});
+  FluidPopulation pop(fc, {2, 17}, h.series);
   h.run(pop, 10.0);
 
   EXPECT_LT(pop.conservation_error(), 1e-6 * pop.created());
@@ -289,7 +292,7 @@ TEST(FluidPopulationTest, DroppedSynMassRetriesThenFails) {
                  /*accept_backlog=*/8);
   FluidConfig fc = benign_config(200);  // 4000/s offered vs 8 listen slots
   fc.service_rate = 50.0;
-  FluidPopulation pop(fc, {2, 17});
+  FluidPopulation pop(fc, {2, 17}, h.series);
   h.run(pop, 20.0);
 
   EXPECT_LT(pop.conservation_error(), 1e-6 * pop.created());
